@@ -39,7 +39,7 @@ const queueOwnerFile = "cmdqueue.go"
 // queue-layout arithmetic.
 var queueLayoutIdents = []string{
 	"OffCovirtCmdQ", "CmdQueueStride", "cmdqHdrSize",
-	"cmdqDefaultSlots", "cmdqMaxSlots", "cmdqSlotSize",
+	"cmdqSlots", "cmdqSlotSize",
 	"cmdqOffHead", "cmdqOffTail", "cmdqOffCompleted", "cmdqOffEpoch",
 }
 

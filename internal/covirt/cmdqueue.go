@@ -40,18 +40,15 @@ const (
 // Command queue shared-memory geometry. Each enclave CPU has one queue in
 // the Covirt boot-parameter area; commands are fixed-size records.
 const (
-	// cmdqDefaultSlots is the ring capacity used when the enclave's
-	// features don't request another size (Features.CmdQSlots). Sized for
-	// bursts: a revocation storm's merged flush batch fits without ever
-	// touching the backpressure path.
-	cmdqDefaultSlots = 64
-	cmdqSlotSize     = 32 // type, arg0, arg1, seq
-	cmdqHdrSize      = 32 // head, tail, completed, epoch
+	// cmdqSlots is the ring capacity, a power of two. Sized for bursts: a
+	// revocation storm's merged flush batch fits without ever touching
+	// the backpressure path.
+	cmdqSlots    = 64
+	cmdqSlotSize = 32 // type, arg0, arg1, seq
+	cmdqHdrSize  = 32 // head, tail, completed, epoch
 	// CmdQueueStride is the per-CPU footprint of one command queue: the
-	// header plus cmdqMaxSlots records, padded to a page.
+	// header plus cmdqSlots records, padded to a page.
 	CmdQueueStride = 0x1000
-	// cmdqMaxSlots is the largest ring that fits in one stride.
-	cmdqMaxSlots = 64
 )
 
 // Header word offsets within a queue's base page.
@@ -86,10 +83,8 @@ type cmdRec struct {
 // controller, read natively by the root-mode hypervisor); the Go-side
 // condition variable stands in for the hardware's NMI wait loop.
 type cmdQueue struct {
-	mem   *hw.PhysMem
-	base  uint64
-	slots uint64 // ring capacity, power of two
-	mask  uint64 // slots - 1
+	mem  *hw.PhysMem
+	base uint64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -101,19 +96,11 @@ type cmdQueue struct {
 	scratch [][4]uint64
 }
 
-// newCmdQueue initializes a queue at base with the given ring capacity
-// (0 selects the default). Capacity must be a power of two that fits the
-// per-CPU stride.
-func newCmdQueue(mem *hw.PhysMem, base uint64, slots uint64) (*cmdQueue, error) {
-	if slots == 0 {
-		slots = cmdqDefaultSlots
-	}
-	if slots&(slots-1) != 0 || slots > cmdqMaxSlots {
-		return nil, fmt.Errorf("covirt: command-queue capacity %d not a power of two <= %d", slots, cmdqMaxSlots)
-	}
-	q := &cmdQueue{mem: mem, base: base, slots: slots, mask: slots - 1}
+// newCmdQueue initializes a queue at base.
+func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
+	q := &cmdQueue{mem: mem, base: base}
 	q.cond = sync.NewCond(&q.mu)
-	q.scratch = make([][4]uint64, slots)
+	q.scratch = make([][4]uint64, cmdqSlots)
 	for off := uint64(0); off < cmdqHdrSize; off += 8 {
 		if err := mem.Write64(base+off, 0); err != nil {
 			return nil, err
@@ -154,7 +141,7 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 		if err != nil {
 			return 0, waitCycles, err
 		}
-		free := q.slots - (head - tail)
+		free := cmdqSlots - (head - tail)
 		if free == 0 {
 			select {
 			case <-done:
@@ -170,7 +157,7 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 				// later completion publish broadcasts under this lock.
 				h, e1 := q.mem.Read64(q.base + cmdqOffHead)
 				t, e2 := q.mem.Read64(q.base + cmdqOffTail)
-				if e1 == nil && e2 == nil && q.slots-(h-t) > 0 {
+				if e1 == nil && e2 == nil && cmdqSlots-(h-t) > 0 {
 					continue
 				}
 			}
@@ -185,7 +172,7 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 		}
 		for i := uint64(0); i < n; i++ {
 			q.seq++
-			slot := q.base + cmdqHdrSize + ((head+i)&q.mask)*cmdqSlotSize
+			slot := q.base + cmdqHdrSize + ((head+i)&(cmdqSlots-1))*cmdqSlotSize
 			for j, v := range [4]uint64{recs[i].Typ, recs[i].Arg0, recs[i].Arg1, q.seq} {
 				if err := q.mem.Write64(slot+uint64(j)*8, v); err != nil {
 					return 0, waitCycles, err
@@ -363,12 +350,12 @@ func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, bool) {
 	if err != nil || tail >= head {
 		return nil, 0, false
 	}
-	// The ring holds at most q.slots records, and scratch was sized to
+	// The ring holds at most cmdqSlots records, and scratch was sized to
 	// exactly that in newCmdQueue, so the snapshot is written in place —
 	// the NMI-path drain never allocates.
 	n := head - tail
 	for k := uint64(0); k < n; k++ {
-		slot := q.base + cmdqHdrSize + ((tail+k)&q.mask)*cmdqSlotSize
+		slot := q.base + cmdqHdrSize + ((tail+k)&(cmdqSlots-1))*cmdqSlotSize
 		var rec [4]uint64
 		for i := range rec {
 			v, err := q.mem.Read64(slot + uint64(i)*8)

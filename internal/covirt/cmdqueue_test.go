@@ -18,7 +18,7 @@ func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU) {
 		t.Fatal(err)
 	}
 	base := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	q, err := newCmdQueue(m.Mem, base, 0)
+	q, err := newCmdQueue(m.Mem, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,28 +72,21 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	}
 }
 
-// Regression for the old hard-failure semantics: overflowing the
-// pre-batching 8-slot geometry must apply backpressure (publish what fits,
-// ring the doorbell, park until the drainer frees slots) rather than fail.
-// The doorbell here runs the drain synchronously, exactly as the NMI
-// handler does on a parked idle core.
+// Regression for the old hard-failure semantics: overflowing the ring must
+// apply backpressure (publish what fits, ring the doorbell, park until the
+// drainer frees slots) rather than fail. The doorbell here runs the drain
+// synchronously, exactly as the NMI handler does on a parked idle core.
 func TestCmdQueueFullBackpressure(t *testing.T) {
-	m, _, _ := queueFixture(t)
-	base := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	q, err := newCmdQueue(m.Mem, base+CmdQueueStride, 8) // old geometry
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := m.CPU(0)
-	for i := 0; i < 8; i++ {
+	_, q, cpu := queueFixture(t)
+	for i := 0; i < cmdqSlots; i++ {
 		if _, err := q.push(CmdPing, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The ring is now full: a 16-record batch cannot fit even an empty
-	// ring, so the push must stall at least once and still deliver all
-	// records.
-	recs := make([]cmdRec, 16)
+	// The ring is now full: a batch twice its size cannot fit even an
+	// empty ring, so the push must stall at least once and still deliver
+	// all records.
+	recs := make([]cmdRec, 2*cmdqSlots)
 	for i := range recs {
 		recs[i] = cmdRec{CmdPing, 0, 0}
 	}
@@ -108,8 +101,8 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 	if wait == 0 {
 		t.Error("overflowing push charged no stall cycles")
 	}
-	if seq != 8+16 {
-		t.Errorf("last seq = %d, want %d", seq, 8+16)
+	if want := uint64(3 * cmdqSlots); seq != want {
+		t.Errorf("last seq = %d, want %d", seq, want)
 	}
 	q.drain(cpu)
 	if q.completed() != seq {
@@ -123,15 +116,10 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 // A pushBatch stalled on a full ring must abort when the enclave dies
 // instead of parking forever.
 func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
-	m, _, _ := queueFixture(t)
-	base := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	q, err := newCmdQueue(m.Mem, base+CmdQueueStride, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, q, _ := queueFixture(t)
 	done := make(chan struct{})
-	close(done) // enclave already dead; no drainer will ever run
-	recs := make([]cmdRec, 9) // one more than the ring holds
+	close(done)                         // enclave already dead; no drainer will ever run
+	recs := make([]cmdRec, cmdqSlots+1) // one more than the ring holds
 	for i := range recs {
 		recs[i] = cmdRec{CmdPing, 0, 0}
 	}
@@ -250,7 +238,7 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := newCmdQueue(m.Mem, hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K), 0)
+		q, err := newCmdQueue(m.Mem, hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K))
 		if err != nil {
 			return false
 		}
@@ -355,7 +343,7 @@ func TestCovirtBootParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	in := &BootParams{NumCPUs: 4, CmdQueueBase: 0x10000, CmdQueueStride: CmdQueueStride, CmdQueueSlots: cmdqDefaultSlots, PiscesParams: 0x1000}
+	in := &BootParams{NumCPUs: 4, CmdQueueBase: 0x10000, CmdQueueStride: CmdQueueStride, CmdQueueSlots: cmdqSlots, PiscesParams: 0x1000}
 	if err := encodeBootParams(m.Mem, addr, in); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"covirt/internal/authority"
 	"covirt/internal/hobbes"
@@ -28,18 +27,6 @@ const (
 // cheaper than walking a long range list on every core.
 const flushAllThreshold = 8
 
-// coalesceDefault is the package-wide default for epoch-based shootdown
-// coalescing, consulted when a Controller attaches. The equivalence suite
-// flips it to prove the coalesced and per-extent paths invalidate
-// identically; per-controller SetCoalescing overrides it afterwards.
-var coalesceDefault atomic.Bool
-
-func init() { coalesceDefault.Store(true) }
-
-// SetCoalescingDefault sets the package-wide coalescing default for
-// controllers attached afterwards. Returns the previous value.
-func SetCoalescingDefault(on bool) bool { return coalesceDefault.Swap(on) }
-
 // QoS is a per-enclave token-bucket admission policy on the controller's
 // ingest path. Refill is deterministic integer arithmetic on the
 // controller's virtual clock: tokens accrue at one per CyclesPerToken
@@ -56,18 +43,6 @@ type QoS struct {
 
 // enabled reports whether this policy actually admits.
 func (q QoS) enabled() bool { return q.Burst > 0 && q.CyclesPerToken > 0 }
-
-// qosDefault is the package-wide admission default, consulted at Attach
-// time (same pattern as coalesceDefault; the QoS-off/on equivalence suite
-// flips it around experiment runs).
-var qosDefault atomic.Value // QoS
-
-// SetQoSDefault sets the package-wide admission default for controllers
-// attached afterwards. Returns the previous value.
-func SetQoSDefault(q QoS) QoS {
-	prev, _ := qosDefault.Swap(q).(QoS)
-	return prev
-}
 
 // IngestStats counts one enclave's traffic through the controller's
 // ingest path (resource-assignment events, admission decisions, epochs,
@@ -162,9 +137,6 @@ type enclaveState struct {
 	// nextSlot indexes the per-CPU command-queue array for hot-added
 	// cores (the reserved area holds pisces.MaxBootCores slots).
 	nextSlot int
-	// slots is the enclave's per-CPU ring capacity (Features.CmdQSlots
-	// or the default).
-	slots uint64
 
 	mapOps    uint64
 	unmapOps  uint64
@@ -214,8 +186,8 @@ type Controller struct {
 	// epoch's dirty ranges into one flush per core); qos is the admission
 	// policy applied to every enclave; clock is the controller's virtual
 	// ingest timeline (advanced by admission stalls — the stall is the
-	// passage of time). All are initialized from the package defaults at
-	// Attach and overridable per controller.
+	// passage of time). A controller attaches with coalescing on and QoS
+	// off; SetCoalescing and SetQoS change them per controller.
 	coalesce bool
 	qos      QoS
 	clock    hw.Clock
@@ -228,7 +200,7 @@ type Controller struct {
 // SetCoalescing enables or disables epoch-based shootdown coalescing on
 // this controller (the per-extent path pushes one flush per dirty range;
 // both paths share the epoch completion protocol, so invalidation
-// semantics are identical — the equivalence suite proves it).
+// semantics are identical — TestEpochCoalescingEquivalence proves it).
 func (c *Controller) SetCoalescing(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -293,10 +265,7 @@ func Attach(mach *hw.Machine, fw *pisces.Framework, master *hobbes.Master, defau
 		defaults: defaults,
 		pending:  make(map[int]Features),
 		states:   make(map[int]*enclaveState),
-		coalesce: coalesceDefault.Load(),
-	}
-	if q, ok := qosDefault.Load().(QoS); ok {
-		c.qos = q
+		coalesce: true,
 	}
 	c.rootIO = c.auth.Mint(0, authority.KindIO, authority.RightsAll,
 		authority.WildScope(), "root-io")
@@ -371,7 +340,7 @@ func (c *Controller) QueueStatsFor(encID int) *QueueStats {
 	defer st.ingestMu.Unlock()
 	out := &QueueStats{
 		EnclaveID:    encID,
-		Slots:        st.slots,
+		Slots:        cmdqSlots,
 		Depth:        make(map[int]uint64, len(st.queues)),
 		EpochIssued:  st.epoch,
 		EpochApplied: make(map[int]uint64, len(st.queues)),
@@ -574,10 +543,6 @@ func (c *Controller) takeState(encID int) *enclaveState {
 func (c *Controller) buildState(enc *pisces.Enclave) error {
 	feat := c.takeFeatures(enc.ID)
 
-	slots := feat.CmdQSlots
-	if slots == 0 {
-		slots = cmdqDefaultSlots
-	}
 	st := &enclaveState{
 		enc:    enc,
 		feat:   feat,
@@ -586,7 +551,6 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 		vmcs:   make(map[int]*vmx.VMCS),
 		hvs:    make(map[int]*Hypervisor),
 		queues: make(map[int]*cmdQueue),
-		slots:  slots,
 	}
 	if feat.Memory {
 		st.ept = vmx.NewEPT()
@@ -629,7 +593,7 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 		NumCPUs:        uint64(len(enc.Cores)),
 		CmdQueueBase:   base + pisces.OffCovirtCmdQ,
 		CmdQueueStride: CmdQueueStride,
-		CmdQueueSlots:  st.slots,
+		CmdQueueSlots:  cmdqSlots,
 		PiscesParams:   base + pisces.OffBootParams,
 	}
 	if err := encodeBootParams(c.mach.Mem, base+pisces.OffCovirtParams, cbp); err != nil {
@@ -657,7 +621,7 @@ func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int)
 		return fmt.Errorf("covirt: enclave %d exhausted its %d command-queue slots", enc.ID, pisces.MaxBootCores)
 	}
 	base := enc.Base()
-	q, err := newCmdQueue(c.mach.Mem, base+pisces.OffCovirtCmdQ+uint64(st.nextSlot)*CmdQueueStride, st.slots)
+	q, err := newCmdQueue(c.mach.Mem, base+pisces.OffCovirtCmdQ+uint64(st.nextSlot)*CmdQueueStride)
 	if err != nil {
 		return err
 	}

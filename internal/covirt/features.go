@@ -50,11 +50,6 @@ type Features struct {
 	// hw.PageSize4K disables the paper's large-page coalescing
 	// optimization — used by the ablation benchmarks.
 	EPTMaxPage uint64
-	// CmdQSlots sets the per-CPU command-queue ring capacity (0 = the
-	// default burst-sized ring). Must be a power of two that fits the
-	// queue stride; the 8-slot setting reproduces the pre-batching
-	// geometry for regression tests.
-	CmdQSlots uint64
 }
 
 // Common configurations used throughout the evaluation.

@@ -10,7 +10,6 @@ import (
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
 	"covirt/internal/pisces"
-	"covirt/internal/testbed"
 )
 
 // addAndWarm grants count 2 MiB extents to enc and warms every enclave
@@ -139,34 +138,25 @@ func TestBatchedRemoveFlushAllThreshold(t *testing.T) {
 }
 
 // TestOldGeometryBackpressure is the end-to-end regression for the hard
-// "command queue full" failure: with the pre-batching 8-slot ring and
-// coalescing off, a 16-extent batch pushes 17 records per core — the old
-// code errored out of the unmap; the new path parks under backpressure and
-// completes, charging the stall.
+// "command queue full" failure that the pre-batching 8-slot ring hit: with
+// coalescing off, a 72-extent batch pushes 73 records per core into the
+// 64-slot ring — the old code errored out of the unmap; the new path parks
+// under backpressure and completes, charging the stall.
 func TestOldGeometryBackpressure(t *testing.T) {
 	r := newRig(t, covirt.FeaturesMem)
 	r.ctrl.SetCoalescing(false)
-	feat := covirt.FeaturesMem
-	feat.CmdQSlots = 8
-	be, err := r.node.BootGuest(testbed.Guest{
-		Name: "old", Cores: 2, Nodes: []int{0}, MemBytes: 128 << 20, Features: &feat,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = r.h.Pisces.Destroy(be.Enc) })
-	enc, k := be.Enc, be.Kitten
+	enc, k := r.boot(t, "old", 2, []int{0}, 128<<20)
 
-	exts := addAndWarm(t, r, enc, k, 2, 16)
+	exts := addAndWarm(t, r, enc, k, 2, 72)
 	if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
-		t.Fatalf("batched remove overflowing the old geometry: %v", err)
+		t.Fatalf("batched remove overflowing the ring: %v", err)
 	}
 	qs := r.ctrl.QueueStatsFor(enc.ID)
-	if qs.Slots != 8 {
-		t.Fatalf("ring slots = %d, want the old 8-slot geometry", qs.Slots)
+	if qs.Slots != 64 {
+		t.Fatalf("ring slots = %d, want 64", qs.Slots)
 	}
 	if qs.Ingest.StallCycles == 0 {
-		t.Error("overflowing the 8-slot ring charged no backpressure stall")
+		t.Error("overflowing the ring charged no backpressure stall")
 	}
 	for core := 0; core < 2; core++ {
 		for _, ext := range exts {
@@ -181,7 +171,7 @@ func TestOldGeometryBackpressure(t *testing.T) {
 // grant-storming enclave is paced by its token bucket (admission waits
 // accumulate) while an interleaved well-behaved victim is admitted without
 // a single wait — its per-event apply cost, including p99, is identical to
-// a run with no stormer at all.
+// a run with no stormer at all, and to a run with no admission policy.
 func TestQoSStarvation(t *testing.T) {
 	policy := covirt.QoS{Burst: 8, CyclesPerToken: 10000}
 	const victimPairs = 4
@@ -216,6 +206,23 @@ func TestQoSStarvation(t *testing.T) {
 	ctl.ctrl.SetQoS(policy)
 	victimAlone, _ := ctl.boot(t, "victim", 1, []int{0}, 128<<20)
 	baseline := victimCosts(ctl, victimAlone, nil)
+	if q := ctl.ctrl.QueueStatsFor(victimAlone.ID); q.Ingest.AdmissionWaits != 0 {
+		t.Fatalf("lone victim hit %d admission waits; the bucket must never empty", q.Ingest.AdmissionWaits)
+	}
+
+	// QoS off: a bucket the victim never empties must cost nothing, so its
+	// events cost exactly what they cost with no admission policy at all.
+	off := newRig(t, covirt.FeaturesMem)
+	victimOff, _ := off.boot(t, "victim", 1, []int{0}, 128<<20)
+	unpoliced := victimCosts(off, victimOff, nil)
+	if len(unpoliced) != len(baseline) {
+		t.Fatalf("victim events = %d without QoS, %d under it", len(unpoliced), len(baseline))
+	}
+	for i := range unpoliced {
+		if unpoliced[i] != baseline[i] {
+			t.Errorf("victim event %d cost %d without QoS, %d under an unexhausted bucket", i, unpoliced[i], baseline[i])
+		}
+	}
 
 	// Measured: the victim interleaved with a storming neighbor that
 	// bursts 10 grant/revoke pairs (20 admissions) before every victim

@@ -253,6 +253,10 @@ func TestTwinRunAuthorityEquivalence(t *testing.T) {
 		v0, d0 := auth.Verifies.Load(), auth.Denies.Load()
 		var o outcome
 		task, err := n.K.Spawn("twin", 0, func(e *kitten.Env) error {
+			// Drain the spawn doorbell before the window opens, as
+			// workloads.runParallel does: whether the idle loop or the
+			// task's first poll takes it depends on host scheduling.
+			e.Compute(0)
 			t0 := e.CPU.TSC
 			for round := 0; round < 4; round++ {
 				exts, err := e.XemAttach(s.ID)

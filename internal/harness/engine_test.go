@@ -71,7 +71,7 @@ func TestEngineContinuesPastFailures(t *testing.T) {
 
 func TestFig5aOutputDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full fig5a matrix twice; TestTransCacheOutputEquivalence covers the short tier")
+		t.Skip("full fig5a matrix twice; TestExperimentGoldens covers the short tier")
 	}
 	run := func(parallel int) string {
 		var buf bytes.Buffer

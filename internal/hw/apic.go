@@ -161,15 +161,19 @@ func (a *APIC) clearKillPending() { a.pending.And(^pendingKill) }
 // setCrashPending mirrors the machine crash flag; it is never cleared.
 func (a *APIC) setCrashPending() { a.pending.Or(pendingCrash) }
 
-// WaitEvent blocks until an event may be pending or done is closed. It is
-// used by idle loops so halted CPUs still notice NMI doorbells.
+// WaitEvent blocks until an event is pending (an interrupt, an NMI, or the
+// kill/crash latches) or done is closed. It is used by idle loops so halted
+// CPUs still notice NMI doorbells. A wake token left behind by an event a
+// poll already took does not end the wait: otherwise a halted core would
+// wake with nothing to do, at a point set by host scheduling, and whatever
+// it charges on waking would make simulated time nondeterministic.
 func (a *APIC) WaitEvent(done <-chan struct{}) {
-	if a.HasPending() {
-		return
-	}
-	select {
-	case <-a.notify:
-	case <-done:
+	for a.pending.Load() == 0 {
+		select {
+		case <-a.notify:
+		case <-done:
+			return
+		}
 	}
 }
 

@@ -269,8 +269,30 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 	// service is woken through the ring itself).
 	e.CPU.TSC += e.CPU.Costs().IPISend
 
+	// Charged looks at the response ring follow simulated events, not how
+	// far the host goroutine has got: a header-only look right after the
+	// request and after every NMI (a hypervisor command-queue doorbell),
+	// since in simulated time both precede the host's answer, whose work
+	// is charged below as hostCycles.
+	seenNMI := e.CPU.APIC.NMICount
+	empty, err := k.enc.LcResp.Empty(io)
+	if err != nil {
+		return 0, 0, err
+	}
 	var resp pisces.Msg
 	for {
+		if empty {
+			if ierr := e.CPU.Idle(k.done); ierr != nil {
+				return 0, 0, ierr
+			}
+		}
+		if n := e.CPU.APIC.NMICount; n != seenNMI {
+			seenNMI = n
+			if empty, err = k.enc.LcResp.Empty(io); err != nil {
+				return 0, 0, err
+			}
+			continue
+		}
 		ok, perr := k.enc.LcResp.TryPop(io, &resp)
 		if perr != nil {
 			return 0, 0, perr
@@ -278,9 +300,7 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 		if ok {
 			break
 		}
-		if ierr := e.CPU.Idle(k.done); ierr != nil {
-			return 0, 0, ierr
-		}
+		empty = true
 	}
 	if resp.Seq != m.Seq {
 		return 0, 0, fmt.Errorf("kitten: longcall seq mismatch: %d != %d", resp.Seq, m.Seq)

@@ -56,6 +56,9 @@ type Kernel struct {
 	flushMu      sync.Mutex
 	flushPending map[int][]hw.Extent // cpu id -> ranges awaiting local flush
 
+	// ctl serves the host control ring, never re-entering its own drain.
+	ctl pisces.CtlDrain
+
 	// Ticks counts timer interrupts taken (noise accounting).
 	Ticks atomic.Uint64
 
@@ -446,7 +449,10 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 	case VectorTLBFlush:
 		k.flushLocal(cpu)
 	case pisces.VectorCtl:
-		k.drainCtl(cpu)
+		accept := func(m *pisces.Msg) bool { return k.ctlCommand(cpu, m) }
+		if k.ctl.Serve(pisces.CPUMemIO{CPU: cpu}, k.enc.CtlReq, k.enc.CtlResp, accept) {
+			go k.Shutdown() // async: let this IRQ return first
+		}
 	default:
 		if h := k.ipiHandler(vector); h != nil {
 			if cc := k.coreFor(cpu.ID); cc != nil {
@@ -516,71 +522,46 @@ func (k *Kernel) shootdown(initiator *hw.CPU, e hw.Extent) {
 	}
 }
 
-// drainCtl processes pending host control commands. Runs in interrupt
-// context on the receiving core.
-func (k *Kernel) drainCtl(cpu *hw.CPU) {
-	io := pisces.CPUMemIO{CPU: cpu}
-	for {
-		var m pisces.Msg
-		ok, err := k.enc.CtlReq.TryPop(io, &m)
-		if err != nil || !ok {
-			return
+// ctlCommand applies one host control command, reporting whether it was
+// accepted. Runs in interrupt context on the receiving core, under k.ctl.
+func (k *Kernel) ctlCommand(cpu *hw.CPU, m *pisces.Msg) bool {
+	switch m.Type {
+	case pisces.CmdPing:
+		return true // liveness only
+	case pisces.CmdMemAdd:
+		ext := hw.Extent{
+			Start: get64(m.Payload[:], 0),
+			Size:  get64(m.Payload[:], 8),
+			Node:  int(get64(m.Payload[:], 16)),
 		}
-		resp := pisces.Msg{Type: pisces.AckOK, Seq: m.Seq}
-		switch m.Type {
-		case pisces.CmdPing:
-			// Liveness only.
-		case pisces.CmdMemAdd:
-			ext := hw.Extent{
-				Start: get64(m.Payload[:], 0),
-				Size:  get64(m.Payload[:], 8),
-				Node:  int(get64(m.Payload[:], 16)),
-			}
-			ref := authority.Ref{ID: get64(m.Payload[:], 24), Gen: get64(m.Payload[:], 32)}
-			if !k.verifyWireCap(ref, ext) {
-				// Hot-added memory without a live key is rejected before it
-				// touches the memory map or the allocator.
-				resp.Type = pisces.AckErr
-			} else {
-				k.mm.Add(ext)
-				if err := k.alloc.DonateMemory(ext); err != nil {
-					resp.Type = pisces.AckErr
-				}
-			}
-		case pisces.CmdMemRemove:
-			ext := hw.Extent{Start: get64(m.Payload[:], 0), Size: get64(m.Payload[:], 8)}
-			ext.Node = k.mach.Mem.NodeOf(ext.Start)
-			// The extent must be unused (still free in the allocator).
-			if err := k.alloc.Reserve(ext); err != nil {
-				resp.Type = pisces.AckErr
-			} else if !k.mm.Remove(ext) {
-				resp.Type = pisces.AckErr
-			} else {
-				k.shootdown(cpu, ext)
-			}
-		case pisces.CmdCPUAdd:
-			id := int(get64(m.Payload[:], 0))
-			newCPU := k.mach.CPU(id)
-			if newCPU == nil {
-				resp.Type = pisces.AckErr
-			} else {
-				k.onlineCore(newCPU, k.timerInterval())
-			}
-		case pisces.CmdCPURemove:
-			if err := k.offlineCore(int(get64(m.Payload[:], 0))); err != nil {
-				resp.Type = pisces.AckErr
-			}
-		case pisces.CmdShutdown:
-			_ = k.enc.CtlResp.Push(io, &resp)
-			go k.Shutdown() // async: let this IRQ return first
-			return
-		default:
-			resp.Type = pisces.AckErr
+		ref := authority.Ref{ID: get64(m.Payload[:], 24), Gen: get64(m.Payload[:], 32)}
+		// Hot-added memory without a live key is rejected before it
+		// touches the memory map or the allocator.
+		if !k.verifyWireCap(ref, ext) {
+			return false
 		}
-		if err := k.enc.CtlResp.Push(io, &resp); err != nil {
-			return
+		k.mm.Add(ext)
+		return k.alloc.DonateMemory(ext) == nil
+	case pisces.CmdMemRemove:
+		ext := hw.Extent{Start: get64(m.Payload[:], 0), Size: get64(m.Payload[:], 8)}
+		ext.Node = k.mach.Mem.NodeOf(ext.Start)
+		// The extent must be unused (still free in the allocator).
+		if k.alloc.Reserve(ext) != nil || !k.mm.Remove(ext) {
+			return false
 		}
+		k.shootdown(cpu, ext)
+		return true
+	case pisces.CmdCPUAdd:
+		newCPU := k.mach.CPU(int(get64(m.Payload[:], 0)))
+		if newCPU == nil {
+			return false
+		}
+		k.onlineCore(newCPU, k.timerInterval())
+		return true
+	case pisces.CmdCPURemove:
+		return k.offlineCore(int(get64(m.Payload[:], 0))) == nil
 	}
+	return false
 }
 
 // offlineCore stops an idle hot-added core's scheduler loop. It refuses if

@@ -93,6 +93,9 @@ type Kernel struct {
 	errMu    sync.Mutex
 	errs     []error
 	handlers sync.Map // vector -> func(*Env)
+
+	// ctl serves the host control ring, never re-entering its own drain.
+	ctl pisces.CtlDrain
 }
 
 // New returns an unbooted Nautilus image whose threads run entry.
@@ -176,7 +179,12 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 			k.beat(cpu)
 		}
 	case pisces.VectorCtl:
-		k.drainCtl(cpu)
+		// Nautilus accepts ping and shutdown and, being a static runtime
+		// kernel, rejects memory reconfiguration.
+		ping := func(m *pisces.Msg) bool { return m.Type == pisces.CmdPing }
+		if k.ctl.Serve(pisces.CPUMemIO{CPU: cpu}, k.enc.CtlReq, k.enc.CtlResp, ping) {
+			go k.Shutdown()
+		}
 	default:
 		if h, ok := k.handlers.Load(vector); ok {
 			rank := -1
@@ -206,33 +214,6 @@ func (k *Kernel) beat(cpu *hw.CPU) {
 
 // OnIPI registers a runtime interrupt handler.
 func (k *Kernel) OnIPI(vector uint8, h func(*Env)) { k.handlers.Store(vector, h) }
-
-// drainCtl services the host control ring: Nautilus accepts ping and
-// shutdown, and — being a static runtime kernel — rejects memory
-// reconfiguration.
-func (k *Kernel) drainCtl(cpu *hw.CPU) {
-	io := pisces.CPUMemIO{CPU: cpu}
-	for {
-		var m pisces.Msg
-		ok, err := k.enc.CtlReq.TryPop(io, &m)
-		if err != nil || !ok {
-			return
-		}
-		resp := pisces.Msg{Type: pisces.AckOK, Seq: m.Seq}
-		switch m.Type {
-		case pisces.CmdPing:
-		case pisces.CmdShutdown:
-			_ = k.enc.CtlResp.Push(io, &resp)
-			go k.Shutdown()
-			return
-		default:
-			resp.Type = pisces.AckErr
-		}
-		if err := k.enc.CtlResp.Push(io, &resp); err != nil {
-			return
-		}
-	}
-}
 
 // Shutdown implements pisces.Bootable.
 func (k *Kernel) Shutdown() {

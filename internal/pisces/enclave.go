@@ -136,7 +136,11 @@ func (e *Enclave) setRunning(kernel Bootable) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.kernel = kernel
-	e.state = StateRunning
+	// A boot thread may already have crashed the enclave; a terminal state
+	// stands, or a later Destroy would tear the enclave down twice.
+	if e.state != StateCrashed && e.state != StateStopped {
+		e.state = StateRunning
+	}
 }
 
 // beginTeardown transitions to a terminal state (StateCrashed or

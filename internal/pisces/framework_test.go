@@ -24,6 +24,8 @@ type stubKernel struct {
 
 	mu     sync.Mutex
 	memAdd []hw.Extent
+
+	ctl pisces.CtlDrain
 }
 
 func newStubKernel(acceptMem bool) *stubKernel {
@@ -36,8 +38,9 @@ func (s *stubKernel) Boot(bc *pisces.BootContext) error {
 	for _, id := range bc.Params.Cores {
 		cpu := bc.Machine.CPU(id)
 		cpu.SetIRQHandler(func(c *hw.CPU, vector uint8, external bool) {
-			if vector == pisces.VectorCtl {
-				s.drainCtl(c)
+			enc := s.bc.Enclave
+			if vector == pisces.VectorCtl && s.ctl.Serve(pisces.CPUMemIO{CPU: c}, enc.CtlReq, enc.CtlResp, s.accept) {
+				go s.Shutdown()
 			}
 		})
 		s.wg.Add(1)
@@ -58,38 +61,21 @@ func (s *stubKernel) Boot(bc *pisces.BootContext) error {
 	return nil
 }
 
-func (s *stubKernel) drainCtl(c *hw.CPU) {
-	io := pisces.CPUMemIO{CPU: c}
-	for {
-		var m pisces.Msg
-		ok, err := s.bc.Enclave.CtlReq.TryPop(io, &m)
-		if err != nil || !ok {
-			return
+// accept applies one control command: pings always, memory changes only
+// when the stub accepts them.
+func (s *stubKernel) accept(m *pisces.Msg) bool {
+	switch m.Type {
+	case pisces.CmdPing:
+		return true
+	case pisces.CmdMemAdd:
+		if s.acceptMem {
+			s.recordMemAdd()
 		}
-		resp := pisces.Msg{Type: pisces.AckOK, Seq: m.Seq}
-		switch m.Type {
-		case pisces.CmdPing:
-		case pisces.CmdMemAdd:
-			if s.acceptMem {
-				s.recordMemAdd()
-			} else {
-				resp.Type = pisces.AckErr
-			}
-		case pisces.CmdMemRemove:
-			if !s.acceptMem {
-				resp.Type = pisces.AckErr
-			}
-		case pisces.CmdShutdown:
-			_ = s.bc.Enclave.CtlResp.Push(io, &resp)
-			go s.Shutdown()
-			return
-		default:
-			resp.Type = pisces.AckErr
-		}
-		if err := s.bc.Enclave.CtlResp.Push(io, &resp); err != nil {
-			return
-		}
+		return s.acceptMem
+	case pisces.CmdMemRemove:
+		return s.acceptMem
 	}
+	return false
 }
 
 func (s *stubKernel) Shutdown() {
@@ -336,6 +322,39 @@ func TestReportCrashIsIdempotentAndReclaims(t *testing.T) {
 	}
 	_ = fw.Destroy(enc2)
 	_ = m
+}
+
+// bootCrasher boots like stubKernel, then faults before Boot returns, as
+// an early-bringup bug in a boot thread does.
+type bootCrasher struct {
+	*stubKernel
+	crash func()
+}
+
+func (b bootCrasher) Boot(bc *pisces.BootContext) error {
+	if err := b.stubKernel.Boot(bc); err != nil {
+		return err
+	}
+	b.crash()
+	return nil
+}
+
+// TestCrashDuringBootStaysCrashed: a crash reported while the framework is
+// still booting the enclave must leave it crashed, not running, so that
+// Destroy finds it already torn down.
+func TestCrashDuringBootStaysCrashed(t *testing.T) {
+	_, fw := fwFixture(t)
+	enc, _ := fw.CreateEnclave(pisces.EnclaveSpec{Name: "early", NumCores: 1, Nodes: []int{0}, MemBytes: 64 << 20})
+	k := bootCrasher{newStubKernel(true), func() { fw.ReportCrash(enc, "bringup fault") }}
+	if err := fw.Boot(enc, k); err != nil {
+		t.Fatal(err)
+	}
+	if st := enc.State(); st != pisces.StateCrashed {
+		t.Fatalf("state after a crash during boot = %v, want crashed", st)
+	}
+	if err := fw.Destroy(enc); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestIoctlRegistry(t *testing.T) {

@@ -1,6 +1,8 @@
 package pisces
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +361,63 @@ func TestExtentHelpers(t *testing.T) {
 	}
 	if err := PutExtents(io, 0x8000, make([]hw.Extent, LcDataBytes)); err == nil {
 		t.Error("oversized extent list accepted")
+	}
+}
+
+// TestCtlDrainNestedCallsFoldIntoOnePass: calls made from inside a drain
+// pass do not run the drain themselves; however many arrive during one
+// pass, the active drain makes exactly one more pass, and the guard is
+// idle again afterwards.
+func TestCtlDrainNestedCallsFoldIntoOnePass(t *testing.T) {
+	var d CtlDrain
+	var passes, depth, maxDepth int
+	var drain func()
+	drain = func() {
+		passes++
+		depth++
+		maxDepth = max(maxDepth, depth)
+		if passes == 1 {
+			d.Run(drain)
+			d.Run(drain)
+		}
+		depth--
+	}
+	d.Run(drain)
+	if passes != 2 || maxDepth != 1 {
+		t.Errorf("passes = %d, max nesting = %d; want 2 passes, never nested", passes, maxDepth)
+	}
+	d.Run(drain)
+	if passes != 3 {
+		t.Errorf("idle guard ran %d passes for one call, want 1", passes-2)
+	}
+}
+
+// TestCtlDrainConcurrentCallsLoseNothing: callers racing from several
+// goroutines never run two passes at once, and the last pass starts after
+// the last request, so every request is served.
+func TestCtlDrainConcurrentCallsLoseNothing(t *testing.T) {
+	var d CtlDrain
+	var requested, served, inPass atomic.Int64
+	drain := func() {
+		if inPass.Add(1) != 1 {
+			t.Error("two drain passes ran at once")
+		}
+		served.Store(requested.Load())
+		inPass.Add(-1)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				requested.Add(1)
+				d.Run(drain)
+			}
+		}()
+	}
+	wg.Wait()
+	if served.Load() != requested.Load() {
+		t.Errorf("last pass served %d of %d requests", served.Load(), requested.Load())
 	}
 }

@@ -3,6 +3,7 @@ package pisces
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Msg is one fixed-size command-ring message. Fixed-size messages mirror
@@ -88,14 +89,7 @@ func (r *Ring) Push(io MemIO, m *Msg) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.closed {
-			return fmt.Errorf("pisces: ring shut down")
-		}
-		head, err := io.Read64(r.base)
-		if err != nil {
-			return err
-		}
-		tail, err := io.Read64(r.base + 8)
+		head, tail, err := r.ends(io)
 		if err != nil {
 			return err
 		}
@@ -122,14 +116,7 @@ func (r *Ring) Pop(io MemIO, m *Msg) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.closed {
-			return fmt.Errorf("pisces: ring shut down")
-		}
-		head, err := io.Read64(r.base)
-		if err != nil {
-			return err
-		}
-		tail, err := io.Read64(r.base + 8)
+		head, tail, err := r.ends(io)
 		if err != nil {
 			return err
 		}
@@ -155,19 +142,9 @@ func (r *Ring) Pop(io MemIO, m *Msg) error {
 func (r *Ring) TryPop(io MemIO, m *Msg) (ok bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return false, fmt.Errorf("pisces: ring shut down")
-	}
-	head, err := io.Read64(r.base)
-	if err != nil {
+	head, tail, err := r.ends(io)
+	if err != nil || head == tail {
 		return false, err
-	}
-	tail, err := io.Read64(r.base + 8)
-	if err != nil {
-		return false, err
-	}
-	if head == tail {
-		return false, nil
 	}
 	var buf [msgSize]byte
 	if err := io.ReadBytes(r.slotAddr(tail), buf[:]); err != nil {
@@ -183,7 +160,84 @@ func (r *Ring) TryPop(io MemIO, m *Msg) (ok bool, err error) {
 	return true, nil
 }
 
+// Empty reports whether the ring holds no message, reading the header
+// through io as TryPop does.
+func (r *Ring) Empty(io MemIO) (bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	head, tail, err := r.ends(io)
+	return head == tail, err
+}
+
+// ends reads the head and tail words through io, failing once the ring is
+// shut down. Caller holds r.mu.
+func (r *Ring) ends(io MemIO) (head, tail uint64, err error) {
+	if r.closed {
+		return 0, 0, fmt.Errorf("pisces: ring shut down")
+	}
+	if head, err = io.Read64(r.base); err != nil {
+		return 0, 0, err
+	}
+	tail, err = io.Read64(r.base + 8)
+	return head, tail, err
+}
+
 // Close shuts the ring down, releasing all blocked endpoints.
 func (r *Ring) Close() {
 	r.markClosed()
+}
+
+// CtlDrain is the enclave side of the control ring, shared by the
+// co-kernels. It makes their drain non-reentrant: the drain runs in
+// interrupt context on the receiving core, and its ring accesses poll for
+// interrupts, so a doorbell for a command the drain is already serving can
+// re-enter it from inside TryPop, which holds the ring lock. A call that
+// finds a drain in progress only marks a re-drain and returns; the active
+// drain makes one more pass before it exits, so no command is lost. The
+// guard charges no simulated cycles. The zero value is ready to use.
+type CtlDrain struct {
+	// calls is 0 when idle, 1 while a drain runs, and above 1 once a
+	// doorbell has asked that drain for another pass.
+	calls atomic.Int32
+}
+
+// Run calls drain, and calls it again for as long as doorbells arrived
+// during the previous pass.
+func (d *CtlDrain) Run(drain func()) {
+	if d.calls.Add(1) > 1 {
+		return
+	}
+	for {
+		drain()
+		if d.calls.CompareAndSwap(1, 0) {
+			return
+		}
+		// Every request folded away here arrived before the next pass
+		// starts, so that pass serves its command.
+		d.calls.Store(1)
+	}
+}
+
+// Serve drains req, acknowledging each command on resp with AckOK when
+// accept applies it and AckErr when it refuses, until req is empty. A
+// CmdShutdown is acknowledged without consulting accept and ends the
+// drain; Serve then reports it, and the kernel shuts down asynchronously
+// so the interrupt returns first.
+func (d *CtlDrain) Serve(io MemIO, req, resp *Ring, accept func(*Msg) bool) (shutdown bool) {
+	d.Run(func() {
+		for !shutdown {
+			var m Msg
+			if ok, err := req.TryPop(io, &m); err != nil || !ok {
+				return
+			}
+			ack := Msg{Type: AckErr, Seq: m.Seq}
+			if shutdown = m.Type == CmdShutdown; shutdown || accept(&m) {
+				ack.Type = AckOK
+			}
+			if err := resp.Push(io, &ack); err != nil {
+				return
+			}
+		}
+	})
+	return shutdown
 }

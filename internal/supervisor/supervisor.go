@@ -76,8 +76,9 @@ const (
 	// PendingRestart: a failure was detected and a restart is scheduled on
 	// the virtual clock.
 	PendingRestart
-	// Quarantined: the restart budget is exhausted; the enclave's hardware
-	// has been returned to the host. Terminal.
+	// Quarantined: the restart budget is exhausted; the scan that detected
+	// the final failure returns the enclave's hardware to the host.
+	// Terminal.
 	Quarantined
 )
 
@@ -339,7 +340,9 @@ func (s *Supervisor) hungWatches() []*watch {
 // scheduleFailures turns latched failures into pending restarts, drawing
 // jitter in registration order so the stream of random values is a pure
 // function of the scan sequence. Watches whose budget is exhausted are
-// returned for quarantine (executed outside the lock).
+// marked Quarantined and returned for quarantine (executed outside the
+// lock). Either way the watch leaves Healthy as its latch is consumed, so
+// a late crash report for the failure being handled cannot latch again.
 func (s *Supervisor) scheduleFailures(now uint64) []*watch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,6 +357,7 @@ func (s *Supervisor) scheduleFailures(now uint64) []*watch {
 		s.record(now, "sup:detect", "enclave %d %s failure %d: %s",
 			w.be.Enc.ID, w.be.Guest.Name, w.failures, w.lastReason)
 		if w.failures > w.policy.MaxRestarts {
+			w.state = Quarantined
 			quarantines = append(quarantines, w)
 			continue
 		}
@@ -435,7 +439,6 @@ func (s *Supervisor) quarantine(w *watch, now uint64) error {
 	if err := s.node.Host.QuarantineResources(cores, mem); err != nil {
 		return err
 	}
-	s.setQuarantined(w)
 	s.record(now, "sup:quarantined", "enclave %d %s after %d failures: %s",
 		enc.ID, w.be.Guest.Name, w.failures, w.lastReason)
 	if err := s.node.Host.Master.Bus.Emit(&hobbes.Event{
@@ -447,13 +450,6 @@ func (s *Supervisor) quarantine(w *watch, now uint64) error {
 		s.onQuarantine(w.be.Guest.Name)
 	}
 	return nil
-}
-
-// setQuarantined marks w terminal under the lock.
-func (s *Supervisor) setQuarantined(w *watch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w.state = Quarantined
 }
 
 // Settle scans until a pass finds every watch either healthy with no

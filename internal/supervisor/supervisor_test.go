@@ -209,21 +209,82 @@ func TestZeroBudgetDegradesToTeardown(t *testing.T) {
 	}
 }
 
+// TestLateCrashReportAfterQuarantine pins the quarantine hand-off: once
+// scheduleFailures has consumed a watch's final failure, the late
+// EvEnclaveCrashed report for that same crash must not latch it again, or
+// Settle would wait forever on a quarantined watch.
+func TestLateCrashReportAfterQuarantine(t *testing.T) {
+	tb := buildKitten(t, testbed.Guest{Name: "victim"})
+	sup := New(tb, Options{})
+	if err := sup.Watch(tb.Encs[0], Policy{MaxRestarts: 0}); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, tb)
+	id := tb.Encs[0].Enc.ID
+	sup.latchCrash(id, "observed terminal state")
+	quarantines := sup.scheduleFailures(1)
+	if len(quarantines) != 1 {
+		t.Fatalf("scheduleFailures returned %d quarantines, want 1", len(quarantines))
+	}
+	sup.latchCrash(id, "late bus report")
+	if err := sup.quarantine(quarantines[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if !sup.settled() {
+		st, _ := sup.Status("victim")
+		t.Fatalf("quarantined watch not settled: %+v", st)
+	}
+}
+
+// waitHung blocks until name's current incarnation is convictable: its
+// boot core has run MissedBeats*BeatInterval past the last heartbeat (or,
+// before the first beat, past the watch's baseline) — the predicate
+// hungWatches applies. Waiting on simulated state pins the verdict to the
+// next scan however late the host schedules the guest thread.
+func waitHung(sup *Supervisor, name string) {
+	for {
+		enc, ref, thresh := hangBaseline(sup, name)
+		hb := enc.Base() + pisces.OffHeartbeat
+		if count, err := sup.io.Read64(hb + pisces.HbCount); err == nil && count > 0 {
+			if ref, err = sup.io.Read64(hb + pisces.HbTSC); err != nil {
+				return
+			}
+		}
+		if tsc := enc.BootCPU().TSCSnapshot(); tsc > ref && tsc-ref >= thresh {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// hangBaseline returns name's current enclave, the watch's pre-beat
+// reference TSC, and its conviction threshold.
+func hangBaseline(sup *Supervisor, name string) (*pisces.Enclave, uint64, uint64) {
+	sup.mu.Lock()
+	defer sup.mu.Unlock()
+	for _, w := range sup.watches {
+		if w.be.Guest.Name == name {
+			return w.be.Enc, w.baseTSC, uint64(w.policy.MissedBeats) * w.policy.BeatInterval
+		}
+	}
+	panic("supervisor: no watch named " + name)
+}
+
 // TestNautilusRecurringHang exercises the watchdog across the second
 // co-kernel architecture: a Nautilus boot thread locks up with interrupts
 // disabled, the heartbeat gap convicts it, and because the replacement
 // locks up again the single-restart budget runs out and the enclave is
-// quarantined.
+// quarantined. Each incarnation stalls only once the watch covers it, and
+// the test waits for each stall before scanning.
 func TestNautilusRecurringHang(t *testing.T) {
-	gate := make(chan struct{})
-	var stall uint64 // set before the gate opens
+	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var stall uint64 // set before the first gate opens
 	var boots atomic.Int32
 	entry := func(env *nautilus.Env, rank int) error {
 		if rank != 0 {
 			return nil
 		}
-		boots.Add(1)
-		<-gate
+		<-gates[boots.Add(1)-1]
 		return env.CPU.StallNoIRQ(stall)
 	}
 	tb, err := testbed.Spec{
@@ -244,8 +305,13 @@ func TestNautilusRecurringHang(t *testing.T) {
 		t.Fatal(err)
 	}
 	stall = 8 * tb.M.Costs.TimerIntervalCycles
-	close(gate) // both incarnations hang as soon as they boot
-
+	close(gates[0])
+	waitHung(sup, "naut")
+	scanUntil(t, sup, "naut", func(st Status) bool {
+		return st.State == Healthy && st.Restarts == 1
+	})
+	close(gates[1]) // the replacement hangs too, after its watch rebinds
+	waitHung(sup, "naut")
 	st := scanUntil(t, sup, "naut", func(st Status) bool {
 		return st.State == Quarantined
 	})

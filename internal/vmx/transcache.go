@@ -1,10 +1,6 @@
 package vmx
 
-import (
-	"sync/atomic"
-
-	"covirt/internal/hw"
-)
+import "covirt/internal/hw"
 
 // The translation cache is split into two direct-mapped tables, indexed at
 // the two leaf granularities that matter: small entries (4K/2M leaves) hash
@@ -15,7 +11,8 @@ import (
 // granule it covers (a 2M-indexed table would re-walk per granule). Two
 // one-probe tables give O(1) lookup and insert for both. Sizes are
 // per-VCPU memory, not simulated state: the cache changes no charged
-// cycles (see SetTransCacheEnabled), only wall-clock speed.
+// cycles, only wall-clock speed (TestTransCacheCostEquivalence pins this
+// against a VCPU whose cache is emptied before every translation).
 const (
 	tcSmallEntries = 512 // 4K/2M-leaf walks, indexed by 2M granule
 	tcGiantEntries = 16  // 1G-leaf walks, indexed by 1G granule
@@ -100,16 +97,3 @@ func (t *transCache) insert(gpa uint64, res WalkResult, gen uint64) {
 func (t *transCache) invalidate() {
 	*t = transCache{}
 }
-
-// transCacheOff force-disables the translation cache process-wide when set.
-// The equivalence regression tests flip it to prove cached and uncached
-// runs produce byte-identical simulation output.
-var transCacheOff atomic.Bool
-
-// SetTransCacheEnabled toggles the per-VCPU translation cache (default on).
-// Disabling it forces every TLB miss through a full EPT walk; simulated
-// costs are identical either way — only wall-clock speed changes.
-func SetTransCacheEnabled(on bool) { transCacheOff.Store(!on) }
-
-// TransCacheEnabled reports whether the translation cache is active.
-func TransCacheEnabled() bool { return !transCacheOff.Load() }

@@ -6,10 +6,22 @@ import (
 	"covirt/internal/hw"
 )
 
+// uncachedVCPU is the reference translation path: a VCPU whose
+// translation cache is emptied before every nested walk, so each TLB miss
+// takes the full EPT walk.
+type uncachedVCPU struct{ *VCPU }
+
+// TranslateGPA implements hw.VirtLayer.
+func (u uncachedVCPU) TranslateGPA(c *hw.CPU, gpa uint64, write bool) (uint64, uint64, error) {
+	u.InvalidateTransCache()
+	return u.VCPU.TranslateGPA(c, gpa, write)
+}
+
 // driveAccesses runs a representative guest access mix (TLB-missing random
 // touches, streams, guarded reads) on a fresh machine + EPT-backed VCPU and
-// returns the CPU for counter inspection.
-func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
+// returns the CPU for counter inspection. With cached false the VCPU runs
+// behind uncachedVCPU.
+func driveAccesses(t *testing.T, maxPage uint64, cached bool) *hw.CPU {
 	t.Helper()
 	m := vcpuTestMachine(t)
 	c := m.CPU(0)
@@ -23,7 +35,10 @@ func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
 	}
 	vmcs := NewVMCS(0)
 	vmcs.EPT = ept
-	Launch(c, vmcs, &killHandler{})
+	v := Launch(c, vmcs, &killHandler{})
+	if !cached {
+		c.Virt = uncachedVCPU{v}
+	}
 
 	start := hw.AlignUp(base, hw.PageSize2M)
 	rng := hw.NewRand(42)
@@ -47,13 +62,12 @@ func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
 
 // TestTransCacheCostEquivalence proves the translation cache changes no
 // simulated state: identical TSC, Instret, IRQ and TLB counters with the
-// cache force-disabled vs enabled, across page-size configurations.
+// cache emptied before every walk vs in use, across page-size
+// configurations.
 func TestTransCacheCostEquivalence(t *testing.T) {
 	for _, maxPage := range []uint64{0, hw.PageSize4K, hw.PageSize2M} {
-		SetTransCacheEnabled(false)
-		off := driveAccesses(t, maxPage)
-		SetTransCacheEnabled(true)
-		on := driveAccesses(t, maxPage)
+		off := driveAccesses(t, maxPage, false)
+		on := driveAccesses(t, maxPage, true)
 		if off.TSC != on.TSC {
 			t.Errorf("maxPage %d: TSC diverged: off %d on %d", maxPage, off.TSC, on.TSC)
 		}
@@ -64,7 +78,6 @@ func TestTransCacheCostEquivalence(t *testing.T) {
 			t.Errorf("maxPage %d: TLB stats diverged: off %+v on %+v", maxPage, off.TLB.Stats(), on.TLB.Stats())
 		}
 	}
-	SetTransCacheEnabled(true)
 }
 
 // TestTransCacheAbsorbsWalks checks the cache actually works: with giant

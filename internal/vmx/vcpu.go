@@ -70,10 +70,8 @@ func (v *VCPU) TranslateGPA(c *hw.CPU, gpa uint64, write bool) (uint64, uint64, 
 	// walk so a racing remap can only make a fresh entry look stale —
 	// never a stale entry look fresh (Gen() bumps after the mutation).
 	gen := v.VMCS.EPT.Gen()
-	if !transCacheOff.Load() {
-		if e, ok := v.transCache.lookup(gpa, write, gen); ok {
-			return surcharge + uint64(e.levels)*c.Costs().EPTWalkPerLevel, e.pageSize, nil
-		}
+	if e, ok := v.transCache.lookup(gpa, write, gen); ok {
+		return surcharge + uint64(e.levels)*c.Costs().EPTWalkPerLevel, e.pageSize, nil
 	}
 	res, err := v.VMCS.EPT.Walk(gpa, write)
 	if err == nil {

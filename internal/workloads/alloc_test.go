@@ -81,6 +81,37 @@ func TestCGStatePoolZeroesXAndZ(t *testing.T) {
 	}
 }
 
+// forcesLegacyWrap is the reference force pass the Verlet list replaced:
+// the full 27-offset cell enumeration with a j<=i skip, recomputed from
+// the cell index every step.
+func (b *ljBox) forcesLegacyWrap() {
+	mod := func(a, m int) int { return ((a % m) + m) % m }
+	maxc := b.nc
+	ncells := maxc * maxc * maxc
+	for c := 0; c < ncells; c++ {
+		cx := c % maxc
+		cy := (c / maxc) % maxc
+		cz := c / (maxc * maxc)
+		atoms := b.cellAtoms[b.cellStart[c]:b.cellStart[c+1]]
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dz := -1; dz <= 1; dz++ {
+					n2 := (mod(cz+dz, maxc)*maxc+mod(cy+dy, maxc))*maxc + mod(cx+dx, maxc)
+					neigh := b.cellAtoms[b.cellStart[n2]:b.cellStart[n2+1]]
+					for _, i := range atoms {
+						for _, j := range neigh {
+							if j <= i {
+								continue
+							}
+							b.pairForce(int(i), int(j))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestNeighborListMatchesLegacyEnumeration checks that the Verlet pair
 // list finds exactly the pair interactions the legacy full-27 cell
 // enumeration finds (identical forces up to floating-point summation
@@ -90,9 +121,7 @@ func TestNeighborListMatchesLegacyEnumeration(t *testing.T) {
 	defer putLJBox(a)
 	c := getLJBox(512, 7) // same seed: identical positions
 	defer putLJBox(c)
-	if !a.ensureNeighbors() {
-		t.Fatalf("test box too small for the neighbor list: l=%g", a.l)
-	}
+	a.ensureNeighbors()
 	c.buildCells()
 	for i := 0; i < a.n; i++ {
 		a.fx[i], a.fy[i], a.fz[i] = 0, 0, 0
@@ -111,5 +140,22 @@ func TestNeighborListMatchesLegacyEnumeration(t *testing.T) {
 	a.x[0] = wrap(a.x[0]+ljSkin, a.l)
 	if !a.drifted() {
 		t.Fatal("moved atom not detected as drifted")
+	}
+}
+
+// TestLJMinAtoms pins ljMinAtoms to the box geometry: it is the first atom
+// count whose box has three cells per edge, and Run rejects anything
+// smaller before touching the kernel.
+func TestLJMinAtoms(t *testing.T) {
+	for _, tc := range []struct{ atoms, cells int }{{ljMinAtoms - 1, 2}, {ljMinAtoms, 3}} {
+		b := getLJBox(tc.atoms, 1)
+		b.buildCells()
+		if b.nc != tc.cells {
+			t.Errorf("%d atoms: %d cells per edge, want %d", tc.atoms, b.nc, tc.cells)
+		}
+		putLJBox(b)
+	}
+	if _, err := (&Lammps{AtomsPerRank: ljMinAtoms - 1}).Run(nil, 1); err == nil {
+		t.Errorf("Run accepted a %d-atom box", ljMinAtoms-1)
 	}
 }

@@ -98,7 +98,7 @@ func (p LammpsProblem) profile() lammpsProfile {
 }
 
 // fillRandomAddrs generates uniformly random word addresses inside ext,
-// advancing rng exactly as the element-wise charge loops do.
+// one RNG draw per address.
 //
 //covirt:hot
 func fillRandomAddrs(buf []uint64, rng *hw.Rand, ext hw.Extent) {
@@ -113,6 +113,9 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 	atoms := l.AtomsPerRank
 	if atoms == 0 {
 		atoms = 1728
+	}
+	if atoms < ljMinAtoms {
+		return nil, fmt.Errorf("lammps-%s: %d atoms per rank; the neighbor list needs at least %d", l.Problem, atoms, ljMinAtoms)
 	}
 	steps := l.Steps
 	if steps == 0 {
@@ -163,16 +166,9 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 			// Neighbor rebuild: binning is random access.
 			if step%prof.rebuildEvery == 0 {
 				md.buildCells()
-				if spanRouting() {
-					buf := scratch[:rebuilds]
-					fillRandomAddrs(buf, &rng, neighExt)
-					e.AccessGather(buf, 0, true, hw.AccessDRAM)
-				} else {
-					for a := 0; a < atoms/4; a++ {
-						off := rng.Next() % (neighExt.Size / 8)
-						e.Access(neighExt.Start+off*8, true, hw.AccessDRAM)
-					}
-				}
+				buf := scratch[:rebuilds]
+				fillRandomAddrs(buf, &rng, neighExt)
+				e.AccessGather(buf, 0, true, hw.AccessDRAM)
 				e.Compute(uint64(atoms) * 30)
 			}
 			// Force pass(es): stream neighbor lists + positions, real LJ math.
@@ -185,17 +181,10 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 				e.Stream(neighExt.Start, pairs*8, false)
 				e.Stream(posExt.Start, uint64(atoms)*24, false)
 				e.Compute(pairs * prof.flopsPerPair)
-				if spanRouting() {
-					if lookups > 0 {
-						buf := scratch[:lookups]
-						fillRandomAddrs(buf, &rng, lookupExt)
-						e.AccessGather(buf, 0, false, hw.AccessDRAM)
-					}
-				} else {
-					for t := uint64(0); t < lookups; t++ {
-						off := rng.Next() % (lookupExt.Size / 8)
-						e.Access(lookupExt.Start+off*8, false, hw.AccessDRAM)
-					}
+				if lookups > 0 {
+					buf := scratch[:lookups]
+					fillRandomAddrs(buf, &rng, lookupExt)
+					e.AccessGather(buf, 0, false, hw.AccessDRAM)
 				}
 			}
 			// Integrate (velocity Verlet): stream positions/velocities.
@@ -262,6 +251,12 @@ type ljBox struct {
 // rc+ljSkin so the list survives many integration steps before an atom
 // drifts far enough to force a rebuild.
 const ljSkin = 0.3
+
+// ljMinAtoms is the smallest box the Verlet list supports. Its half-stencil
+// enumeration needs at least 3 cells per box edge, so that every wrapped
+// neighbour offset names a distinct cell. The edge is cbrt(n/0.8442) and a
+// cell is 2.5+ljSkin wide, which first gives 3 cells at 149 atoms.
+const ljMinAtoms = 149
 
 // init (re)sets the box to the seeded lattice state: simple cubic
 // placement with deterministic velocity jitter. Called by getLJBox on both
@@ -365,25 +360,16 @@ func (b *ljBox) computeForces() {
 	for i := 0; i < b.n; i++ {
 		b.fx[i], b.fy[i], b.fz[i] = 0, 0, 0
 	}
-	if b.ensureNeighbors() {
-		b.forcesFromList()
-	} else {
-		b.forcesLegacyWrap()
-	}
+	b.ensureNeighbors()
+	b.forcesFromList()
 }
 
-// ensureNeighbors returns true with a current Verlet pair list, rebuilding
-// it when stale. It returns false for boxes too small for distinct
-// wrapped cells (nc < 3); callers fall back to the legacy enumeration.
-func (b *ljBox) ensureNeighbors() bool {
-	if int(b.l/b.cellW)+1 < 3 {
-		return false
+// ensureNeighbors leaves a current Verlet pair list, rebuilding it when
+// stale.
+func (b *ljBox) ensureNeighbors() {
+	if !b.nlValid || b.drifted() {
+		b.buildNeighbors()
 	}
-	if b.nlValid && !b.drifted() {
-		return true
-	}
-	b.buildNeighbors()
-	return true
 }
 
 // drifted reports whether any atom has moved more than ljSkin/2 since the
@@ -485,36 +471,6 @@ func (b *ljBox) forcesFromList() {
 	}
 }
 
-// forcesLegacyWrap is the full 27-offset enumeration with a j<=i skip,
-// kept for tiny boxes (nc < 3) where wrapped offsets alias and the half
-// stencil would double-count pairs.
-func (b *ljBox) forcesLegacyWrap() {
-	maxc := b.nc
-	ncells := maxc * maxc * maxc
-	for c := 0; c < ncells; c++ {
-		cx := c % maxc
-		cy := (c / maxc) % maxc
-		cz := c / (maxc * maxc)
-		atoms := b.cellAtoms[b.cellStart[c]:b.cellStart[c+1]]
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dz := -1; dz <= 1; dz++ {
-					n2 := (mod(cz+dz, maxc)*maxc+mod(cy+dy, maxc))*maxc + mod(cx+dx, maxc)
-					neigh := b.cellAtoms[b.cellStart[n2]:b.cellStart[n2+1]]
-					for _, i := range atoms {
-						for _, j := range neigh {
-							if j <= i {
-								continue
-							}
-							b.pairForce(int(i), int(j))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // pairForce accumulates the LJ force between atoms i and j (antisymmetric,
 // so caller-side orientation is irrelevant).
 func (b *ljBox) pairForce(i, j int) {
@@ -549,8 +505,6 @@ func (b *ljBox) pairPE(i, j int) float64 {
 	inv6 := 1 / (r2 * r2 * r2)
 	return 4 * inv6 * (inv6 - 1)
 }
-
-func mod(a, m int) int { return ((a % m) + m) % m }
 
 // integrate advances one (leapfrog-ish) step with periodic wrapping.
 //
@@ -588,23 +542,15 @@ func (b *ljBox) kineticEnergy() float64 {
 // potentialEnergy sums the LJ pair potential over the same pair set the
 // force loop sees, so the conserved quantity matches the simulated
 // dynamics. The Verlet list is refreshed through the same drift criterion
-// as the force pass; tiny boxes fall back to the all-pairs sum.
+// as the force pass.
 //
 //covirt:hot
 func (b *ljBox) potentialEnergy() float64 {
-	if b.ensureNeighbors() {
-		pe := 0.0
-		p := b.nlPairs
-		for k := 0; k < len(p); k += 2 {
-			pe += b.pairPE(int(p[k]), int(p[k+1]))
-		}
-		return pe
-	}
+	b.ensureNeighbors()
 	pe := 0.0
-	for i := 0; i < b.n; i++ {
-		for j := i + 1; j < b.n; j++ {
-			pe += b.pairPE(i, j)
-		}
+	p := b.nlPairs
+	for k := 0; k < len(p); k += 2 {
+		pe += b.pairPE(int(p[k]), int(p[k+1]))
 	}
 	return pe
 }

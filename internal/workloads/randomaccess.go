@@ -36,11 +36,11 @@ func (r *RandomAccess) Name() string { return "randomaccess" }
 // SetSeed implements Seeder.
 func (r *RandomAccess) SetSeed(s uint64) { r.Seed = s }
 
-// fillUpdates performs seg update steps on the real table and records the
-// charged address of each: the RNG draw, logical index derivation, and
-// XOR into the (capped) real table, exactly as the element-wise loop
-// interleaves them — XOR is commutative, so batching the table writes
-// ahead of the charges preserves the verification property.
+// fillUpdates performs len(buf) update steps on the real table and records
+// the charged address of each: the RNG draw, logical index derivation, and
+// XOR into the (capped) real table, one update at a time — XOR is
+// commutative, so batching the table writes ahead of the charges preserves
+// the verification property.
 //
 //covirt:hot
 func fillUpdates(buf []uint64, rng *hw.Rand, table []uint64, logicalWords uint64, ext hw.Extent) {
@@ -88,47 +88,31 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		defer e.Free(ext)
 
 		rng := hw.NewRand(0x243F6A8885A308D3 ^ r.Seed ^ uint64(rank+1))
-		if spanRouting() {
-			// Batched path: segments never straddle an OMP chunk boundary,
-			// so the dynamic-schedule IPI fires after the same update it
-			// does in the element-wise loop. Each update charges 6 compute
-			// ops (RNG + index arithmetic) before its table access, as the
-			// scalar loop's Compute(6)+Access pairing does.
-			segMax := chunk
-			if segMax <= 0 {
-				segMax = 4096
-			}
-			buf := make([]uint64, segMax)
-			for u := 0; u < updates; {
-				seg := updates - u
-				if chunk > 0 {
-					if rem := chunk - u%chunk; rem < seg {
-						seg = rem
-					}
-				}
-				if seg > segMax {
-					seg = segMax
-				}
-				fillUpdates(buf[:seg], &rng, table, logicalWords, ext)
-				e.AccessGather(buf[:seg], 6, true, hw.AccessDRAM)
-				u += seg
-				if chunk > 0 && u%chunk == 0 {
-					// OpenMP dynamic-schedule check: one ICR write to self.
-					e.SendIPI(rank, VectorOMPSched)
+		// Updates are charged in batches that never straddle an OMP chunk
+		// boundary, so the dynamic-schedule IPI fires after the last update
+		// of each chunk. Each update charges 6 compute ops (RNG + index
+		// arithmetic) before its table access.
+		segMax := chunk
+		if segMax <= 0 {
+			segMax = 4096
+		}
+		buf := make([]uint64, segMax)
+		for u := 0; u < updates; {
+			seg := updates - u
+			if chunk > 0 {
+				if rem := chunk - u%chunk; rem < seg {
+					seg = rem
 				}
 			}
-		} else {
-			for u := 0; u < updates; u++ {
-				v := rng.Next()
-				idx := v & (logicalWords - 1)
-				table[idx&(realWords-1)] ^= v
-				// RNG + index arithmetic, then the table update itself.
-				e.Compute(6)
-				e.Access(ext.Start+idx*8, true, hw.AccessDRAM)
-				if chunk > 0 && u%chunk == chunk-1 {
-					// OpenMP dynamic-schedule check: one ICR write to self.
-					e.SendIPI(rank, VectorOMPSched)
-				}
+			if seg > segMax {
+				seg = segMax
+			}
+			fillUpdates(buf[:seg], &rng, table, logicalWords, ext)
+			e.AccessGather(buf[:seg], 6, true, hw.AccessDRAM)
+			u += seg
+			if chunk > 0 && u%chunk == 0 {
+				// OpenMP dynamic-schedule check: one ICR write to self.
+				e.SendIPI(rank, VectorOMPSched)
 			}
 		}
 

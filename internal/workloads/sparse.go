@@ -281,10 +281,9 @@ type sparseCharger struct {
 	gatherMissFrac float64
 	scatterBytes   uint64
 
-	// misses is the per-SpMV random-gather count; gatherBuf is the
-	// reusable address buffer the span-routed path fills and hands to
-	// Env.AccessGather in one call.
-	misses    uint64
+	// gatherBuf is the reusable address buffer, one slot per random
+	// gather of an SpMV, that fillGatherAddrs fills and chargeSpMV hands
+	// to Env.AccessGather in one call.
 	gatherBuf []uint64
 
 	// vecMod/remMod/scatMod are fixed-divisor reciprocals for the
@@ -313,8 +312,7 @@ func newSparseCharger(e *kitten.Env, ord *RankOrder, rank, rows, totalRows int, 
 		gatherMissFrac: gatherFrac,
 		scatterBytes:   scatterBytes,
 	}
-	c.misses = uint64(float64(c.rows*27) * c.gatherMissFrac)
-	c.gatherBuf = make([]uint64, c.misses)
+	c.gatherBuf = make([]uint64, uint64(float64(c.rows*27)*c.gatherMissFrac))
 	ord.Do(rank, func() {
 		c.matrix = allocSpread(e, hw.AlignUp(uint64(rows)*matrixBytesPerRow, hw.PageSize4K))
 		c.vec = allocSpread(e, hw.AlignUp(uint64(totalRows)*8, hw.PageSize4K))
@@ -354,29 +352,17 @@ func (c *sparseCharger) free() {
 	}
 }
 
-// gatherTarget picks the extent a random gather hits: alternating local
-// and remote when the partition spans NUMA nodes; the local share goes to
-// the scatter extent when one is configured.
-func (c *sparseCharger) gatherTarget(i uint64) hw.Extent {
-	if c.remote.Size > 0 && i%2 == 1 {
-		return c.remote
-	}
-	if c.scatter.Size > 0 {
-		return c.scatter
-	}
-	return c.vec
-}
-
 // fillGatherAddrs generates one SpMV's worth of random gather addresses
-// into buf, advancing the charger's RNG exactly as the element-wise loop
-// does.
+// into buf, one RNG draw per address. Gathers alternate between local and
+// remote targets when the partition spans NUMA nodes; the local share goes
+// to the scatter extent when one is configured.
 //
 //covirt:hot
 func (c *sparseCharger) fillGatherAddrs(buf []uint64) {
 	// The per-target word counts are extent sizes fixed at carve-out, so
 	// each draw is reduced with the precomputed reciprocal (hw.FixedDiv)
 	// instead of a per-element DIV. Mod is exact, so the offsets match the
-	// element-wise modulo loop bit for bit.
+	// per-element modulo form bit for bit.
 	haveRem := c.remMod.D() > 0
 	haveScat := c.scatMod.D() > 0
 	for m := range buf {
@@ -401,16 +387,8 @@ func (c *sparseCharger) chargeSpMV() {
 	// Source vector: mostly streaming reuse, plus the cache-missing
 	// indirect gathers.
 	e.Stream(c.vec.Start, c.rows*8, false)
-	if spanRouting() {
-		c.fillGatherAddrs(c.gatherBuf)
-		e.AccessGather(c.gatherBuf, 0, false, hw.AccessDRAM)
-	} else {
-		for m := uint64(0); m < c.misses; m++ {
-			tgt := c.gatherTarget(m)
-			off := c.rng.Next() % (tgt.Size / 8)
-			e.Access(tgt.Start+off*8, false, hw.AccessDRAM)
-		}
-	}
+	c.fillGatherAddrs(c.gatherBuf)
+	e.AccessGather(c.gatherBuf, 0, false, hw.AccessDRAM)
 	// 2 flops per nonzero.
 	e.Compute(c.rows * 27 * 2)
 }

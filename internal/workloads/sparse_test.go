@@ -27,22 +27,27 @@ func gatherCharger(vecW, remW, scatW uint64, seed uint64) *sparseCharger {
 	return c
 }
 
+// gatherTarget picks the extent the i-th random gather hits: alternating
+// local and remote when the partition spans NUMA nodes; the local share
+// goes to the scatter extent when one is configured.
+func (c *sparseCharger) gatherTarget(i uint64) hw.Extent {
+	if c.remote.Size > 0 && i%2 == 1 {
+		return c.remote
+	}
+	if c.scatter.Size > 0 {
+		return c.scatter
+	}
+	return c.vec
+}
+
 // fillGatherAddrsModulo is the reference element-wise form fillGatherAddrs
-// replaced: per-element hardware modulo, same target-selection policy,
-// same RNG consumption. The equivalence test pins the reciprocal path to
-// it bit for bit.
+// replaced: one scalar draw per gather, reduced with a hardware modulo
+// over the target gatherTarget picks. The equivalence test pins the
+// reciprocal path to it bit for bit.
 func (c *sparseCharger) fillGatherAddrsModulo(buf []uint64) {
-	vecW := c.vec.Size / 8
-	remW := c.remote.Size / 8
-	scatW := c.scatter.Size / 8
 	for m := range buf {
-		start, words := c.vec.Start, vecW
-		if remW > 0 && uint64(m)%2 == 1 {
-			start, words = c.remote.Start, remW
-		} else if scatW > 0 {
-			start, words = c.scatter.Start, scatW
-		}
-		buf[m] = start + (c.rng.Next()%words)*8
+		tgt := c.gatherTarget(uint64(m))
+		buf[m] = tgt.Start + (c.rng.Next()%(tgt.Size/8))*8
 	}
 }
 

@@ -58,47 +58,18 @@ begin "go build ./..."
 go build ./...
 end
 
-# Interprocedural smoke first: a lock-order cycle or discipline break is
-# the kind of bug the race tier might need minutes (or luck) to surface,
-# so it fails the gate before any expensive stage runs.
-begin "covirt-vet interprocedural smoke"
-go run ./cmd/covirt-vet -checks lock-order,atomic-discipline,transitive-hot ./...
-end
-
 begin "go vet ./..."
 go vet ./...
 end
 
+# One covirt-vet run loads the module once and executes every analyzer —
+# the interprocedural ones (lock-order, atomic-discipline, transitive-hot),
+# the hotalloc zero-alloc gate and the cap-discipline capability gate
+# included — with -time reporting each analyzer's cost. The analyzers'
+# teeth are checked in the smoke tier below: TestAnalyzersOnFixtures
+# asserts every fixture's exact findings.
 begin "covirt-vet ./... (-time: per-analyzer cost)"
 go run ./cmd/covirt-vet -time ./...
-end
-
-# The zero-alloc gate deserves its own visible stage: a hotalloc finding
-# means a //covirt:hot solver loop grew an allocation, which silently
-# erodes the benchmarked speedups long before anything functionally fails.
-begin "covirt-vet -checks hotalloc ./..."
-go run ./cmd/covirt-vet -checks hotalloc ./...
-end
-
-# The capability gate: the module must sweep clean under cap-discipline
-# (no resource-mutating mechanism reachable without a key-naming function
-# or a written //covirt:ambient justification), and the analyzer must
-# still have teeth — its fixture has to keep producing its known findings.
-begin "covirt-vet -checks cap-discipline ./..."
-go run ./cmd/covirt-vet -checks cap-discipline ./...
-if go run ./cmd/covirt-vet -q -checks cap-discipline ./internal/analysis/testdata/capdiscipline/ 2>/dev/null; then
-    echo "check.sh: cap-discipline fixture produced no findings" >&2
-    exit 1
-fi
-end
-
-begin "covirt-vet negative fixtures (must fail)"
-for fixture in internal/analysis/testdata/*/; do
-    if go run ./cmd/covirt-vet -q "./$fixture" 2>/dev/null; then
-        echo "check.sh: fixture $fixture produced no findings" >&2
-        exit 1
-    fi
-done
 end
 
 begin "go test -short ./... (smoke tier)"

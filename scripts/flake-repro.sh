@@ -4,8 +4,8 @@
 # -race suite running concurrently, multi-rank cells occasionally shift
 # by a few hundred cycles between identical runs. Seen at the PR 6 seed
 # in TestWorkloadCyclesStableAcrossRepeats, TestSpanRoutingEquivalence/
-# hpcg, and (by one cycle) the fig5b leg of
-# TestSpanRoutingOutputEquivalence. All three pass reliably on an idle
+# hpcg, and (by one cycle) fig5b's harness output, which
+# TestExperimentGoldens/fig5b now pins. All three pass reliably on an idle
 # host or package-serially, which is exactly what makes the flake hard
 # to catch in CI — this script recreates the scheduler pressure on
 # purpose and loops the suspects until one trips or the iteration
@@ -70,7 +70,7 @@ while [ "$n" -le "$iters" ]; do
         fail=1
     fi
     if ! /tmp/covirt-flake/harness.test \
-        -test.run 'TestSpanRoutingOutputEquivalence' \
+        -test.run 'TestExperimentGoldens/fig5b' \
         -test.count 1; then
         fail=1
     fi
