@@ -85,7 +85,7 @@ func main() {
 	host, k := tb.Host, tb.Kitten()
 	seg, _ := host.HostAlloc(0, 4<<20)
 	_ = host.PlantCanary(seg, 0xFEED) // the host's new data lives here
-	if _, err := host.Master.Reg.Make(hashName("stale.seg"), host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
+	if _, err := host.Master.Reg.Make(pisces.NameHash("stale.seg"), host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
 		log.Fatal(err)
 	}
 	err := staleSegmentBug(host, k, seg, "stale.seg")
@@ -115,7 +115,7 @@ func main() {
 	host3, enc3, k3 := tb3.Host, tb3.Enc(), tb3.Kitten()
 	seg3, _ := host3.HostAlloc(0, 4<<20)
 	_ = host3.PlantCanary(seg3, 0xFEED)
-	if _, err := host3.Master.Reg.Make(hashName("stale.seg"), host3.Pisces.RootMem, []hw.Extent{seg3}); err != nil {
+	if _, err := host3.Master.Reg.Make(pisces.NameHash("stale.seg"), host3.Pisces.RootMem, []hw.Extent{seg3}); err != nil {
 		log.Fatal(err)
 	}
 	err = staleSegmentBug(host3, k3, seg3, "stale.seg")
@@ -131,14 +131,4 @@ func main() {
 		fmt.Printf("  fault log: %s at %#x (cpu %d, write=%v)\n", f.Kind, f.Addr, f.CPU, f.Write)
 	}
 	fmt.Println("  -> diagnosis takes minutes, not weeks: the first wild access is pinpointed")
-}
-
-// hashName mirrors the kitten-side FNV-1a name encoding.
-func hashName(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }

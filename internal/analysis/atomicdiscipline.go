@@ -55,13 +55,12 @@ const (
 
 // fieldAccess is one access site of a field class.
 type fieldAccess struct {
-	class   string
-	kind    accessKind
-	pos     token.Pos
-	node    string // enclosing graph-node key ("" if outside the graph)
-	held    []string
-	ctor    bool // write to a struct allocated in this function
-	litSafe bool // see below: access on a loop-local/unshared value
+	class string
+	kind  accessKind
+	pos   token.Pos
+	node  string // enclosing graph-node key ("" if outside the graph)
+	held  []string
+	ctor  bool // write to a struct allocated in this function
 }
 
 // guardDecl is one //covirt:guards directive.

@@ -12,7 +12,7 @@ import (
 // owner itself to the publish discipline the batched protocol depends on:
 //
 //  1. within the covirt package, the unexported fields of cmdQueue
-//     (mem, base, mu, cond, seq, scratch) may only be touched from
+//     (mem, base, mu, cond, scratch) may only be touched from
 //     cmdqueue.go — other files must go through its methods;
 //  2. no code outside cmdqueue.go may issue raw physical-memory accesses
 //     whose address expression is derived from the queue-area layout
@@ -40,13 +40,12 @@ const queueOwnerFile = "cmdqueue.go"
 var queueLayoutIdents = []string{
 	"OffCovirtCmdQ", "CmdQueueStride", "cmdqHdrSize",
 	"cmdqSlots", "cmdqSlotSize",
-	"cmdqOffHead", "cmdqOffTail", "cmdqOffCompleted", "cmdqOffEpoch",
+	"cmdqOffHead", "cmdqOffTail", "cmdqOffEpoch",
 }
 
 // memAccessors are the raw physical-memory accessor method names.
 var memAccessors = map[string]bool{
 	"Read": true, "Write": true,
-	"Read32": true, "Write32": true,
 	"Read64": true, "Write64": true,
 }
 

@@ -263,9 +263,6 @@ func NewTable() *Table {
 // violation-free workload produces byte-identical output either way.
 func (t *Table) SetEnforced(on bool) { t.enforced.Store(on) }
 
-// Enforced reports whether checks are enforced.
-func (t *Table) Enforced() bool { return t.enforced.Load() }
-
 // snapshot returns the published entry slice (never nil).
 func (t *Table) snapshot() []*entry {
 	if p := t.entries.Load(); p != nil {

@@ -18,6 +18,7 @@ import (
 
 	"covirt/internal/authority"
 	"covirt/internal/hw"
+	"covirt/internal/pisces"
 	"covirt/internal/testbed"
 )
 
@@ -43,8 +44,6 @@ type Options struct {
 	// Shards is the federated registry's shard count (rounded up to a
 	// power of two; <= 0 selects 64).
 	Shards int
-	// Fabric overrides the interconnect cost model (zero = defaults).
-	Fabric FabricCosts
 	// NodeSpec builds node i's testbed spec (nil = DefaultNodeSpec). The
 	// spec must offline capacity explicitly (OfflineCores/OfflineMem):
 	// placement boots guests after Build, so derived carve-outs — which
@@ -124,7 +123,7 @@ func New(opt Options) (*Cluster, error) {
 	c := &Cluster{
 		Opt:        opt,
 		Reg:        NewFedRegistry(shards, opt.Nodes),
-		Fab:        NewFabric(opt.Nodes, opt.Seed, opt.Fabric),
+		Fab:        NewFabric(opt.Nodes, opt.Seed, DefaultFabricCosts()),
 		Auth:       authority.NewTable(),
 		placements: make(map[uint64]*Placement),
 	}
@@ -163,7 +162,7 @@ func (c *Cluster) Close() {
 // advance their clock by it; the guest-side attach path folds it into the
 // attach surcharge instead.
 func (c *Cluster) ResolveFrom(src int, name string) (Record, uint64, error) {
-	hash := hashName(name)
+	hash := pisces.NameHash(name)
 	cycles := 2 * c.Fab.Latency(src, c.Reg.HomeNode(hash))
 	rec, ok := c.Reg.Resolve(hash)
 	if !ok {
@@ -185,12 +184,12 @@ func (c *Cluster) ExportHost(src int, name string, size uint64) (Record, hw.Exte
 		return Record{}, hw.Extent{}, err
 	}
 	rootMem := host.Pisces.RootMem
-	seg, err := host.Master.Reg.Make(hashName(name), rootMem, []hw.Extent{ext})
+	seg, err := host.Master.Reg.Make(pisces.NameHash(name), rootMem, []hw.Extent{ext})
 	if err != nil {
 		host.HostFree(ext)
 		return Record{}, hw.Extent{}, err
 	}
-	rec := Record{Name: name, Hash: hashName(name), Node: src, SegID: seg.ID, Bytes: size}
+	rec := Record{Name: name, Hash: pisces.NameHash(name), Node: src, SegID: seg.ID, Bytes: size}
 	if err := c.Reg.Publish(rec); err != nil {
 		_ = host.Master.Reg.Remove(seg.ID, seg.OwnerCap)
 		host.HostFree(ext)

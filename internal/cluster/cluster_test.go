@@ -8,6 +8,7 @@ import (
 	"covirt/internal/covirt"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
+	"covirt/internal/pisces"
 	"covirt/internal/supervisor"
 	"covirt/internal/testbed"
 )
@@ -151,7 +152,7 @@ func TestCrossNodeAttachEquivalence(t *testing.T) {
 	if c.Nodes[0].TB.Host.Pisces.Auth.Alive(imp.AttachKey) {
 		t.Error("fleet attach key survived release")
 	}
-	if _, err := c.Nodes[2].TB.Host.Master.Reg.Get(hashName(name)); err == nil {
+	if _, err := c.Nodes[2].TB.Host.Master.Reg.Get(pisces.NameHash(name)); err == nil {
 		t.Error("mirror still resolvable on node 2 after release")
 	}
 }
@@ -199,7 +200,7 @@ func TestGangPlacementRollback(t *testing.T) {
 		if !c.Auth.Alive(m.Key) {
 			t.Errorf("member %s key dead", m.Member.Name)
 		}
-		rec, ok := c.Reg.Resolve(hashName("ok/" + m.Member.Name))
+		rec, ok := c.Reg.Resolve(pisces.NameHash("ok/" + m.Member.Name))
 		if !ok || rec.Node != m.Node {
 			t.Errorf("record for %s = %+v, %v", m.Member.Name, rec, ok)
 		}
@@ -236,7 +237,7 @@ func TestDrainMovesMembers(t *testing.T) {
 	if st.State != "drained" || len(st.Enclaves) != 0 || st.FreeCores != defaultNodeCores {
 		t.Errorf("drained node status %+v", st)
 	}
-	if rec, _ := c.Reg.Resolve(hashName("app1/m")); rec.Node != pl.Members[0].Node {
+	if rec, _ := c.Reg.Resolve(pisces.NameHash("app1/m")); rec.Node != pl.Members[0].Node {
 		t.Errorf("record points at node %d, member on %d", rec.Node, pl.Members[0].Node)
 	}
 
@@ -283,7 +284,7 @@ func TestUpgradeNodeRollsMembers(t *testing.T) {
 	if pl.Members[0].Enc.Enc.ID == oldEnc {
 		t.Error("member enclave not rebooted")
 	}
-	if rec, _ := c.Reg.Resolve(hashName("svc/m")); rec.Enclave != pl.Members[0].Enc.Enc.ID {
+	if rec, _ := c.Reg.Resolve(pisces.NameHash("svc/m")); rec.Enclave != pl.Members[0].Enc.Enc.ID {
 		t.Errorf("record enclave %d, want %d", rec.Enclave, pl.Members[0].Enc.Enc.ID)
 	}
 }
@@ -336,7 +337,7 @@ func TestRecoverFailsOver(t *testing.T) {
 				t.Errorf("%s/%s still on failed node", pl.App.Name, m.Member.Name)
 			}
 			name := pl.App.Name + "/" + m.Member.Name
-			if rec, ok := c.Reg.Resolve(hashName(name)); !ok || rec.Node != m.Node {
+			if rec, ok := c.Reg.Resolve(pisces.NameHash(name)); !ok || rec.Node != m.Node {
 				t.Errorf("record for %s = %+v, member on %d", name, rec, m.Node)
 			}
 		}
@@ -410,7 +411,7 @@ func TestSupervisorEscalatesToFleet(t *testing.T) {
 	if got := pl.Members[0].Node; got == src {
 		t.Fatalf("member still on node %d after escalation", src)
 	}
-	if rec, ok := c.Reg.Resolve(hashName("svc/victim")); !ok || rec.Node != pl.Members[0].Node {
+	if rec, ok := c.Reg.Resolve(pisces.NameHash("svc/victim")); !ok || rec.Node != pl.Members[0].Node {
 		t.Errorf("record = %+v, member on %d", rec, pl.Members[0].Node)
 	}
 	// Quarantined hardware stayed with node src's host: fleet capacity
@@ -432,7 +433,7 @@ func TestFleetScale256(t *testing.T) {
 	if _, _, err := c.ExportHost(3, "scale.seg", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	home := c.Reg.HomeNode(hashName("scale.seg"))
+	home := c.Reg.HomeNode(pisces.NameHash("scale.seg"))
 	for n := 0; n < nodes; n++ {
 		rec, cycles, err := c.ResolveFrom(n, "scale.seg")
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"covirt/internal/hw"
+	"covirt/internal/pisces"
 )
 
 // FabricCosts models the inter-node interconnect in integer cycles — the
@@ -81,10 +82,10 @@ func (f *Fabric) Hops(src, dst int) uint64 {
 }
 
 // skew derives the link's static cost spread from its endpoints alone:
-// the canonical (lo, hi) pair and the fabric seed are FNV-1a hashed and
-// passed through one hw.Rand step. No shared generator state means no
-// call-order dependence — the property the whole fleet's byte-identical
-// parallel output rests on.
+// the canonical (lo, hi) pair and the fabric seed are hashed through
+// pisces.NameHash (FNV-1a) and passed through one hw.Rand step. No shared
+// generator state means no call-order dependence — the property the
+// whole fleet's byte-identical parallel output rests on.
 func (f *Fabric) skew(src, dst int) uint64 {
 	amp := f.Costs.BaseLatency * f.Costs.SkewPct / 100
 	if amp == 0 {
@@ -94,7 +95,7 @@ func (f *Fabric) skew(src, dst int) uint64 {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	rng := hw.NewRand(hashName(fmt.Sprintf("fabric/%d/link/%d/%d", f.seed, lo, hi)))
+	rng := hw.NewRand(pisces.NameHash(fmt.Sprintf("fabric/%d/link/%d/%d", f.seed, lo, hi)))
 	return rng.Uint64n(amp + 1)
 }
 
@@ -114,15 +115,4 @@ func (f *Fabric) Transfer(src, dst int, bytes uint64) uint64 {
 		return 0
 	}
 	return f.Latency(src, dst) + (bytes+f.Costs.BytesPerCycle-1)/f.Costs.BytesPerCycle
-}
-
-// hashName mirrors the co-kernel side's FNV-1a name hashing, so fleet
-// records and guest XemGet lookups agree on every hash.
-func hashName(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }

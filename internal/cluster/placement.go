@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"covirt/internal/authority"
+	"covirt/internal/pisces"
 	"covirt/internal/testbed"
 )
 
@@ -104,7 +105,7 @@ func (c *Cluster) Place(app App) (*Placement, error) {
 		nd.freeCores -= m.Cores
 		nd.freeMem -= m.MemBytes
 		pl.Members = append(pl.Members, Placed{Member: m, Node: nd.ID, Enc: be, Key: key})
-		rec := Record{Name: be.Guest.Name, Hash: hashName(be.Guest.Name),
+		rec := Record{Name: be.Guest.Name, Hash: pisces.NameHash(be.Guest.Name),
 			Node: nd.ID, Enclave: be.Enc.ID}
 		if err := c.Reg.Publish(rec); err != nil {
 			c.unwindPlacementLocked(pl)
@@ -126,7 +127,7 @@ func (c *Cluster) unwindPlacementLocked(pl *Placement) {
 			_ = nd.TB.Host.Pisces.Destroy(p.Enc.Enc)
 			removeEnc(nd.TB, p.Enc)
 		}
-		c.Reg.Drop(hashName(p.Enc.Guest.Name))
+		c.Reg.Drop(pisces.NameHash(p.Enc.Guest.Name))
 		nd.freeCores += p.Member.Cores
 		nd.freeMem += p.Member.MemBytes
 	}
@@ -223,7 +224,7 @@ func (c *Cluster) replaceMemberLocked(pl *Placement, i int, destroyOld, restoreC
 	}
 	nd.freeCores -= old.Member.Cores
 	nd.freeMem -= old.Member.MemBytes
-	rec := Record{Name: be.Guest.Name, Hash: hashName(be.Guest.Name),
+	rec := Record{Name: be.Guest.Name, Hash: pisces.NameHash(be.Guest.Name),
 		Node: nd.ID, Enclave: be.Enc.ID}
 	if err := c.Reg.Publish(rec); err != nil {
 		return err
@@ -316,7 +317,7 @@ func (c *Cluster) UpgradeNode(node int) (uint64, error) {
 				return maxBoot, err
 			}
 			m.Enc = be
-			rec := Record{Name: be.Guest.Name, Hash: hashName(be.Guest.Name),
+			rec := Record{Name: be.Guest.Name, Hash: pisces.NameHash(be.Guest.Name),
 				Node: nd.ID, Enclave: be.Enc.ID}
 			if err := c.Reg.Publish(rec); err != nil {
 				return maxBoot, err

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"covirt/internal/pisces"
 )
 
 func TestFedRegistryPublishResolveDrop(t *testing.T) {
 	r := NewFedRegistry(8, 4)
-	rec := Record{Name: "seg.a", Hash: hashName("seg.a"), Node: 2, SegID: 7, Bytes: 1 << 20}
+	rec := Record{Name: "seg.a", Hash: pisces.NameHash("seg.a"), Node: 2, SegID: 7, Bytes: 1 << 20}
 	if err := r.Publish(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestFedRegistrySharding(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for i := 0; i < 256; i++ {
-		h := hashName(fmt.Sprintf("name-%d", i))
+		h := pisces.NameHash(fmt.Sprintf("name-%d", i))
 		s := r.ShardOf(h)
 		if s < 0 || s >= 8 {
 			t.Fatalf("ShardOf = %d", s)
@@ -78,7 +80,7 @@ func TestFedRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < names; i++ {
 				name := fmt.Sprintf("w%d/seg%d", g, i)
-				rec := Record{Name: name, Hash: hashName(name), Node: g}
+				rec := Record{Name: name, Hash: pisces.NameHash(name), Node: g}
 				if err := r.Publish(rec); err != nil {
 					t.Error(err)
 				}
@@ -93,7 +95,7 @@ func TestFedRegistryConcurrent(t *testing.T) {
 			for i := 0; i < names; i++ {
 				for o := 0; o < 4; o++ {
 					name := fmt.Sprintf("w%d/seg%d", o, i)
-					if rec, ok := r.Resolve(hashName(name)); ok && rec.Name != name {
+					if rec, ok := r.Resolve(pisces.NameHash(name)); ok && rec.Name != name {
 						t.Errorf("Resolve(%q) returned %q", name, rec.Name)
 					}
 				}

@@ -24,16 +24,10 @@ const (
 	CmdFlushAll uint64 = iota + 1
 	// CmdFlushRange invalidates translations overlapping [arg0, arg0+arg1).
 	CmdFlushRange
-	// CmdPing is a no-op synchronization point.
-	CmdPing
-	// CmdReloadVMCS re-serializes the virtualization context to the CPU
-	// (after controller edits to non-cached VMCS fields it is a no-op in
-	// this simulation beyond its cost).
-	CmdReloadVMCS
 	// CmdEpoch publishes arg0 as the applied shootdown epoch: every
 	// command pushed before this marker is guaranteed processed once the
-	// header's epoch word reaches arg0. Waiters block on "epoch E
-	// applied" instead of per-command sequence numbers.
+	// header's epoch word reaches arg0. Epochs are the queue's only
+	// completion signal: waiters block on "epoch E applied".
 	CmdEpoch
 )
 
@@ -44,8 +38,8 @@ const (
 	// revocation storm's merged flush batch fits without ever touching
 	// the backpressure path.
 	cmdqSlots    = 64
-	cmdqSlotSize = 32 // type, arg0, arg1, seq
-	cmdqHdrSize  = 32 // head, tail, completed, epoch
+	cmdqSlotSize = 24 // type, arg0, arg1
+	cmdqHdrSize  = 24 // head, tail, epoch
 	// CmdQueueStride is the per-CPU footprint of one command queue: the
 	// header plus cmdqSlots records, padded to a page.
 	CmdQueueStride = 0x1000
@@ -53,10 +47,9 @@ const (
 
 // Header word offsets within a queue's base page.
 const (
-	cmdqOffHead      = 0
-	cmdqOffTail      = 8
-	cmdqOffCompleted = 16
-	cmdqOffEpoch     = 24
+	cmdqOffHead  = 0
+	cmdqOffTail  = 8
+	cmdqOffEpoch = 16
 )
 
 // Cycle charges local to the queue protocol.
@@ -72,8 +65,7 @@ const (
 	cmdqStallCycles = 500
 )
 
-// cmdRec is one fixed-size command record as the controller composes it
-// (the sequence number is assigned inside pushBatch).
+// cmdRec is one fixed-size command record.
 type cmdRec struct {
 	Typ, Arg0, Arg1 uint64
 }
@@ -88,32 +80,24 @@ type cmdQueue struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	seq  uint64
 
 	// scratch is the drainer's snapshot buffer. The drain runs on the
 	// guest CPU's own execution goroutine, one drainer per queue, so the
 	// buffer is reused across NMIs without allocation.
-	scratch [][4]uint64
+	scratch []cmdRec
 }
 
 // newCmdQueue initializes a queue at base.
 func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
 	q := &cmdQueue{mem: mem, base: base}
 	q.cond = sync.NewCond(&q.mu)
-	q.scratch = make([][4]uint64, cmdqSlots)
+	q.scratch = make([]cmdRec, cmdqSlots)
 	for off := uint64(0); off < cmdqHdrSize; off += 8 {
 		if err := mem.Write64(base+off, 0); err != nil {
 			return nil, err
 		}
 	}
 	return q, nil
-}
-
-// push enqueues a single command, returning its sequence number. It is the
-// one-record case of pushBatch and shares its backpressure behaviour.
-func (q *cmdQueue) push(typ, arg0, arg1 uint64) (uint64, error) {
-	seq, _, err := q.pushBatch([]cmdRec{{typ, arg0, arg1}}, nil, nil)
-	return seq, err
 }
 
 // pushBatch enqueues all records under as few critical sections as
@@ -126,40 +110,37 @@ func (q *cmdQueue) push(typ, arg0, arg1 uint64) (uint64, error) {
 // channel (enclave death) aborts the wait; teardown's wake releases the
 // parked pusher.
 //
-// It returns the sequence number of the last record pushed and the cycles
-// spent stalled on a full ring.
-func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{}) (uint64, uint64, error) {
-	var lastSeq, waitCycles uint64
+// It returns the cycles spent stalled on a full ring.
+func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{}) (uint64, error) {
+	var waitCycles uint64
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(recs) > 0 {
 		head, err := q.mem.Read64(q.base + cmdqOffHead)
 		if err != nil {
-			return 0, waitCycles, err
+			return waitCycles, err
 		}
 		tail, err := q.mem.Read64(q.base + cmdqOffTail)
 		if err != nil {
-			return 0, waitCycles, err
+			return waitCycles, err
 		}
 		free := cmdqSlots - (head - tail)
 		if free == 0 {
 			select {
 			case <-done:
-				return 0, waitCycles, fmt.Errorf("covirt: enclave died with %d commands unpushed", len(recs))
+				return waitCycles, fmt.Errorf("covirt: enclave died with %d commands unpushed", len(recs))
 			default:
 			}
 			waitCycles += cmdqStallCycles
-			if doorbell != nil {
-				q.ringDoorbell(doorbell)
-				// The drainer may have freed slots (and broadcast) while
-				// the lock was dropped; re-checking occupancy before
-				// parking makes that wakeup impossible to lose — any
-				// later completion publish broadcasts under this lock.
-				h, e1 := q.mem.Read64(q.base + cmdqOffHead)
-				t, e2 := q.mem.Read64(q.base + cmdqOffTail)
-				if e1 == nil && e2 == nil && cmdqSlots-(h-t) > 0 {
-					continue
-				}
+			q.ringDoorbell(doorbell)
+			// The drainer may have freed slots (and broadcast) while the
+			// lock was dropped; re-checking occupancy before parking makes
+			// that wakeup impossible to lose — any later completion
+			// publish broadcasts under this lock.
+			h, e1 := q.mem.Read64(q.base + cmdqOffHead)
+			t, e2 := q.mem.Read64(q.base + cmdqOffTail)
+			if e1 == nil && e2 == nil && cmdqSlots-(h-t) > 0 {
+				continue
 			}
 			// Wait with a wakeup guarantee: the drainer broadcasts after
 			// each completion publish, and teardown broadcasts too.
@@ -171,24 +152,22 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 			n = free
 		}
 		for i := uint64(0); i < n; i++ {
-			q.seq++
 			slot := q.base + cmdqHdrSize + ((head+i)&(cmdqSlots-1))*cmdqSlotSize
-			for j, v := range [4]uint64{recs[i].Typ, recs[i].Arg0, recs[i].Arg1, q.seq} {
+			for j, v := range [3]uint64{recs[i].Typ, recs[i].Arg0, recs[i].Arg1} {
 				if err := q.mem.Write64(slot+uint64(j)*8, v); err != nil {
-					return 0, waitCycles, err
+					return waitCycles, err
 				}
 			}
 		}
-		lastSeq = q.seq
 		// Slot contents are fully written; one head store publishes the
 		// whole chunk (the hardware analogue is a release store the
 		// drainer's acquire load of head pairs with).
 		if err := q.mem.Write64(q.base+cmdqOffHead, head+n); err != nil {
-			return 0, waitCycles, err
+			return waitCycles, err
 		}
 		recs = recs[n:]
 	}
-	return lastSeq, waitCycles, nil
+	return waitCycles, nil
 }
 
 // ringDoorbell releases the queue lock around the doorbell and re-acquires
@@ -216,15 +195,6 @@ func (q *cmdQueue) depth() uint64 {
 	return head - tail
 }
 
-// completed returns the last completed sequence number.
-func (q *cmdQueue) completed() uint64 {
-	v, err := q.mem.Read64(q.base + cmdqOffCompleted)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // epochApplied returns the last applied shootdown epoch.
 func (q *cmdQueue) epochApplied() uint64 {
 	v, err := q.mem.Read64(q.base + cmdqOffEpoch)
@@ -232,24 +202,6 @@ func (q *cmdQueue) epochApplied() uint64 {
 		return 0
 	}
 	return v
-}
-
-// waitCompleted blocks until the hypervisor reports seq complete or done
-// closes (enclave death).
-func (q *cmdQueue) waitCompleted(seq uint64, done <-chan struct{}) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.completed() < seq {
-		select {
-		case <-done:
-			return fmt.Errorf("covirt: enclave died before command %d completed", seq)
-		default:
-		}
-		// Wait with a wakeup guarantee: the hypervisor broadcasts after
-		// each drain pass, and enclave teardown broadcasts too.
-		q.cond.Wait()
-	}
-	return nil
 }
 
 // waitEpoch blocks until the hypervisor reports epoch e applied or done
@@ -263,6 +215,8 @@ func (q *cmdQueue) waitEpoch(e uint64, done <-chan struct{}) error {
 			return fmt.Errorf("covirt: enclave died before epoch %d applied", e)
 		default:
 		}
+		// Wait with a wakeup guarantee: the hypervisor broadcasts after
+		// each drain pass, and enclave teardown broadcasts too.
 		q.cond.Wait()
 	}
 	return nil
@@ -293,8 +247,8 @@ func flushRangeLeaves(start, size uint64) uint64 {
 // drain processes all pending commands on cpu (the hypervisor's NMI
 // handler body). Each pass snapshots the whole ring under one critical
 // section, applies every record, then retires them with one tail advance,
-// one completion publish, and one broadcast — the NMI does not
-// lock-roundtrip per record. It returns cycles spent.
+// one epoch publish, and one broadcast — the NMI does not lock-roundtrip
+// per record. It returns cycles spent.
 func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 	cs := cpu.Costs()
 	var spent uint64
@@ -305,30 +259,25 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 			// (waiters are then released by teardown's wake).
 			return spent
 		}
-		var lastSeq, epoch uint64
+		var epoch uint64
 		for _, rec := range recs {
 			spent += cmdqFetchCycles // fetch/decode of one fixed-size command
-			switch rec[0] {
+			switch rec.Typ {
 			case CmdFlushAll:
 				cpu.TLB.FlushAll()
 				invalidateTransCache(cpu)
 				spent += cs.TLBFlushAll
 			case CmdFlushRange:
-				cpu.TLB.FlushRange(rec[1], rec[2])
+				cpu.TLB.FlushRange(rec.Arg0, rec.Arg1)
 				invalidateTransCache(cpu)
-				spent += flushRangeLeaves(rec[1], rec[2]) * cs.TLBFlushPage
-			case CmdReloadVMCS:
-				spent += cs.VMEntry / 2
+				spent += flushRangeLeaves(rec.Arg0, rec.Arg1) * cs.TLBFlushPage
 			case CmdEpoch:
-				if rec[1] > epoch {
-					epoch = rec[1]
+				if rec.Arg0 > epoch {
+					epoch = rec.Arg0
 				}
-			case CmdPing:
-				// Synchronization only.
 			}
-			lastSeq = rec[3]
 		}
-		if err := q.publishCompletion(tail, uint64(len(recs)), lastSeq, epoch); err != nil {
+		if err := q.publishCompletion(tail, uint64(len(recs)), epoch); err != nil {
 			return spent
 		}
 	}
@@ -339,7 +288,7 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 // the hardware's acquire-ordered head load: the controller publishes slot
 // contents before advancing the head pointer inside pushBatch's critical
 // section.
-func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, bool) {
+func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	head, err := q.mem.Read64(q.base + cmdqOffHead)
@@ -356,7 +305,7 @@ func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, bool) {
 	n := head - tail
 	for k := uint64(0); k < n; k++ {
 		slot := q.base + cmdqHdrSize + ((tail+k)&(cmdqSlots-1))*cmdqSlotSize
-		var rec [4]uint64
+		var rec [3]uint64
 		for i := range rec {
 			v, err := q.mem.Read64(slot + uint64(i)*8)
 			if err != nil {
@@ -364,29 +313,25 @@ func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, bool) {
 			}
 			rec[i] = v
 		}
-		q.scratch[k] = rec
+		q.scratch[k] = cmdRec{Typ: rec[0], Arg0: rec[1], Arg1: rec[2]}
 	}
 	return q.scratch[:n], tail, true
 }
 
 // publishCompletion retires n drained records in one critical section: the
-// tail advances, seq is published as the last completed command, and —
-// when the batch carried an epoch marker — the applied-epoch word is
-// raised. The epoch publish is guarded to be monotonic: a stale marker
-// (reordered relative to a newer epoch already applied) must never move
-// the counter backwards, or waiters would unblock on invalidations that
-// have not happened. The broadcast runs under the lock so a controller
-// thread between its check and cond.Wait cannot miss the wakeup, and it
-// fires even when the backing region vanished mid-teardown so no waiter is
-// left hanging on a dead queue.
-func (q *cmdQueue) publishCompletion(tail, n, seq, epoch uint64) error {
+// tail advances and — when the batch carried an epoch marker — the
+// applied-epoch word is raised. The epoch publish is guarded to be
+// monotonic: a stale marker (reordered relative to a newer epoch already
+// applied) must never move the counter backwards, or waiters would
+// unblock on invalidations that have not happened. The broadcast runs
+// under the lock so a controller thread between its check and cond.Wait
+// cannot miss the wakeup, and it fires even when the backing region
+// vanished mid-teardown so no waiter is left hanging on a dead queue.
+func (q *cmdQueue) publishCompletion(tail, n, epoch uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	defer q.cond.Broadcast()
 	if err := q.mem.Write64(q.base+cmdqOffTail, tail+n); err != nil {
-		return err
-	}
-	if err := q.mem.Write64(q.base+cmdqOffCompleted, seq); err != nil {
 		return err
 	}
 	if epoch > q.epochApplied() {

@@ -25,21 +25,18 @@ func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU) {
 	return m, q, m.CPU(0)
 }
 
+// noDoorbell is the doorbell for pushes that cannot fill the ring, or
+// whose queue has a drainer of its own.
+func noDoorbell() {}
+
 func TestCmdQueuePushDrain(t *testing.T) {
 	_, q, cpu := queueFixture(t)
-	seq1, err := q.push(CmdPing, 0, 0)
-	if err != nil {
+	recs := []cmdRec{{Typ: CmdFlushRange, Arg0: 0x1000, Arg1: 0x2000}, {Typ: CmdEpoch, Arg0: 1}}
+	if _, err := q.pushBatch(recs, noDoorbell, nil); err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := q.push(CmdFlushRange, 0x1000, 0x2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq2 != seq1+1 {
-		t.Errorf("seqs = %d, %d", seq1, seq2)
-	}
-	if q.completed() != 0 {
-		t.Error("completed before drain")
+	if q.epochApplied() != 0 {
+		t.Error("epoch applied before drain")
 	}
 	// Warm a TLB entry in the to-be-flushed range.
 	cpu.TLB.Insert(0x1800, hw.PageSize4K)
@@ -47,8 +44,8 @@ func TestCmdQueuePushDrain(t *testing.T) {
 	if spent == 0 {
 		t.Error("drain charged nothing")
 	}
-	if q.completed() != seq2 {
-		t.Errorf("completed = %d, want %d", q.completed(), seq2)
+	if q.epochApplied() != 1 {
+		t.Errorf("epoch applied = %d, want 1", q.epochApplied())
 	}
 	if cpu.TLB.Lookup(0x1800) {
 		t.Error("flush command did not flush")
@@ -63,7 +60,7 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	_, q, cpu := queueFixture(t)
 	cpu.TLB.Insert(0x1000, hw.PageSize4K)
 	cpu.TLB.Insert(hw.PageSize1G, hw.PageSize2M)
-	if _, err := q.push(CmdFlushAll, 0, 0); err != nil {
+	if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushAll}}, noDoorbell, nil); err != nil {
 		t.Fatal(err)
 	}
 	q.drain(cpu)
@@ -72,26 +69,30 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	}
 }
 
+// epochRecs returns n epoch markers numbered from first upward.
+func epochRecs(first uint64, n int) []cmdRec {
+	recs := make([]cmdRec, n)
+	for i := range recs {
+		recs[i] = cmdRec{Typ: CmdEpoch, Arg0: first + uint64(i)}
+	}
+	return recs
+}
+
 // Regression for the old hard-failure semantics: overflowing the ring must
 // apply backpressure (publish what fits, ring the doorbell, park until the
 // drainer frees slots) rather than fail. The doorbell here runs the drain
 // synchronously, exactly as the NMI handler does on a parked idle core.
 func TestCmdQueueFullBackpressure(t *testing.T) {
 	_, q, cpu := queueFixture(t)
-	for i := 0; i < cmdqSlots; i++ {
-		if _, err := q.push(CmdPing, 0, 0); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := q.pushBatch(epochRecs(1, cmdqSlots), noDoorbell, nil); err != nil {
+		t.Fatal(err)
 	}
 	// The ring is now full: a batch twice its size cannot fit even an
 	// empty ring, so the push must stall at least once and still deliver
 	// all records.
-	recs := make([]cmdRec, 2*cmdqSlots)
-	for i := range recs {
-		recs[i] = cmdRec{CmdPing, 0, 0}
-	}
 	var doorbells int
-	seq, wait, err := q.pushBatch(recs, func() { doorbells++; q.drain(cpu) }, nil)
+	var spent uint64
+	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += q.drain(cpu) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,12 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 	if wait == 0 {
 		t.Error("overflowing push charged no stall cycles")
 	}
-	if want := uint64(3 * cmdqSlots); seq != want {
-		t.Errorf("last seq = %d, want %d", seq, want)
+	spent += q.drain(cpu)
+	if want := uint64(3 * cmdqSlots); q.epochApplied() != want {
+		t.Errorf("epoch applied = %d, want %d", q.epochApplied(), want)
 	}
-	q.drain(cpu)
-	if q.completed() != seq {
-		t.Errorf("completed = %d, want %d", q.completed(), seq)
+	if want := uint64(3*cmdqSlots) * cmdqFetchCycles; spent != want {
+		t.Errorf("drains charged %d cycles, want %d (one fetch per record)", spent, want)
 	}
 	if q.depth() != 0 {
 		t.Errorf("depth = %d after full drain", q.depth())
@@ -118,20 +119,18 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
 	_, q, _ := queueFixture(t)
 	done := make(chan struct{})
-	close(done)                         // enclave already dead; no drainer will ever run
-	recs := make([]cmdRec, cmdqSlots+1) // one more than the ring holds
-	for i := range recs {
-		recs[i] = cmdRec{CmdPing, 0, 0}
-	}
-	if _, _, err := q.pushBatch(recs, func() {}, done); err == nil {
+	close(done) // enclave already dead; no drainer will ever run
+	// One more record than the ring holds.
+	if _, err := q.pushBatch(epochRecs(1, cmdqSlots+1), noDoorbell, done); err == nil {
 		t.Error("overflow push on dead enclave returned nil")
 	}
 }
 
+// A waiter on an epoch is released once the drain has completed every
+// command pushed ahead of the epoch's marker.
 func TestCmdQueueWaitCompleted(t *testing.T) {
 	_, q, cpu := queueFixture(t)
-	seq, err := q.push(CmdPing, 0, 0)
-	if err != nil {
+	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -139,25 +138,27 @@ func TestCmdQueueWaitCompleted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := q.waitCompleted(seq, done); err != nil {
-			t.Errorf("waitCompleted: %v", err)
+		if err := q.waitEpoch(1, done); err != nil {
+			t.Errorf("waitEpoch: %v", err)
 		}
 	}()
 	q.drain(cpu)
 	wg.Wait()
-	// Waiting for an already-completed sequence returns immediately.
-	if err := q.waitCompleted(seq, done); err != nil {
+	// Waiting for an already-applied epoch returns immediately.
+	if err := q.waitEpoch(1, done); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
 	_, q, _ := queueFixture(t)
-	seq, _ := q.push(CmdPing, 0, 0)
+	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	close(done) // the enclave is already dead
 	errc := make(chan error, 1)
-	go func() { errc <- q.waitCompleted(seq, done) }()
+	go func() { errc <- q.waitEpoch(1, done) }()
 	// Teardown wakes all waiters.
 	q.wake()
 	if err := <-errc; err == nil {
@@ -165,9 +166,12 @@ func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
 	}
 }
 
-// Regression: concurrent pushers (some parking on a full ring), a drainer,
-// and waiters must be race-free, and a mid-flight enclave death must
-// release every waiter. Run under -race (scripts/check.sh does).
+// Regression: concurrent pushers (parking on a full ring), a drainer, and
+// epoch waiters must be race-free, and a mid-flight enclave death must
+// release every waiter. Pushers open epochs in push order under one lock,
+// as the controller does under the enclave's ingest lock, so no epoch
+// marker overtakes the flushes of an earlier one. Run under -race
+// (scripts/check.sh does).
 func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	m, q, _ := queueFixture(t)
 	// The drainer runs on its own core, as the real hypervisor NMI
@@ -190,21 +194,38 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 		}
 	}()
 
+	// Each push carries half a ring of flushes plus its epoch marker, so
+	// concurrent pushes overflow the ring and park until the drainer
+	// frees slots.
+	var openMu sync.Mutex
+	var epoch uint64
+	openEpoch := func() (uint64, error) {
+		openMu.Lock()
+		defer openMu.Unlock()
+		epoch++
+		recs := make([]cmdRec, cmdqSlots/2, cmdqSlots/2+1)
+		for i := range recs {
+			recs[i] = cmdRec{Typ: CmdFlushAll}
+		}
+		_, err := q.pushBatch(append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch}), noDoorbell, done)
+		return epoch, err
+	}
+
 	var wg sync.WaitGroup
 	const pushers = 4
-	const perPusher = 64
+	const perPusher = 16
 	for p := 0; p < pushers; p++ {
 		wg.Add(1)
-		go func() { // controller threads: push (parking when full), then wait
+		go func() { // controller threads: open an epoch, then wait for it
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				seq, err := q.push(CmdPing, 0, 0)
+				e, err := openEpoch()
 				if err != nil {
 					t.Errorf("push: %v", err)
 					return
 				}
-				if err := q.waitCompleted(seq, done); err != nil {
-					t.Errorf("waitCompleted(%d): %v", seq, err)
+				if err := q.waitEpoch(e, done); err != nil {
+					t.Errorf("waitEpoch(%d): %v", e, err)
 				}
 			}
 		}()
@@ -212,15 +233,18 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-drained
+	if want := uint64(pushers * perPusher); q.epochApplied() != want {
+		t.Errorf("epoch applied = %d, want %d", q.epochApplied(), want)
+	}
 
-	// Now the dying-enclave path: a waiter parked on a sequence that will
-	// never complete must be released by teardown's wake.
-	seq, err := q.push(CmdPing, 0, 0)
+	// Now the dying-enclave path: a waiter parked on an epoch that will
+	// never be applied must be released by teardown's wake.
+	e, err := openEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- q.waitCompleted(seq, done) }()
+	go func() { errc <- q.waitEpoch(e, done) }()
 	close(done) // enclave death
 	q.wake()    // teardown releases waiters
 	if err := <-errc; err == nil {
@@ -249,7 +273,7 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		flushed := map[uint64]bool{}
 		for _, f := range flushes {
 			start := uint64(f%32) * hw.PageSize4K
-			if _, err := q.push(CmdFlushRange, start, 2*hw.PageSize4K); err != nil {
+			if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushRange, Arg0: start, Arg1: 2 * hw.PageSize4K}}, noDoorbell, nil); err != nil {
 				return false
 			}
 			flushed[start] = true

@@ -138,15 +138,14 @@ type enclaveState struct {
 	// cores (the reserved area holds pisces.MaxBootCores slots).
 	nextSlot int
 
-	mapOps    uint64
-	unmapOps  uint64
-	flushCmds uint64
-
-	// ingestMu serializes the enclave's ingest path: the shootdown-epoch
-	// accumulator and the admission bucket below. Events for one enclave
-	// are normally sequential (one longcall service goroutine), but
-	// host-side revocations can overlap a guest-driven detach.
-	ingestMu sync.Mutex
+	// ingestMu serializes the enclave's ingest path: the EPT operation
+	// counters, the shootdown-epoch accumulator and the admission bucket
+	// below. Events for one enclave are normally sequential (one longcall
+	// service goroutine), but host-side grants and revocations can overlap
+	// guest-driven attaches and detaches.
+	ingestMu sync.Mutex //covirt:guards mapOps,unmapOps
+	mapOps   uint64
+	unmapOps uint64
 	// epoch is the last shootdown epoch the controller opened; dirty
 	// accumulates the open epoch's unmapped ranges (batched events defer
 	// the flush to the batch's final event).
@@ -214,11 +213,6 @@ func (c *Controller) SetQoS(q QoS) {
 	defer c.mu.Unlock()
 	c.qos = q
 }
-
-// IngestClock exposes the controller's virtual ingest timeline. Tests and
-// management tooling advance it to model elapsed time between bursts
-// (admission buckets refill against it).
-func (c *Controller) IngestClock() *hw.Clock { return &c.clock }
 
 // coalesceOn / qosPolicy read the switches under the lock.
 func (c *Controller) coalesceOn() bool {
@@ -390,11 +384,9 @@ func (c *Controller) StatusFor(encID int) *Status {
 		EnclaveID:   encID,
 		Features:    st.feat,
 		DroppedIPIs: st.filter.Dropped.Load(),
-		MapOps:      st.mapOps,
-		UnmapOps:    st.unmapOps,
-		FlushCmds:   st.flushCmds,
 		Exits:       make(map[string]uint64),
 	}
+	out.MapOps, out.UnmapOps, out.FlushCmds = st.opCounts()
 	if st.ept != nil {
 		out.EPT = st.ept.Stats()
 	}
@@ -406,6 +398,22 @@ func (c *Controller) StatusFor(encID int) *Status {
 		out.ExitCycles += cyc
 	}
 	return out
+}
+
+// opCounts snapshots the EPT map and unmap operation counts and the flush
+// commands issued, under the ingest lock their writers hold.
+func (st *enclaveState) opCounts() (mapOps, unmapOps, flushCmds uint64) {
+	st.ingestMu.Lock()
+	defer st.ingestMu.Unlock()
+	return st.mapOps, st.unmapOps, st.ingest.FlushCmds
+}
+
+// countMap records one EPT map operation. Host grants and guest attaches
+// can map concurrently, so the count is taken under the ingest lock.
+func (st *enclaveState) countMap() {
+	st.ingestMu.Lock()
+	defer st.ingestMu.Unlock()
+	st.mapOps++
 }
 
 // Hypervisor returns the per-core hypervisor managing machine core cpuID of
@@ -767,7 +775,7 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 		if err := st.ept.MapRange(ext.Start, ext.Size, vmx.PermAll); err != nil {
 			return fmt.Errorf("covirt: EPT map %v: %w", ext, err)
 		}
-		st.mapOps++
+		st.countMap()
 		ev.Cost += (st.ept.Stats().Pages() - before) * costPerEPTLeaf
 		c.Trace().Record(-1, 0, "ctl:map", "enclave %d %v (%s)", ev.Enclave.ID, ext, ev.Kind)
 	}
@@ -944,14 +952,13 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 	var queues []*cmdQueue
 	for coreID, q := range st.queues {
 		cpu := c.mach.CPU(coreID)
-		_, stall, err := q.pushBatch(recs, cpu.APIC.RaiseNMI, enc.Done())
+		stall, err := q.pushBatch(recs, cpu.APIC.RaiseNMI, enc.Done())
 		if err != nil {
 			// The enclave died under backpressure; nothing left to
 			// synchronize.
 			return cost, nil
 		}
 		cpu.APIC.RaiseNMI()
-		st.flushCmds += flushRecs
 		st.ingest.FlushCmds += flushRecs
 		st.ingest.FlushCmdsSaved += raw - flushRecs
 		st.ingest.StallCycles += stall

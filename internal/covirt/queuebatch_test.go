@@ -350,3 +350,94 @@ func TestConcurrentMultiEnclaveIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusForConcurrentMapUnmap is the -race probe for the status
+// counters: a host grant/revoke loop and a guest XEMEM attach/detach loop
+// map and unmap one enclave's EPT concurrently while StatusFor polls it.
+// Every map and unmap must be counted exactly once, and the flush count
+// must match the ingest statistics.
+func TestStatusForConcurrentMapUnmap(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", 2, []int{0}, 64<<20)
+	seg, err := r.h.HostAlloc(0, 2<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "status.race"
+	if _, err := r.h.Master.Reg.Make(pisces.NameHash(name), r.h.Pisces.RootMem, []hw.Extent{seg}); err != nil {
+		t.Fatal(err)
+	}
+	iters := 24
+	if testing.Short() {
+		iters = 8
+	}
+	base := r.ctrl.StatusFor(enc.ID)
+
+	stop := make(chan struct{})
+	observerDone := make(chan struct{})
+	go func() { // observer: status snapshots race against both mappers
+		defer close(observerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = r.ctrl.StatusFor(enc.ID)
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // host: grant and revoke
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			ext, err := r.h.Pisces.AddMemory(enc, 0, 2<<20)
+			if err != nil {
+				t.Errorf("add: %v", err)
+				return
+			}
+			if err := r.h.Pisces.RemoveMemory(enc, ext); err != nil {
+				t.Errorf("remove: %v", err)
+				return
+			}
+		}
+	}()
+	go func() { // guest: attach and detach
+		defer wg.Done()
+		task, err := k.Spawn("xemem", 1, func(e *kitten.Env) error {
+			segid, err := e.XemGet(name)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < iters; i++ {
+				if _, err := e.XemAttach(segid); err != nil {
+					return err
+				}
+				if err := e.XemDetach(segid); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			err = task.Wait()
+		}
+		if err != nil {
+			t.Errorf("guest: %v", err)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-observerDone
+
+	st := r.ctrl.StatusFor(enc.ID)
+	if got, want := st.MapOps-base.MapOps, uint64(2*iters); got != want {
+		t.Errorf("map ops = %d, want %d", got, want)
+	}
+	if got, want := st.UnmapOps-base.UnmapOps, uint64(2*iters); got != want {
+		t.Errorf("unmap ops = %d, want %d", got, want)
+	}
+	if qs := r.ctrl.QueueStatsFor(enc.ID); st.FlushCmds != qs.Ingest.FlushCmds {
+		t.Errorf("status flush cmds = %d, ingest stats %d", st.FlushCmds, qs.Ingest.FlushCmds)
+	}
+}

@@ -58,7 +58,7 @@ func TestCapabilityConfusedDeputy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := n.Host.Master.Reg.Make(hashName("deputy.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
+	s, err := n.Host.Master.Reg.Make(pisces.NameHash("deputy.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestCapabilityDelegationNarrows(t *testing.T) {
 	}
 
 	inside := hw.Extent{Start: seg.Start, Size: 1 << 20, Node: seg.Node}
-	if _, err := n.Host.Master.Reg.Make(hashName("narrow.in"), narrow, []hw.Extent{inside}); err != nil {
+	if _, err := n.Host.Master.Reg.Make(pisces.NameHash("narrow.in"), narrow, []hw.Extent{inside}); err != nil {
 		t.Fatalf("export inside the narrowed window: %v", err)
 	}
-	if _, err := n.Host.Master.Reg.Make(hashName("narrow.out"), narrow, []hw.Extent{seg}); !errors.Is(err, xemem.ErrDenied) {
+	if _, err := n.Host.Master.Reg.Make(pisces.NameHash("narrow.out"), narrow, []hw.Extent{seg}); !errors.Is(err, xemem.ErrDenied) {
 		t.Fatalf("export past the narrowed window = %v, want ErrDenied", err)
 	}
 
@@ -135,7 +135,7 @@ func TestRevocationMidWorkloadPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Reg.Make(hashName("mid.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
+	s, err := m.Reg.Make(pisces.NameHash("mid.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestTwinRunAuthorityEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := n.Host.Master.Reg.Make(hashName("twin.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
+		s, err := n.Host.Master.Reg.Make(pisces.NameHash("twin.seg"), n.Host.Pisces.RootMem, []hw.Extent{seg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -174,12 +174,7 @@ func runCtlSatJob(batch, pairs int) (*workloads.Result, error) {
 			}
 			exts = append(exts, ext)
 		}
-		if bn == 1 {
-			err = fw.RemoveMemory(enc, exts[0])
-		} else {
-			err = fw.RemoveMemoryBatch(enc, exts)
-		}
-		if err != nil {
+		if err := fw.RemoveMemoryBatch(enc, exts); err != nil {
 			return nil, err
 		}
 		done += bn

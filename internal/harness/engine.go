@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"covirt/internal/hw"
+	"covirt/internal/pisces"
 	"covirt/internal/workloads"
 )
 
@@ -40,7 +41,7 @@ type Job struct {
 // at any worker count.
 func (j *Job) Seed() uint64 {
 	key := fmt.Sprintf("%s/%s/%s/%d", j.Experiment, j.Config.Name, j.Layout.Name, j.Rep)
-	rng := hw.NewRand(hashName(key))
+	rng := hw.NewRand(pisces.NameHash(key))
 	return rng.Next()
 }
 

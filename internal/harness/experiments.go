@@ -7,6 +7,7 @@ import (
 
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
+	"covirt/internal/pisces"
 	"covirt/internal/workloads"
 )
 
@@ -231,7 +232,7 @@ func fig4Attach(j *Job, mb uint64) (*workloads.Result, error) {
 		return nil, err
 	}
 	name := fmt.Sprintf("fig4.%d.%d", mb, j.Rep)
-	if _, err := n.Host.Master.Reg.Make(hashName(name), n.Host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
+	if _, err := n.Host.Master.Reg.Make(pisces.NameHash(name), n.Host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
 		return nil, err
 	}
 	var delay uint64
@@ -257,16 +258,6 @@ func fig4Attach(j *Job, mb uint64) (*workloads.Result, error) {
 		Name: "fig4-attach", Threads: 1, Cycles: delay,
 		Metrics: map[string]float64{"attach_us": float64(delay) / workloads.CyclesPerSecond * 1e6},
 	}, nil
-}
-
-// hashName mirrors the co-kernel side's FNV-1a name hashing.
-func hashName(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // matrix enumerates reps jobs per (config, layout) cell in row-major

@@ -21,8 +21,7 @@ func init() {
 	})
 }
 
-// mttrPolicy is one supervision policy under evaluation. BeatInterval and
-// MissedBeats are filled per job from the built machine's cost model.
+// mttrPolicy is one supervision policy under evaluation.
 type mttrPolicy struct {
 	name string
 	pol  supervisor.Policy
@@ -117,11 +116,8 @@ func runMTTRJob(j *Job, pol supervisor.Policy, fault string) (*workloads.Result,
 	tb := n.Testbed()
 	buf := tb.EnableTracing(4096)
 	sup := supervisor.New(tb, supervisor.Options{Seed: j.Seed(), Tracer: buf})
-
-	// The watchdog threshold must be known host-side (the hang injector
-	// waits for the gap to become observable), so pin it explicitly.
-	pol.MissedBeats = 3
-	pol.BeatInterval = tb.M.Costs.TimerIntervalCycles
+	// The guest beats once per scan interval (the machine timer period).
+	beat := sup.ScanInterval()
 	be := tb.Encs[0]
 	if err := sup.Watch(be, pol); err != nil {
 		return nil, err
@@ -129,7 +125,7 @@ func runMTTRJob(j *Job, pol supervisor.Policy, fault string) (*workloads.Result,
 
 	// Baseline payload: proves the guest works and banks >= 1 heartbeat
 	// (two full timer periods of charged work on the boot core).
-	if err := mttrPayload(n.K, 2*pol.BeatInterval); err != nil {
+	if err := mttrPayload(n.K, 2*beat); err != nil {
 		return nil, err
 	}
 
@@ -145,13 +141,13 @@ func runMTTRJob(j *Job, pol supervisor.Policy, fault string) (*workloads.Result,
 		if err := waitBeat(tb, be); err != nil {
 			return nil, err
 		}
-		stall := uint64(2*pol.MissedBeats) * pol.BeatInterval
+		stall := 2 * supervisor.MissedBeats * beat
 		if _, err := n.K.Spawn("inject-hang", 0, func(e *kitten.Env) error {
 			return e.CPU.StallNoIRQ(stall)
 		}); err != nil {
 			return nil, err
 		}
-		waitHung(tb, be, pol)
+		waitHung(tb, be, supervisor.MissedBeats*beat)
 	default:
 		return nil, fmt.Errorf("mttr: unknown fault %q", fault)
 	}
@@ -190,7 +186,7 @@ func runMTTRJob(j *Job, pol supervisor.Policy, fault string) (*workloads.Result,
 	}
 	// Recovery is only real if the restarted guest does real work: rerun
 	// the payload on the replacement kernel.
-	if err := mttrPayload(tb.Encs[0].Kitten, 2*pol.BeatInterval); err != nil {
+	if err := mttrPayload(tb.Encs[0].Kitten, 2*beat); err != nil {
 		return nil, fmt.Errorf("mttr: post-recovery payload: %w", err)
 	}
 	return res, nil
@@ -229,13 +225,12 @@ func waitBeat(tb *testbed.Node, be *testbed.Enclave) error {
 
 // waitHung blocks until the injected stall is observable exactly as the
 // watchdog will observe it: the boot core's published TSC has outrun the
-// last heartbeat stamp by the policy threshold. Synchronizing on the
-// watchdog's own predicate pins detection to the first scan regardless of
-// host scheduling.
-func waitHung(tb *testbed.Node, be *testbed.Enclave, pol supervisor.Policy) {
+// last heartbeat stamp by thresh, the watchdog's hang threshold.
+// Synchronizing on the watchdog's own predicate pins detection to the
+// first scan regardless of host scheduling.
+func waitHung(tb *testbed.Node, be *testbed.Enclave, thresh uint64) {
 	io := pisces.NativeMemIO{Mem: tb.M.Mem}
 	hb := be.Enc.Base() + pisces.OffHeartbeat
-	thresh := uint64(pol.MissedBeats) * pol.BeatInterval
 	for {
 		beatTSC, err := io.Read64(hb + pisces.HbTSC)
 		if err != nil {

@@ -17,11 +17,6 @@ type NodeOptions struct {
 	// EnclaveMem is the enclave's memory (the paper uses 14 GiB split
 	// across the layout's NUMA zones).
 	EnclaveMem uint64
-	// TimerInterval overrides the guest timer period in cycles
-	// (0 = machine default, negative = tickless).
-	TimerInterval int64
-	// MachineSpec overrides the simulated hardware (zero = paper platform).
-	MachineSpec hw.MachineSpec
 	// Heartbeat enables the guest's supervision heartbeat (fault-injection
 	// campaigns that attach a supervisor set this).
 	Heartbeat bool
@@ -51,17 +46,15 @@ func NewNode(cfg Config, layout Layout, opt NodeOptions) (*Node, error) {
 		encMem = 14 << 30 // the paper's enclave size
 	}
 	spec := testbed.Spec{
-		Machine:  opt.MachineSpec,
 		Covirt:   cfg.Covirt,
 		Features: cfg.Features,
 		Guests: []testbed.Guest{{
-			Name:          "bench-" + cfg.Name,
-			Kind:          testbed.Kitten,
-			Cores:         layout.Cores,
-			Nodes:         layout.Nodes,
-			MemBytes:      encMem,
-			TimerInterval: opt.TimerInterval,
-			Heartbeat:     opt.Heartbeat,
+			Name:      "bench-" + cfg.Name,
+			Kind:      testbed.Kitten,
+			Cores:     layout.Cores,
+			Nodes:     layout.Nodes,
+			MemBytes:  encMem,
+			Heartbeat: opt.Heartbeat,
 		}},
 	}
 	tb, err := spec.Build()

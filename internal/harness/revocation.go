@@ -9,6 +9,7 @@ import (
 	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
+	"covirt/internal/pisces"
 	"covirt/internal/workloads"
 )
 
@@ -130,7 +131,7 @@ func revVerifyJob(j *Job, enforced bool) (*workloads.Result, error) {
 		return nil, err
 	}
 	name := fmt.Sprintf("rev.verify.%d", j.Rep)
-	if _, err := n.Host.Master.Reg.Make(hashName(name), n.Host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
+	if _, err := n.Host.Master.Reg.Make(pisces.NameHash(name), n.Host.Pisces.RootMem, []hw.Extent{seg}); err != nil {
 		return nil, err
 	}
 
@@ -191,7 +192,7 @@ func revStormJob(j *Job, size int) (*workloads.Result, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("rev.storm.%d.%d", j.Rep, i)
-		s, err := m.Reg.Make(hashName(name), n.Host.Pisces.RootMem, []hw.Extent{seg})
+		s, err := m.Reg.Make(pisces.NameHash(name), n.Host.Pisces.RootMem, []hw.Extent{seg})
 		if err != nil {
 			return nil, err
 		}

@@ -119,85 +119,3 @@ func TestMemStreamTimerTickLandsOnSamePage(t *testing.T) {
 		t.Fatalf("timer never fired; interval too large for the stream")
 	}
 }
-
-func TestAccessRunMatchesMemAccessLoop(t *testing.T) {
-	base := uint64(1 << 21)
-	remote := uint64(1<<38) + 4<<20
-	cases := []struct {
-		name   string
-		addr   uint64
-		n      int
-		stride uint64
-		kind   AccessKind
-	}{
-		{"dense-hot", base, 4096, 8, AccessHot},
-		{"dense-dram", base, 4096, 8, AccessDRAM},
-		{"page-stride", base, 512, PageSize4K, AccessDRAM},
-		{"large-stride", base, 64, 3 << 20, AccessDRAM},
-		{"zero-stride", base, 1000, 0, AccessDRAM},
-		{"remote", remote, 2048, 64, AccessDRAM},
-		{"unaligned-stride", base + 13, 997, 4099, AccessDRAM},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b, r := twinCPUs(t)
-			if err := b.AccessRun(tc.addr, tc.n, tc.stride, true, tc.kind); err != nil {
-				t.Fatalf("batched: %v", err)
-			}
-			for i := uint64(0); i < uint64(tc.n); i++ {
-				if err := r.MemAccess(tc.addr+i*tc.stride, true, tc.kind); err != nil {
-					t.Fatalf("reference: %v", err)
-				}
-			}
-			assertSameState(t, tc.name, b, r)
-		})
-	}
-}
-
-func TestAccessRunTimerTickLandsOnSameElement(t *testing.T) {
-	b, r := twinCPUs(t)
-	const vec = 0x41
-	interval := uint64(9_973) // prime, lands mid-chunk
-	b.APIC.ArmTimer(b.TSC, interval, vec)
-	r.APIC.ArmTimer(r.TSC, interval, vec)
-	if err := b.AccessRun(1<<21, 100_000, 8, false, AccessDRAM); err != nil {
-		t.Fatalf("batched: %v", err)
-	}
-	for i := uint64(0); i < 100_000; i++ {
-		if err := r.MemAccess(1<<21+i*8, false, AccessDRAM); err != nil {
-			t.Fatalf("reference: %v", err)
-		}
-	}
-	assertSameState(t, "timer", b, r)
-	if b.IRQsTaken == 0 {
-		t.Fatalf("timer never fired")
-	}
-}
-
-func TestAccessRunFaultChargesExactPrefix(t *testing.T) {
-	// Walk off the end of node 0's memory natively: the access that leaves
-	// backed space aborts, and the prefix before it must charge exactly
-	// what the per-element loop charged.
-	b, r := twinCPUs(t)
-	nodeEnd := uint64(1)<<30 + 1<<20 // MemBase 1M + MemPerNode-1M... region end
-	reg := b.M.Mem.Find(1 << 21)
-	if reg == nil {
-		t.Fatalf("no backing region")
-	}
-	nodeEnd = reg.End()
-	start := nodeEnd - 64*PageSize4K
-	berr := b.AccessRun(start, 1<<20, PageSize4K, false, AccessDRAM)
-	var rerr error
-	for i := uint64(0); i < 1<<20; i++ {
-		if rerr = r.MemAccess(start+i*PageSize4K, false, AccessDRAM); rerr != nil {
-			break
-		}
-	}
-	if berr == nil || rerr == nil {
-		t.Fatalf("expected faults, got batched=%v reference=%v", berr, rerr)
-	}
-	if bf, rf := berr.(*Fault), rerr.(*Fault); bf.Kind != rf.Kind {
-		t.Fatalf("fault kinds diverged: batched %v reference %v", bf.Kind, rf.Kind)
-	}
-	assertSameState(t, "fault-prefix", b, r)
-}

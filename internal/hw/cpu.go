@@ -178,9 +178,6 @@ func (c *CPU) Kill() {
 	c.APIC.signal()
 }
 
-// Killed reports whether the guest context was terminated.
-func (c *CPU) Killed() bool { return c.killed.Load() }
-
 // Revive clears the killed and halted latches so a new guest context can
 // boot on the core (enclave teardown + reboot path).
 func (c *CPU) Revive() {
@@ -442,76 +439,6 @@ func (c *CPU) MemStream(addr, length uint64, write bool) error {
 			return err
 		}
 		page += full * PageSize4K
-	}
-	return nil
-}
-
-// accessRunChunk bounds how many elements AccessRun charges between polls.
-const accessRunChunk = 1024
-
-// AccessRun models n data accesses of the given kind at addr, addr+stride,
-// addr+2*stride, ... — the strided sweeps of STREAM/HPCG-style kernels. It
-// charges exactly what the equivalent MemAccess loop would: one translation
-// per TLB span, the same per-element data cost, the same Instret count, and
-// identical fault behaviour (a fault mid-run charges the exact prefix the
-// per-element loop would have charged). It is the batched fast path: cost
-// is computed once per (translation, region) span and multiplied, instead
-// of per element.
-func (c *CPU) AccessRun(addr uint64, n int, stride uint64, write bool, kind AccessKind) error {
-	cs := c.Costs()
-	remaining := uint64(n)
-	cur := addr
-	for remaining > 0 {
-		base, span, ok := c.TLB.Cover(cur)
-		translated := false
-		if !ok {
-			// The per-element loop retires the element before the miss.
-			c.Instret++
-			if err := c.translate(cur, write); err != nil {
-				return err
-			}
-			translated = true
-			if base, span, ok = c.TLB.Cover(cur); !ok {
-				base, span = AlignDown(cur, PageSize4K), PageSize4K
-			}
-		}
-		limit := base + span
-		elem := cs.MemHit
-		if kind != AccessHot {
-			elem = cs.MemDRAM
-			r, bound := c.M.Mem.Span(cur)
-			if bound < limit {
-				limit = bound
-			}
-			if r != nil && r.Node != c.Node {
-				elem = cs.remoteScale(elem)
-			}
-		}
-		// Elements with addresses in [cur, limit) share this cost.
-		count := remaining
-		if stride > 0 {
-			count = (limit - cur + stride - 1) / stride
-			if count > remaining {
-				count = remaining
-			}
-		}
-		if count > accessRunChunk {
-			count = accessRunChunk
-		}
-		if j := c.APIC.pollsUntilTimer(c.TSC, elem); j < count {
-			count = j
-		}
-		inst := count
-		if translated {
-			inst-- // the translated element's retire was counted above
-		}
-		c.Instret += inst
-		c.charge(count * elem)
-		if err := c.poll(); err != nil {
-			return err
-		}
-		remaining -= count
-		cur += count * stride
 	}
 	return nil
 }

@@ -9,9 +9,9 @@ const gatherShadowEvery = 64
 
 // AccessGather models one data access per element of addrs — the
 // index-driven gathers of HPCG/GUPS-style kernels, whose targets hop
-// between extents too irregularly for AccessRun's stride spans. When
-// computePer is nonzero, each access is preceded by computePer compute
-// operations (the RNG/index arithmetic feeding the gather address).
+// between extents and pages with no span to batch over. When computePer
+// is nonzero, each access is preceded by computePer compute operations
+// (the RNG/index arithmetic feeding the gather address).
 //
 // It charges exactly what the equivalent loop of Compute and MemAccess
 // calls would: the same per-element TLB lookup, translation and data
@@ -23,8 +23,8 @@ const gatherShadowEvery = 64
 // TSC shadow otherwise, so skipping it leaves the charged state
 // bit-identical. The deadline is cached between polls; retiming the timer
 // from a management context mid-batch is observed at gatherShadowEvery
-// granularity, the same chunk-scale exposure MemStream and AccessRun
-// accept via pollsUntilTimer.
+// granularity, the same chunk-scale exposure MemStream accepts via
+// pollsUntilTimer.
 func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind AccessKind) error {
 	cs := c.Costs()
 	computeCost := computePer * cs.Compute

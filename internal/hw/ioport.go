@@ -13,8 +13,6 @@ type IODevice interface {
 // Well-known port numbers used by examples and fault-injection tests.
 const (
 	PortSerialCOM1 uint16 = 0x3F8
-	PortPIT        uint16 = 0x40
-	PortKBC        uint16 = 0x64
 	PortReset      uint16 = 0xCF9 // writing here resets the machine
 )
 

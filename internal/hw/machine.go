@@ -130,13 +130,6 @@ func (m *Machine) RouteIPI(src, dest int, vector uint8) {
 	}
 }
 
-// AssertIRQ raises a device (external) interrupt at core dest.
-func (m *Machine) AssertIRQ(dest int, vector uint8) {
-	if c := m.CPU(dest); c != nil {
-		c.APIC.Raise(vector, true)
-	}
-}
-
 // Crash takes the whole node down: every CPU's next operation fails with
 // FaultMachineCrashed. This models the unprotected failure mode the paper
 // targets — one co-kernel's abort killing the machine.

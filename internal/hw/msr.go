@@ -6,7 +6,6 @@ import "sync"
 // values match the x86 architectural MSR numbers so traces read naturally.
 const (
 	MSR_IA32_APIC_BASE    uint32 = 0x1B
-	MSR_IA32_FEATURE_CTL  uint32 = 0x3A
 	MSR_IA32_MISC_ENABLE  uint32 = 0x1A0
 	MSR_IA32_PAT          uint32 = 0x277
 	MSR_IA32_EFER         uint32 = 0xC0000080

@@ -234,22 +234,6 @@ func (pm *PhysMem) Write64(addr, v uint64) error {
 	return pm.Write(addr, b[:])
 }
 
-// Read32 reads a little-endian uint32 at addr.
-func (pm *PhysMem) Read32(addr uint64) (uint32, error) {
-	var b [4]byte
-	if err := pm.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// Write32 writes a little-endian uint32 at addr.
-func (pm *PhysMem) Write32(addr uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return pm.Write(addr, b[:])
-}
-
 // AlignDown rounds addr down to a multiple of align (a power of two).
 func AlignDown(addr, align uint64) uint64 { return addr &^ (align - 1) }
 

@@ -133,7 +133,7 @@ func (c *tlbClass) remove(n *tlbNode) {
 	c.bases = c.bases[:last]
 	c.filter[filterBucket(n.base)]--
 	c.hint[filterBucket(moved.base)] = uint8(n.slot)
-	c.free = c.free[: len(c.free)+1]
+	c.free = c.free[:len(c.free)+1]
 	c.free[len(c.free)-1] = n
 }
 
@@ -174,7 +174,7 @@ func (c *tlbClass) insert(base, gen uint64) {
 // reset drops all live entries, keeping allocated nodes for reuse.
 func (c *tlbClass) reset() {
 	nf := len(c.free)
-	c.free = c.free[: nf+len(c.live)]
+	c.free = c.free[:nf+len(c.live)]
 	copy(c.free[nf:], c.live)
 	c.live = c.live[:0]
 	c.bases = c.bases[:0]
@@ -370,6 +370,3 @@ func (t *TLB) Gen() uint64 { return t.gen }
 
 // Stats returns a copy of the TLB counters.
 func (t *TLB) Stats() TLBStats { return t.stats }
-
-// ResetStats zeroes the TLB counters.
-func (t *TLB) ResetStats() { t.stats = TLBStats{} }

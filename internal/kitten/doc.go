@@ -19,7 +19,7 @@
 //
 // Guest application code runs as Task functions receiving an Env, whose
 // methods charge simulated cycles on the task's CPU. Env.Access enforces
-// Kitten's own memory map (the guest page tables); Env.RawAccess bypasses
-// it, simulating exactly the class of co-kernel memory-map bugs Covirt is
-// designed to contain.
+// Kitten's own memory map (the guest page tables); Env.RawRead64 and
+// Env.RawWrite64 bypass it, simulating exactly the class of co-kernel
+// memory-map bugs Covirt is designed to contain.
 package kitten

@@ -102,33 +102,6 @@ func (e *Env) Access(addr uint64, write bool, kind hw.AccessKind) {
 	e.check(e.CPU.MemAccess(addr, write, kind))
 }
 
-// AccessRun performs n strided accesses starting at addr (stride 0 repeats
-// one address), equivalent to n Access calls — same memory-map checks at
-// every element, same charged cycles, same fault points — but batched: the
-// map is consulted once per covered extent and the accesses stream through
-// hw.CPU.AccessRun's translation-batched path. A segfault aborts the task
-// at exactly the element a per-element loop would have reached.
-func (e *Env) AccessRun(addr uint64, n int, stride uint64, write bool, kind hw.AccessKind) {
-	cur := addr
-	for n > 0 {
-		ext, ok := e.resolve(cur, 1)
-		if !ok {
-			e.fail(fmt.Errorf("%w: %#x", ErrSegfault, cur))
-		}
-		// Elements beyond this extent's end re-check the map (they may
-		// land in an adjacent extent, as per-element checks allow).
-		count := n
-		if stride != 0 {
-			if within := (ext.End() - cur - 1) / stride; uint64(count-1) > within {
-				count = int(within) + 1
-			}
-		}
-		e.check(e.CPU.AccessRun(cur, count, stride, write, kind))
-		cur += uint64(count) * stride
-		n -= count
-	}
-}
-
 // AccessGather performs one data access per element of addrs, each
 // optionally preceded by computePer compute operations — equivalent to
 //
@@ -185,20 +158,16 @@ func (e *Env) Write64(addr, val uint64) {
 	e.check(e.CPU.Write64G(addr, val))
 }
 
-// RawAccess bypasses the kernel memory map — simulating a co-kernel whose
-// mapping state is buggy or stale. Only a hardware protection layer
-// (Covirt's EPT) can stop it. With nothing underneath, the access reads or
-// corrupts whatever physical memory is there, or crashes the node.
-func (e *Env) RawAccess(addr uint64, write bool) error {
-	return e.CPU.MemAccess(addr, write, hw.AccessHot)
-}
-
-// RawWrite64 is RawAccess with real data movement: the wild write lands.
+// RawWrite64 writes guest memory bypassing the kernel memory map —
+// simulating a co-kernel whose mapping state is buggy or stale. Only a
+// hardware protection layer (Covirt's EPT) can stop it. With nothing
+// underneath, the wild write lands in whatever physical memory is there,
+// or crashes the node.
 func (e *Env) RawWrite64(addr, val uint64) error {
 	return e.CPU.Write64G(addr, val)
 }
 
-// RawRead64 is the wild-read variant.
+// RawRead64 is the wild-read variant of RawWrite64.
 func (e *Env) RawRead64(addr uint64) (uint64, error) {
 	return e.CPU.Read64G(addr)
 }
@@ -338,13 +307,13 @@ func (e *Env) WriteConsole(s string) error {
 // XemMake exports [ext.Start, ext.End) as a named XEMEM segment, returning
 // its segid.
 func (e *Env) XemMake(name string, ext hw.Extent) (uint64, error) {
-	segid, _, err := e.Syscall(pisces.SysXemMake, hashName(name), ext.Start, ext.Size)
+	segid, _, err := e.Syscall(pisces.SysXemMake, pisces.NameHash(name), ext.Start, ext.Size)
 	return segid, err
 }
 
 // XemGet looks up a segment by name.
 func (e *Env) XemGet(name string) (uint64, error) {
-	segid, _, err := e.Syscall(pisces.SysXemGet, hashName(name))
+	segid, _, err := e.Syscall(pisces.SysXemGet, pisces.NameHash(name))
 	return segid, err
 }
 
@@ -354,9 +323,11 @@ func (e *Env) XemGet(name string) (uint64, error) {
 // memory map, and charges per-extent mapping work — the operation whose
 // latency Fig. 4 of the paper measures.
 //
-//covirt:ambient guest side of the attach protocol: the host verified the
+// This is the guest side of the attach protocol: the host verified the
 // consumer's attach key and mapped the EPT before transmitting the frame
 // list, so the co-kernel only mirrors an already-authorized mapping.
+//
+//covirt:ambient guest mirror of a host-verified attach
 func (e *Env) XemAttach(segid uint64) ([]hw.Extent, error) {
 	_, count, err := e.Syscall(pisces.SysXemAttach, segid)
 	if err != nil {
@@ -383,9 +354,11 @@ func (e *Env) XemAttach(segid uint64) ([]hw.Extent, error) {
 // layer unmaps the hardware context and flushes TLBs before the management
 // layer considers the memory released.
 //
-//covirt:ambient guest side of the detach protocol: dropping the enclave's
+// This is the guest side of the detach protocol: dropping the enclave's
 // own mirror of a host-verified mapping withdraws access, it cannot grant
 // any; the authoritative unmap happens host-side at detach-done.
+//
+//covirt:ambient guest mirror drop; withdraws access, grants none
 func (e *Env) XemDetach(segid uint64) error {
 	_, count, err := e.Syscall(pisces.SysXemDetach, segid)
 	if err != nil {
@@ -402,16 +375,6 @@ func (e *Env) XemDetach(segid uint64) error {
 	}
 	_, _, err = e.Syscall(pisces.SysXemDetachDone, segid)
 	return err
-}
-
-// hashName gives names a stable 64-bit wire encoding (FNV-1a).
-func hashName(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // put64/get64: little-endian payload packing.

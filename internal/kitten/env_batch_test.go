@@ -1,7 +1,6 @@
 package kitten
 
 import (
-	"errors"
 	"testing"
 
 	"covirt/internal/hw"
@@ -10,7 +9,7 @@ import (
 // runEnvTask boots a fresh single-core stack, runs fn as a guest task, and
 // returns the core's final TSC/Instret plus the task error. Two calls with
 // equivalent guest bodies must land on identical counters — the harness for
-// proving Env.AccessRun charges exactly what a per-element loop does.
+// proving Env.AccessGather charges exactly what a per-element loop does.
 func runEnvTask(t *testing.T, fn func(e *Env) error) (tsc, instret uint64, err error) {
 	t.Helper()
 	_, _, _, k := testStack(t, 1, []int{0}, 256<<20)
@@ -21,135 +20,6 @@ func runEnvTask(t *testing.T, fn func(e *Env) error) (tsc, instret uint64, err e
 	err = task.Wait()
 	c := k.CPU(0)
 	return c.TSC, c.Instret, err
-}
-
-// TestEnvAccessRunMatchesAccessLoop drives the same strided access patterns
-// through a per-element Env.Access loop and through Env.AccessRun and
-// requires identical simulated cycles and instruction counts — including
-// the affine-modulo pattern MiniFE's boundary scatter uses.
-func TestEnvAccessRunMatchesAccessLoop(t *testing.T) {
-	patterns := []struct {
-		name   string
-		n      int
-		stride uint64
-	}{
-		{"unaligned", 2000, 4099},
-		{"page", 2000, 4096},
-		{"large", 7, 1 << 20},
-		{"dense", 4000, 8},
-		{"repeat", 1000, 0},
-	}
-	body := func(batched bool) func(e *Env) error {
-		return func(e *Env) error {
-			a := e.Alloc(0, 8<<20)
-			for _, p := range patterns {
-				if batched {
-					e.AccessRun(a.Start, p.n, p.stride, p.n%2 == 0, hw.AccessDRAM)
-				} else {
-					for i := 0; i < p.n; i++ {
-						e.Access(a.Start+uint64(i)*p.stride, p.n%2 == 0, hw.AccessDRAM)
-					}
-				}
-			}
-			// Affine modulo scatter (the MiniFE pattern), decomposed into
-			// wrap segments on the batched side.
-			const stride, n = 4099 * 332, 600
-			if batched {
-				for i := uint64(0); i < n; {
-					off := (i * stride) % a.Size
-					run := uint64(1)
-					for i+run < n && off+run*stride < a.Size {
-						run++
-					}
-					e.AccessRun(a.Start+off, int(run), stride, true, hw.AccessDRAM)
-					i += run
-				}
-			} else {
-				for i := uint64(0); i < n; i++ {
-					e.Access(a.Start+(i*stride)%a.Size, true, hw.AccessDRAM)
-				}
-			}
-			return nil
-		}
-	}
-	tscA, insA, errA := runEnvTask(t, body(false))
-	tscB, insB, errB := runEnvTask(t, body(true))
-	if errA != nil || errB != nil {
-		t.Fatalf("errs = %v, %v", errA, errB)
-	}
-	if tscA != tscB || insA != insB {
-		t.Errorf("batched run diverged: TSC %d vs %d, Instret %d vs %d", tscA, tscB, insA, insB)
-	}
-}
-
-// TestEnvAccessRunCrossesAdjacentExtents hot-adds a second memory extent
-// directly adjacent to the boot extent and runs a strided batch across the
-// seam: per-element containment checks allow the crossing, so AccessRun
-// must too — re-consulting the map at the cached extent's edge — with
-// identical charges.
-func TestEnvAccessRunCrossesAdjacentExtents(t *testing.T) {
-	run := func(batched bool) (uint64, uint64) {
-		_, fw, enc, k := testStack(t, 1, []int{0}, 256<<20)
-		added, err := fw.AddMemory(enc, 0, 64<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		boot := enc.Mem()[0]
-		if boot.End() != added.Start {
-			t.Skipf("hot-added extent %v not adjacent to boot extent %v", added, boot)
-		}
-		start := added.Start - 64<<10
-		task, serr := k.Spawn("cross", 0, func(e *Env) error {
-			if batched {
-				e.AccessRun(start, 4000, 64, false, hw.AccessDRAM)
-			} else {
-				for i := 0; i < 4000; i++ {
-					e.Access(start+uint64(i)*64, false, hw.AccessDRAM)
-				}
-			}
-			return nil
-		})
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if err := task.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return k.CPU(0).TSC, k.CPU(0).Instret
-	}
-	tscA, insA := run(false)
-	tscB, insB := run(true)
-	if tscA != tscB || insA != insB {
-		t.Errorf("crossing run diverged: TSC %d vs %d, Instret %d vs %d", tscA, tscB, insA, insB)
-	}
-}
-
-// TestEnvAccessRunSegfaultsAtSameElement runs both paths off the end of the
-// enclave's mapped memory: the batched run must abort with the same
-// segfault, having charged exactly the prefix the per-element loop charged.
-func TestEnvAccessRunSegfaultsAtSameElement(t *testing.T) {
-	const n, stride = 500, 4096
-	start := func(e *Env) uint64 {
-		exts := e.K.MemMap().Extents()
-		return exts[len(exts)-1].End() - 256<<10
-	}
-	tscA, insA, errA := runEnvTask(t, func(e *Env) error {
-		s := start(e)
-		for i := 0; i < n; i++ {
-			e.Access(s+uint64(i)*stride, true, hw.AccessDRAM)
-		}
-		return nil
-	})
-	tscB, insB, errB := runEnvTask(t, func(e *Env) error {
-		e.AccessRun(start(e), n, stride, true, hw.AccessDRAM)
-		return nil
-	})
-	if !errors.Is(errA, ErrSegfault) || !errors.Is(errB, ErrSegfault) {
-		t.Fatalf("errs = %v, %v; want segfaults", errA, errB)
-	}
-	if tscA != tscB || insA != insB {
-		t.Errorf("fault prefix diverged: TSC %d vs %d, Instret %d vs %d", tscA, tscB, insA, insB)
-	}
 }
 
 // TestMemMapGen pins the generation contract cached lookups depend on:

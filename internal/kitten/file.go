@@ -79,12 +79,7 @@ func (f *File) readAt(p []byte, off uint64) (int, error) {
 }
 
 // Write appends p at the file's current position, returning bytes written.
-func (f *File) Write(p []byte) (int, error) { return f.writeAt(p, cursor) }
-
-// WriteAt stores p at an absolute offset, without moving the cursor.
-func (f *File) WriteAt(p []byte, off uint64) (int, error) { return f.writeAt(p, off) }
-
-func (f *File) writeAt(p []byte, off uint64) (int, error) {
+func (f *File) Write(p []byte) (int, error) {
 	if len(p) > pisces.LcDataBytes {
 		return 0, fmt.Errorf("kitten: write of %d exceeds transfer buffer", len(p))
 	}
@@ -92,7 +87,7 @@ func (f *File) writeAt(p []byte, off uint64) (int, error) {
 	if err := io.WriteBytes(f.env.K.enc.Base()+pisces.OffLcData, p); err != nil {
 		return 0, err
 	}
-	n, _, err := f.env.Syscall(pisces.SysWrite, f.fd, off, uint64(len(p)))
+	n, _, err := f.env.Syscall(pisces.SysWrite, f.fd, cursor, uint64(len(p)))
 	return int(n), err
 }
 

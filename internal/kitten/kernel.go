@@ -17,20 +17,14 @@ const (
 	VectorTLBFlush uint8 = 0xF1 // TLB shootdown request
 )
 
-// Config tunes a Kitten instance.
-type Config struct {
-	// TimerInterval is the local APIC timer period in cycles; 0 uses the
-	// machine default, negative disables the tick entirely.
-	TimerInterval int64
-	// TaskQueueDepth bounds queued tasks per core (default 64).
-	TaskQueueDepth int
-}
+// taskQueueDepth bounds queued tasks per core.
+const taskQueueDepth = 64
 
 // Kernel is one booted Kitten instance inside a Pisces enclave. It
-// implements pisces.Bootable.
+// implements pisces.Bootable. Each core's local APIC timer ticks at the
+// machine's hw.Costs.TimerIntervalCycles (0 runs tickless), the period
+// the host-side supervisor also judges heartbeats against.
 type Kernel struct {
-	cfg Config
-
 	mach *hw.Machine
 	enc  *pisces.Enclave
 	bp   *pisces.BootParams
@@ -102,12 +96,8 @@ func (t *Task) Wait() error {
 }
 
 // New returns an unbooted Kitten image.
-func New(cfg Config) *Kernel {
-	if cfg.TaskQueueDepth <= 0 {
-		cfg.TaskQueueDepth = 64
-	}
+func New() *Kernel {
 	return &Kernel{
-		cfg:          cfg,
 		mm:           NewMemMap(),
 		alloc:        pisces.NewLedgerGranule(hw.PageSize4K),
 		byCPU:        make(map[int]*coreCtx),
@@ -179,8 +169,6 @@ func (k *Kernel) Boot(bc *pisces.BootContext) error {
 		}
 	}
 
-	interval := k.timerInterval()
-
 	// Count enclave cores per NUMA node so CPUs can model bandwidth
 	// sharing within the partition.
 	sharers := make(map[int]int)
@@ -202,7 +190,7 @@ func (k *Kernel) Boot(bc *pisces.BootContext) error {
 			// scan on, never a stale value from the core's prior history.
 			k.beat(cpu)
 		}
-		k.onlineCore(cpu, interval)
+		k.onlineCore(cpu)
 	}
 	k.booted.Store(true)
 	return nil
@@ -210,11 +198,11 @@ func (k *Kernel) Boot(bc *pisces.BootContext) error {
 
 // onlineCore brings one CPU into the kernel: interrupt handler, timer, and
 // a fresh scheduler loop. Used at boot and on hot-add.
-func (k *Kernel) onlineCore(cpu *hw.CPU, timerInterval uint64) *coreCtx {
+func (k *Kernel) onlineCore(cpu *hw.CPU) *coreCtx {
 	cc := k.registerCore(cpu)
 	cpu.SetIRQHandler(k.handleIRQ)
-	if timerInterval > 0 {
-		cpu.APIC.ArmTimer(cpu.TSC, timerInterval, pisces.VectorTimer)
+	if interval := k.mach.Costs.TimerIntervalCycles; interval > 0 {
+		cpu.APIC.ArmTimer(cpu.TSC, interval, pisces.VectorTimer)
 	}
 	k.wg.Add(1)
 	go k.coreLoop(cc)
@@ -229,24 +217,13 @@ func (k *Kernel) registerCore(cpu *hw.CPU) *coreCtx {
 	cc := &coreCtx{
 		local:  len(k.cores),
 		cpu:    cpu,
-		tasks:  make(chan *Task, k.cfg.TaskQueueDepth),
+		tasks:  make(chan *Task, taskQueueDepth),
 		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
 	}
 	k.cores = append(k.cores, cc)
 	k.byCPU[cpu.ID] = cc
 	return cc
-}
-
-// timerInterval resolves the configured timer period.
-func (k *Kernel) timerInterval() uint64 {
-	switch {
-	case k.cfg.TimerInterval > 0:
-		return uint64(k.cfg.TimerInterval)
-	case k.cfg.TimerInterval == 0:
-		return k.mach.Costs.TimerIntervalCycles
-	}
-	return 0
 }
 
 // Shutdown implements pisces.Bootable. It stops all core loops; safe to
@@ -462,19 +439,11 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 	}
 }
 
-// beat publishes one liveness heartbeat: bump the monotonic counter and
-// stamp the boot core's current TSC into the shared heartbeat page. Runs in
-// timer-interrupt context on the boot core; the writes go through the
-// guest's own protection path, so a supervised enclave pays for its beats.
+// beat publishes one liveness heartbeat from the boot core (timer-interrupt
+// context): bump the monotonic counter and write it to the shared
+// heartbeat page.
 func (k *Kernel) beat(cpu *hw.CPU) {
-	io := pisces.CPUMemIO{CPU: cpu}
-	n := k.hbCount.Add(1)
-	if err := io.Write64(k.hbAddr+pisces.HbCount, n); err != nil {
-		return // teardown race: the enclave is already being killed
-	}
-	if err := io.Write64(k.hbAddr+pisces.HbTSC, cpu.TSC); err != nil {
-		return
-	}
+	pisces.WriteHeartbeat(cpu, k.hbAddr, k.hbCount.Add(1))
 }
 
 // flushLocal performs this core's share of a pending TLB shootdown.
@@ -556,7 +525,7 @@ func (k *Kernel) ctlCommand(cpu *hw.CPU, m *pisces.Msg) bool {
 		if newCPU == nil {
 			return false
 		}
-		k.onlineCore(newCPU, k.timerInterval())
+		k.onlineCore(newCPU)
 		return true
 	case pisces.CmdCPURemove:
 		return k.offlineCore(int(get64(m.Payload[:], 0))) == nil

@@ -39,7 +39,7 @@ func testStack(t *testing.T, cores int, nodes []int, mem uint64) (*linuxhost.Hos
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := New(Config{})
+	k := New()
 	if err := fw.Boot(enc, k); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSpawnValidation(t *testing.T) {
 	if err := k.RunParallel("x", 9, func(*Env, int) error { return nil }); err == nil {
 		t.Error("RunParallel beyond cores accepted")
 	}
-	unbooted := New(Config{})
+	unbooted := New()
 	if _, err := unbooted.Spawn("x", 0, func(*Env) error { return nil }); err == nil {
 		t.Error("spawn before boot accepted")
 	}
@@ -281,7 +281,8 @@ func TestTimerTickless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := New(Config{TimerInterval: -1}) // tickless
+	m.Costs.TimerIntervalCycles = 0 // tickless: no timer is armed
+	k := New()
 	if err := fw.Boot(enc, k); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,8 @@ func TestCustomTimerInterval(t *testing.T) {
 	ledger.DonateCore(1)
 	fw := pisces.NewFramework(m, ledger)
 	enc, _ := fw.CreateEnclave(pisces.EnclaveSpec{Name: "hz", NumCores: 1, Nodes: []int{0}, MemBytes: 128 << 20})
-	k := New(Config{TimerInterval: 1_000_000}) // 1700 Hz
+	m.Costs.TimerIntervalCycles = 1_000_000 // 1700 Hz
+	k := New()
 	if err := fw.Boot(enc, k); err != nil {
 		t.Fatal(err)
 	}
@@ -435,14 +437,35 @@ func TestGuestPanicBecomesTaskError(t *testing.T) {
 	}
 }
 
+// TestHashNameStable checks the guest's XEMEM name encoding: a segment the
+// guest exports by name is registered under pisces.NameHash of that name —
+// the hash host exporters and the fleet registry use — and the guest finds
+// it again by the same name.
 func TestHashNameStable(t *testing.T) {
-	if hashName("abc") != hashName("abc") {
-		t.Error("hash not deterministic")
+	host, _, _, k := testStack(t, 1, []int{0}, 64<<20)
+	var made, found uint64
+	task, err := k.Spawn("xem", 0, func(e *Env) error {
+		seg := e.Alloc(0, hw.PageSize2M)
+		var err error
+		if made, err = e.XemMake("abc", seg); err != nil {
+			return err
+		}
+		found, err = e.XemGet("abc")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hashName("abc") == hashName("abd") {
-		t.Error("trivial collision")
+	if err := task.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	if hashName("") == 0 {
-		t.Error("empty hash is zero")
+	if found != made {
+		t.Errorf("XemGet = %d, want the exported segment %d", found, made)
+	}
+	if id, err := host.Master.Reg.Get(pisces.NameHash("abc")); err != nil || id != made {
+		t.Errorf("host lookup of NameHash(abc) = %d, %v; want segment %d", id, err, made)
+	}
+	if _, err := host.Master.Reg.Get(pisces.NameHash("abd")); err == nil {
+		t.Error("a different name resolves to the segment")
 	}
 }

@@ -150,28 +150,6 @@ func (h *Host) QuarantineResources(cores []int, mem []hw.Extent) error {
 	return nil
 }
 
-// ReclaimMemory withdraws extents from a running enclave back to the host
-// in one batched operation — the host-pressure path of elastic memory
-// management. The enclave relinquishes every extent, the protection layer
-// coalesces the whole set into one TLB shootdown epoch per core (instead
-// of one per extent), and the freed frames leave the enclave pool for the
-// host ledger. On error nothing moves to the host: whatever the batch did
-// reclaim stays in the enclave pool, safe but still donated.
-func (h *Host) ReclaimMemory(enc *pisces.Enclave, exts []hw.Extent) error {
-	if err := h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
-		return err
-	}
-	// The batch freed the extents into the enclave pool; pull them back
-	// out and online them for the host.
-	for _, e := range exts {
-		if err := h.EnclaveLedger.Reserve(e); err != nil {
-			return fmt.Errorf("linuxhost: reclaim %v: %w", e, err)
-		}
-		h.HostLedger.FreeMemory(e)
-	}
-	return nil
-}
-
 // onlineCores marks cores as host-owned again under the lock.
 func (h *Host) onlineCores(cores []int) {
 	h.mu.Lock()

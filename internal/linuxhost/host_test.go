@@ -45,7 +45,7 @@ func bootEnclave(t *testing.T, h *Host, name string, cores int, nodes []int, mem
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := kitten.New(kitten.Config{})
+	k := kitten.New()
 	if err := h.Pisces.Boot(enc, k); err != nil {
 		t.Fatal(err)
 	}

@@ -198,18 +198,11 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 	}
 }
 
-// beat publishes one liveness heartbeat (boot core timer-interrupt
-// context): bump the monotonic counter and stamp the current TSC into the
-// shared heartbeat page through the guest's protection path.
+// beat publishes one liveness heartbeat from the boot core (timer-interrupt
+// context): bump the monotonic counter and write it to the shared
+// heartbeat page.
 func (k *Kernel) beat(cpu *hw.CPU) {
-	io := pisces.CPUMemIO{CPU: cpu}
-	n := k.hbCount.Add(1)
-	if err := io.Write64(k.hbAddr+pisces.HbCount, n); err != nil {
-		return // teardown race: the enclave is already being killed
-	}
-	if err := io.Write64(k.hbAddr+pisces.HbTSC, cpu.TSC); err != nil {
-		return
-	}
+	pisces.WriteHeartbeat(cpu, k.hbAddr, k.hbCount.Add(1))
 }
 
 // OnIPI registers a runtime interrupt handler.

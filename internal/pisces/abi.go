@@ -36,6 +36,19 @@ const (
 	SysFsize  uint32 = 225 // payload: fd(8) -> size
 )
 
+// NameHash is the 64-bit wire encoding of an XEMEM segment name (FNV-1a),
+// the name-hash the SysXemMake and SysXemGet payloads carry. Host-side
+// exporters, the fleet registry and the seeded job and link streams hash
+// through it too, so every layer agrees on every name.
+func NameHash(s string) uint64 {
+	var h uint64 = 0xcbf29ce484222325
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001b3
+	}
+	return h
+}
+
 // Open flags for SysOpen.
 const (
 	OpenRead   uint64 = 0

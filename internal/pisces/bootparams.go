@@ -45,6 +45,20 @@ const (
 	HbTSC   = 8 // offset of the boot core's TSC at the last beat
 )
 
+// WriteHeartbeat publishes beat n into the heartbeat page at hb from cpu,
+// the supervised co-kernel's boot core. Both writes go through the guest's
+// protection path, so a supervised enclave pays for its beats; the TSC is
+// read after the charged count write, so the stamp includes its cost. A
+// failed write means the enclave is already being killed and ends the
+// beat.
+func WriteHeartbeat(cpu *hw.CPU, hb, n uint64) {
+	io := CPUMemIO{CPU: cpu}
+	if err := io.Write64(hb+HbCount, n); err != nil {
+		return
+	}
+	_ = io.Write64(hb+HbTSC, cpu.TSC)
+}
+
 // Interrupt vectors used by the co-kernel control plane.
 const (
 	VectorCtl   uint8 = 0xF2 // host -> enclave: control command pending

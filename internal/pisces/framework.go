@@ -158,9 +158,6 @@ func NewFramework(m *hw.Machine, ledger *Ledger) *Framework {
 	return fw
 }
 
-// HostIO returns the host-side (native) memory accessor.
-func (fw *Framework) HostIO() MemIO { return fw.hostIO }
-
 // Subscribe registers an event sink. Sinks run synchronously in
 // registration order.
 func (fw *Framework) Subscribe(s EventSink) {
@@ -486,49 +483,28 @@ func (fw *Framework) AddMemory(enc *Enclave, node int, size uint64) (hw.Extent, 
 	return ext, nil
 }
 
-// RemoveMemory shrinks the enclave by the given extent. The enclave
-// relinquishes the memory first; only then do protection layers unmap and
-// flush (EvMemRemovePost), and only after that is the memory reclaimed.
+// RemoveMemory shrinks the enclave by one extent: the one-extent case of
+// RemoveMemoryBatch.
 func (fw *Framework) RemoveMemory(enc *Enclave, ext hw.Extent) error {
-	if enc.State() != StateRunning {
-		return fmt.Errorf("pisces: enclave %d not running", enc.ID)
-	}
-	found := enc.memIndex(ext)
-	if found < 0 {
-		return fmt.Errorf("pisces: extent %v not removable from enclave %d", ext, enc.ID)
-	}
-	var m Msg
-	m.Type = CmdMemRemove
-	put64(m.Payload[:], 0, ext.Start)
-	put64(m.Payload[:], 8, ext.Size)
-	if _, err := fw.sendCtl(enc, &m); err != nil {
-		return err
-	}
-	cap := enc.dropMem(found)
-	if err := fw.emit(&Event{Kind: EvMemRemovePost, Enclave: enc, Extent: ext, Cap: cap}); err != nil {
-		return err
-	}
-	// Protection teardown already ran through the event; the key itself
-	// (and anything the enclave delegated from it) dies here.
-	if !cap.Zero() {
-		_, _ = fw.Auth.Revoke(cap)
-	}
-	fw.Ledger.FreeMemory(ext)
-	return nil
+	return fw.RemoveMemoryBatch(enc, []hw.Extent{ext})
 }
 
 // RemoveMemoryBatch shrinks the enclave by several extents as one batched
-// operation. Each extent is relinquished and evented exactly as in
-// RemoveMemory, but the events are marked as a batch so protection layers
-// can coalesce their TLB shootdowns into one invalidation per core at the
-// batch's final event. Reclaim (key revocation and ledger free) happens
-// only after the whole batch has been flushed, so the
-// unmap-flush-before-reclaim ordering holds at batch granularity: no frame
-// returns to the allocator while any enclave core could still hold a
-// translation to it. On a mid-batch failure the already-relinquished
-// extents are flushed (via a closing zero-extent event) and reclaimed
-// before the error is reported; the failing extent and its successors stay
-// with the enclave.
+// operation. For each extent the enclave relinquishes the memory first;
+// only then do protection layers unmap it (EvMemRemovePost). The events
+// are marked as a batch so protection layers can coalesce their TLB
+// shootdowns into one invalidation per core at the batch's final event.
+// Reclaim (key revocation and ledger free) happens only after the whole
+// batch has been flushed, so the unmap-flush-before-reclaim ordering holds
+// at batch granularity: no frame returns to the allocator while any
+// enclave core could still hold a translation to it.
+//
+// On a mid-batch failure a closing zero-extent event flushes whatever
+// already left the protection layer, and only the extents whose events
+// succeeded are reclaimed before the error is reported. An extent the
+// enclave refused stays with the enclave, as do its successors. An extent
+// whose event failed has left the enclave but is not reclaimed: a
+// protection layer whose unmap failed may still map those frames.
 func (fw *Framework) RemoveMemoryBatch(enc *Enclave, exts []hw.Extent) error {
 	if len(exts) == 0 {
 		return nil
@@ -545,7 +521,7 @@ func (fw *Framework) RemoveMemoryBatch(enc *Enclave, exts []hw.Extent) error {
 		ext hw.Extent
 		cap authority.Cap
 	}
-	var flushed []relinquished
+	var reclaim []relinquished
 	var firstErr error
 	for i, ext := range exts {
 		idx := enc.memIndex(ext)
@@ -562,12 +538,12 @@ func (fw *Framework) RemoveMemoryBatch(enc *Enclave, exts []hw.Extent) error {
 			break
 		}
 		cap := enc.dropMem(idx)
-		flushed = append(flushed, relinquished{ext, cap})
 		ev := &Event{Kind: EvMemRemovePost, Enclave: enc, Extent: ext, Cap: cap, MoreInBatch: i < len(exts)-1}
 		if err := fw.emit(ev); err != nil {
 			firstErr = err
 			break
 		}
+		reclaim = append(reclaim, relinquished{ext, cap})
 	}
 	if firstErr != nil {
 		// The batch aborted with its closing event unsent: emit a
@@ -575,7 +551,9 @@ func (fw *Framework) RemoveMemoryBatch(enc *Enclave, exts []hw.Extent) error {
 		// is reclaimed.
 		_ = fw.emit(&Event{Kind: EvMemRemovePost, Enclave: enc})
 	}
-	for _, r := range flushed {
+	// Protection teardown already ran through the events; each key (and
+	// anything the enclave delegated from it) dies here.
+	for _, r := range reclaim {
 		if !r.cap.Zero() {
 			_, _ = fw.Auth.Revoke(r.cap)
 		}

@@ -3,6 +3,7 @@ package pisces_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -282,6 +283,95 @@ func TestRemoveMemoryValidation(t *testing.T) {
 	// An extent the enclave does not own cannot be removed.
 	if err := fw.RemoveMemory(enc, hw.Extent{Start: 0x1000, Size: 0x1000}); err == nil {
 		t.Error("foreign extent removal accepted")
+	}
+}
+
+// removeFixture boots a stub enclave, grows it by n 2 MiB extents, and
+// subscribes a handler that rejects the EvMemRemovePost of reject. It
+// returns the added extents and the extents of every EvMemRemovePost seen
+// from then on (a zero extent is a closing event).
+func removeFixture(t *testing.T, n int, reject int, sentinel error) (*pisces.Framework, *pisces.Enclave, []hw.Extent, *[]hw.Extent) {
+	t.Helper()
+	_, fw := fwFixture(t)
+	enc, err := fw.CreateEnclave(pisces.EnclaveSpec{Name: "rmfail", NumCores: 1, Nodes: []int{0}, MemBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Boot(enc, newStubKernel(true)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fw.Destroy(enc) })
+	var exts []hw.Extent
+	for i := 0; i < n; i++ {
+		ext, err := fw.AddMemory(enc, 0, hw.PageSize2M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exts = append(exts, ext)
+	}
+	var seen []hw.Extent
+	fw.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind != pisces.EvMemRemovePost {
+			return nil
+		}
+		seen = append(seen, ev.Extent)
+		if ev.Extent == exts[reject] {
+			return sentinel
+		}
+		return nil
+	})
+	return fw, enc, exts, &seen
+}
+
+// TestRemoveMemoryBatchReclaimsOnlyUnmapped has a protection layer reject
+// the unmap event of the second of three extents. Only the first extent,
+// whose unmap succeeded, may return to the ledger. The rejected extent has
+// left the enclave but stays out of the ledger: its frames may still be
+// mapped. The third extent was never touched and stays with the enclave,
+// and a closing event flushes what the batch had already unmapped.
+func TestRemoveMemoryBatchReclaimsOnlyUnmapped(t *testing.T) {
+	sentinel := errors.New("unmap failed")
+	fw, enc, exts, seen := removeFixture(t, 3, 1, sentinel)
+	free := fw.Ledger.FreeBytes(0)
+	if err := fw.RemoveMemoryBatch(enc, exts); !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the handler's rejection", err)
+	}
+	if want := []hw.Extent{exts[0], exts[1], {}}; !slices.Equal(*seen, want) {
+		t.Errorf("remove events = %v, want %v (the last a closing event)", *seen, want)
+	}
+	if got := fw.Ledger.FreeBytes(0); got != free+exts[0].Size {
+		t.Errorf("ledger grew by %d bytes, want %d (extent 1 only)", got-free, exts[0].Size)
+	}
+	if err := fw.Ledger.Reserve(exts[0]); err != nil {
+		t.Errorf("extent 1 not back in the ledger: %v", err)
+	}
+	if err := fw.Ledger.Reserve(exts[1]); err == nil {
+		t.Error("rejected extent 2 was reclaimed")
+	}
+	mem := enc.Mem()
+	if slices.Contains(mem, exts[0]) || slices.Contains(mem, exts[1]) {
+		t.Errorf("enclave still holds a relinquished extent: %v", mem)
+	}
+	if !slices.Contains(mem, exts[2]) {
+		t.Errorf("extent 3 left the enclave: %v", mem)
+	}
+}
+
+// TestRemoveMemoryRejectedReclaimsNothing removes one extent whose unmap
+// event a protection layer rejects: the error surfaces and the extent
+// does not return to the ledger.
+func TestRemoveMemoryRejectedReclaimsNothing(t *testing.T) {
+	sentinel := errors.New("unmap failed")
+	fw, enc, exts, _ := removeFixture(t, 1, 0, sentinel)
+	free := fw.Ledger.FreeBytes(0)
+	if err := fw.RemoveMemory(enc, exts[0]); !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the handler's rejection", err)
+	}
+	if got := fw.Ledger.FreeBytes(0); got != free {
+		t.Errorf("ledger grew by %d bytes, want 0", got-free)
+	}
+	if err := fw.Ledger.Reserve(exts[0]); err == nil {
+		t.Error("rejected extent was reclaimed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package pisces
 
 import (
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,5 +420,21 @@ func TestCtlDrainConcurrentCallsLoseNothing(t *testing.T) {
 	wg.Wait()
 	if served.Load() != requested.Load() {
 		t.Errorf("last pass served %d of %d requests", served.Load(), requested.Load())
+	}
+}
+
+// TestNameHashStable pins the XEMEM name wire encoding to 64-bit FNV-1a:
+// the guest, the host exporters and the fleet registry must agree on it,
+// and the seeded job and fabric streams derive from it.
+func TestNameHashStable(t *testing.T) {
+	for _, s := range []string{"", "a", "abc", "stale.seg", "fabric/1/link/0/3"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := NameHash(s), h.Sum64(); got != want {
+			t.Errorf("NameHash(%q) = %#x, want FNV-1a %#x", s, got, want)
+		}
+	}
+	if NameHash("abc") == NameHash("abd") {
+		t.Error("trivial collision")
 	}
 }

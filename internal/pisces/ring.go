@@ -25,9 +25,6 @@ const (
 // RingSlots is the capacity of each command ring.
 const RingSlots = 32
 
-// RingBytes is the shared-memory footprint of one ring.
-const RingBytes = ringHdrSize + RingSlots*msgSize
-
 // Ring is a single-producer single-consumer command ring living in shared
 // physical memory. Head and tail indices and all message bytes are stored
 // in guest-visible memory and accessed through a MemIO, so an enclave-side

@@ -9,22 +9,24 @@
 //     after a charged lockup) cycles.
 //
 // Detection is driven by an explicit watchdog Scan, not wall-clock time:
-// each Scan advances a virtual hw.Clock by one scan interval and compares
-// the boot core's published TSC against the last heartbeat stamp. Because
-// an idle simulated core's TSC is frozen, idle is never mistaken for hung;
-// only a core that charged cycles without beating (a spinning or
-// interrupt-disabled lockup) accumulates a gap. The whole protocol is a
-// pure function of the simulated machine history, so supervised runs stay
-// byte-deterministic at any host parallelism.
+// each Scan advances a virtual hw.Clock by one scan interval — the
+// machine's timer period, which is also the period the co-kernels beat at
+// — and compares the boot core's published TSC against the last heartbeat
+// stamp. Because an idle simulated core's TSC is frozen, idle is never
+// mistaken for hung; only a core that charged cycles without beating (a
+// spinning or interrupt-disabled lockup) accumulates a gap. The whole
+// protocol is a pure function of the simulated machine history, so
+// supervised runs stay byte-deterministic at any host parallelism.
 //
 // Reaction is governed by a per-enclave Policy: restarts with
-// exponentially backed-off, jittered delays on the virtual clock, a finite
-// restart budget, and terminal escalation to quarantine — the enclave's
-// cores and memory are withdrawn from the enclave pool and permanently
-// returned to the Linux host — once the budget is exhausted. Restarts go
-// through testbed.Node.ReplaceGuest, so the rebuilt stack (Covirt
-// features, IPI grants, on-boot hooks) is re-established exactly as the
-// guest's declaration specifies.
+// exponentially backed-off, jittered delays on the virtual clock (one scan
+// interval doubling per failure, capped at maxBackoffScans scans), a
+// finite restart budget, and terminal escalation to quarantine — the
+// enclave's cores and memory are withdrawn from the enclave pool and
+// permanently returned to the Linux host — once the budget is exhausted.
+// Restarts go through testbed.Node.ReplaceGuest, so the rebuilt stack
+// (Covirt features, IPI grants, on-boot hooks) is re-established exactly
+// as the guest's declaration specifies.
 package supervisor
 
 import (
@@ -38,6 +40,14 @@ import (
 	"covirt/internal/trace"
 )
 
+// MissedBeats is the hang threshold: an enclave is declared hung once its
+// boot core's TSC runs MissedBeats timer periods past the last heartbeat
+// stamp.
+const MissedBeats = 3
+
+// maxBackoffScans caps the restart backoff, in scan intervals.
+const maxBackoffScans = 8
+
 // Policy configures supervision for one enclave.
 type Policy struct {
 	// MaxRestarts is the restart budget. Failure n (1-based) triggers a
@@ -46,23 +56,10 @@ type Policy struct {
 	// down and reclaimed exactly as without supervision, with its hardware
 	// then returned to the host.
 	MaxRestarts int
-	// BackoffBase is the delay (virtual-clock cycles) before the first
-	// restart attempt; attempt n waits BackoffBase << (n-1), capped at
-	// BackoffCap. Zero values default to one scan interval and eight scan
-	// intervals respectively.
-	BackoffBase uint64
-	BackoffCap  uint64
 	// JitterPct adds up to this percentage of the backed-off delay, drawn
 	// from the supervisor's deterministic seed, so co-scheduled enclaves
 	// don't restart in lockstep.
 	JitterPct int
-	// MissedBeats is the hang threshold: the enclave is declared hung once
-	// its boot core's TSC runs MissedBeats*BeatInterval cycles past the
-	// last heartbeat stamp (default 3).
-	MissedBeats int
-	// BeatInterval is the guest's expected beat period in cycles (default:
-	// the machine timer interval, which is what the co-kernels beat at).
-	BeatInterval uint64
 }
 
 // State is a supervised enclave's recovery state.
@@ -119,9 +116,6 @@ type Status struct {
 
 // Options configures a Supervisor.
 type Options struct {
-	// ScanInterval is the virtual time one watchdog pass represents
-	// (default: the machine timer interval).
-	ScanInterval uint64
 	// Seed feeds the deterministic jitter source.
 	Seed uint64
 	// Tracer, when non-nil, receives sup:* records for every supervision
@@ -186,13 +180,10 @@ func New(n *testbed.Node, opt Options) *Supervisor {
 		node:         n,
 		tracer:       opt.Tracer,
 		io:           pisces.NativeMemIO{Mem: n.M.Mem},
-		scanInterval: opt.ScanInterval,
+		scanInterval: n.M.Costs.TimerIntervalCycles,
 		rng:          hw.NewRand(opt.Seed),
 		onQuarantine: opt.OnQuarantine,
 		byEnc:        make(map[int]*watch),
-	}
-	if s.scanInterval == 0 {
-		s.scanInterval = n.M.Costs.TimerIntervalCycles
 	}
 	n.Host.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
 		if ev.Kind == hobbes.EvEnclaveCrashed && ev.Enclave != nil {
@@ -203,24 +194,12 @@ func New(n *testbed.Node, opt Options) *Supervisor {
 	return s
 }
 
-// ScanInterval returns the virtual time one Scan represents.
+// ScanInterval returns the virtual time one Scan represents: the machine's
+// timer period.
 func (s *Supervisor) ScanInterval() uint64 { return s.scanInterval }
 
-// Watch registers be under p. Zero policy fields take their documented
-// defaults.
+// Watch registers be under p.
 func (s *Supervisor) Watch(be *testbed.Enclave, p Policy) error {
-	if p.MissedBeats == 0 {
-		p.MissedBeats = 3
-	}
-	if p.BeatInterval == 0 {
-		p.BeatInterval = s.node.M.Costs.TimerIntervalCycles
-	}
-	if p.BackoffBase == 0 {
-		p.BackoffBase = s.scanInterval
-	}
-	if p.BackoffCap == 0 {
-		p.BackoffCap = 8 * p.BackoffBase
-	}
 	w := &watch{
 		be:      be,
 		policy:  p,
@@ -235,6 +214,11 @@ func (s *Supervisor) Watch(be *testbed.Enclave, p Policy) error {
 	s.byEnc[be.Enc.ID] = w
 	return nil
 }
+
+// hangThreshold is the heartbeat gap, in boot-core cycles, that convicts an
+// enclave as hung: MissedBeats beat periods, a beat period being one scan
+// interval.
+func (s *Supervisor) hangThreshold() uint64 { return MissedBeats * s.scanInterval }
 
 // latchCrash records a bus-reported crash for the next scan to handle.
 func (s *Supervisor) latchCrash(encID int, reason string) {
@@ -259,7 +243,7 @@ func (s *Supervisor) Scan() error {
 	// (ReportCrash) re-enters the bus and must run without the lock.
 	for _, w := range s.hungWatches() {
 		enc := w.be.Enc
-		reason := fmt.Sprintf("supervisor: %d missed heartbeats", w.policy.MissedBeats)
+		reason := fmt.Sprintf("supervisor: %d missed heartbeats", MissedBeats)
 		s.record(now, "sup:hang", "enclave %d %s: %s", enc.ID, w.be.Guest.Name, reason)
 		if err := s.node.Host.Master.Bus.Emit(&hobbes.Event{
 			Kind: hobbes.EvEnclaveHung, Enclave: enc, Reason: reason,
@@ -289,7 +273,7 @@ func (s *Supervisor) Scan() error {
 }
 
 // hungWatches returns the healthy, heartbeat-enabled watches whose boot
-// core has outrun the last beat by the policy threshold. Crash latching
+// core has outrun the last beat by MissedBeats timer periods. Crash latching
 // for enclaves observed in a terminal state happens here too, covering
 // crashes that raced a restart or predate registration.
 func (s *Supervisor) hungWatches() []*watch {
@@ -330,7 +314,7 @@ func (s *Supervisor) hungWatches() []*watch {
 			ref = w.baseTSC
 		}
 		tsc := enc.BootCPU().TSCSnapshot()
-		if tsc > ref && tsc-ref >= uint64(w.policy.MissedBeats)*w.policy.BeatInterval {
+		if tsc > ref && tsc-ref >= s.hangThreshold() {
 			hung = append(hung, w)
 		}
 	}
@@ -361,9 +345,9 @@ func (s *Supervisor) scheduleFailures(now uint64) []*watch {
 			quarantines = append(quarantines, w)
 			continue
 		}
-		delay := w.policy.BackoffBase << (w.failures - 1)
-		if delay > w.policy.BackoffCap || delay < w.policy.BackoffBase {
-			delay = w.policy.BackoffCap
+		delay := s.scanInterval << (w.failures - 1)
+		if limit := maxBackoffScans * s.scanInterval; delay > limit || delay < s.scanInterval {
+			delay = limit
 		}
 		if jit := delay * uint64(w.policy.JitterPct) / 100; jit > 0 {
 			delay += s.rng.Uint64n(jit + 1)

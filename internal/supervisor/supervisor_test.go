@@ -237,7 +237,7 @@ func TestLateCrashReportAfterQuarantine(t *testing.T) {
 }
 
 // waitHung blocks until name's current incarnation is convictable: its
-// boot core has run MissedBeats*BeatInterval past the last heartbeat (or,
+// boot core has run MissedBeats timer periods past the last heartbeat (or,
 // before the first beat, past the watch's baseline) — the predicate
 // hungWatches applies. Waiting on simulated state pins the verdict to the
 // next scan however late the host schedules the guest thread.
@@ -264,7 +264,7 @@ func hangBaseline(sup *Supervisor, name string) (*pisces.Enclave, uint64, uint64
 	defer sup.mu.Unlock()
 	for _, w := range sup.watches {
 		if w.be.Guest.Name == name {
-			return w.be.Enc, w.baseTSC, uint64(w.policy.MissedBeats) * w.policy.BeatInterval
+			return w.be.Enc, w.baseTSC, sup.hangThreshold()
 		}
 	}
 	panic("supervisor: no watch named " + name)

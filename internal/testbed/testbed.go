@@ -55,9 +55,6 @@ type Guest struct {
 	Nodes []int
 	// MemBytes is the enclave memory, split evenly across Nodes.
 	MemBytes uint64
-	// TimerInterval overrides the Kitten guest timer period in cycles
-	// (0 = machine default, negative = tickless).
-	TimerInterval int64
 	// Entry is the Nautilus boot thread (required for Kind Nautilus).
 	Entry nautilus.ThreadFn
 	// Features, when non-nil, overrides the controller's default feature
@@ -251,7 +248,7 @@ func (n *Node) BootInto(enc *pisces.Enclave, g Guest) (*Enclave, error) {
 	be := &Enclave{Guest: g, Enc: enc}
 	switch g.Kind {
 	case Kitten:
-		k := kitten.New(kitten.Config{TimerInterval: g.TimerInterval})
+		k := kitten.New()
 		if err := n.Host.Pisces.Boot(enc, k); err != nil {
 			return nil, err
 		}

@@ -74,10 +74,10 @@ func (s EPTStats) Pages() uint64 { return s.Mapped4K + s.Mapped2M + s.Mapped1G }
 // reflect a fully applied layout once Gen() returns g. TLB shootdown is the
 // hypervisor's job (see covirt's command queue).
 type EPT struct {
-	mu      sync.Mutex
-	root    *eptNode
-	stats   EPTStats
-	gen     atomic.Uint64
+	mu    sync.Mutex
+	root  *eptNode
+	stats EPTStats
+	gen   atomic.Uint64
 	// maxPage caps leaf mapping sizes (0 = coalesce freely up to 1G);
 	// used by the large-page ablation.
 	maxPage uint64

@@ -51,8 +51,10 @@ func driveAccesses(t *testing.T, maxPage uint64, cached bool) *hw.CPU {
 	if err := c.MemStream(start, 8<<20, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AccessRun(start, 4096, 4099, false, hw.AccessDRAM); err != nil {
-		t.Fatal(err)
+	for i := uint64(0); i < 4096; i++ {
+		if err := c.MemAccess(start+i*4099, false, hw.AccessDRAM); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.Read64G(start + 0x100); err != nil {
 		t.Fatal(err)

@@ -73,21 +73,13 @@ func (m *MiniFE) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		}
 		e.Compute(rows * 500)
 		// Scatter: streaming writes of the assembled rows plus some
-		// random updates at slab boundaries. The update addresses are the
-		// affine sequence (b*stride) mod size, which decomposes into
-		// constant-stride segments between wrap points — each segment goes
-		// through the batched AccessRun path, hitting the exact addresses
-		// the per-element loop did.
+		// random updates at slab boundaries, at the affine addresses
+		// (b*stride) mod size. The stride is far wider than a 2 MiB span,
+		// so each update is its own access.
 		e.Stream(matrix.Start, rows*matrixBytesPerRow, true)
 		const scatterStride = 4099 * matrixBytesPerRow
-		for b, scatters := uint64(0), rows/64; b < scatters; {
-			off := (b * scatterStride) % matrix.Size
-			run := uint64(1)
-			for b+run < scatters && off+run*scatterStride < matrix.Size {
-				run++
-			}
-			e.AccessRun(matrix.Start+off, int(run), scatterStride, true, hw.AccessDRAM)
-			b += run
+		for b, scatters := uint64(0), rows/64; b < scatters; b++ {
+			e.Access(matrix.Start+(b*scatterStride)%matrix.Size, true, hw.AccessDRAM)
 		}
 		// The assembly matrix is freed mid-run, while slower ranks may
 		// still be allocating theirs: rank-order the free too so the

@@ -56,9 +56,6 @@ func newStencil27(nx, ny, nz int) stencil27 {
 
 func (s *stencil27) rows() int { return s.nx * s.ny * s.nz }
 
-// idx maps grid coordinates to a row.
-func (s *stencil27) idx(i, j, k int) int { return (k*s.ny+j)*s.nx + i }
-
 // interior reports whether the row is away from every grid boundary, so
 // all 26 neighbours exist and linear offsets are valid.
 func (s *stencil27) interior(row int) bool { return s.inmask[row] }

@@ -2,7 +2,7 @@
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
 #   ./scripts/check.sh                # full gate (static + smoke + race)
-#   ./scripts/check.sh static        # build/vet/analyzers + -short smoke only
+#   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke only
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -56,6 +56,17 @@ fi
 
 begin "go build ./..."
 go build ./...
+end
+
+# gofmt over every Go file outside dot-directories (build and run outputs
+# live there): the stage fails when gofmt would rewrite any file.
+begin "gofmt -l"
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 end
 
 begin "go vet ./..."
