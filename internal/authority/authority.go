@@ -238,8 +238,15 @@ type Info struct {
 // entry slice + one generation load) so the exit-handler hot paths pay a
 // constant, allocation-free cost per check.
 type Table struct {
-	mu      sync.Mutex // serializes mutations (mint/delegate/revoke)
+	mu sync.Mutex // serializes mutations (mint/delegate/revoke)
+	// entries holds the entry slots; the first n are published and the
+	// rest are nil. A publish fills slot n in place and then raises n, so
+	// it allocates only when the slots run out: growth stores a larger
+	// copy before raising n. A reader loads n before entries (snapshot)
+	// and never indexes past n, so it sees only slots filled before it
+	// looked.
 	entries atomic.Pointer[[]*entry]
+	n       atomic.Uint64
 
 	enforced atomic.Bool
 
@@ -263,10 +270,11 @@ func NewTable() *Table {
 // violation-free workload produces byte-identical output either way.
 func (t *Table) SetEnforced(on bool) { t.enforced.Store(on) }
 
-// snapshot returns the published entry slice (never nil).
+// snapshot returns the published entries (callers must not modify them).
 func (t *Table) snapshot() []*entry {
+	n := t.n.Load()
 	if p := t.entries.Load(); p != nil {
-		return *p
+		return (*p)[:n]
 	}
 	return nil
 }
@@ -281,13 +289,20 @@ func (t *Table) lookup(id uint64) *entry {
 	return es[id-1]
 }
 
-// publish appends e under mu and republishes the slice. The old snapshot
-// stays valid for concurrent readers: entry pointers are stable and the
-// prefix is immutable.
+// publish appends e under mu. Every earlier snapshot stays valid for
+// concurrent readers: entry pointers are stable, the published prefix is
+// never rewritten, and a grown copy carries the same prefix.
 func (t *Table) publish(e *entry) {
-	es := t.snapshot()
-	next := append(es[:len(es):len(es)], e)
-	t.entries.Store(&next)
+	es := *t.entries.Load()
+	n := t.n.Load()
+	if n == uint64(len(es)) {
+		next := make([]*entry, max(2*len(es), 16))
+		copy(next, es)
+		t.entries.Store(&next)
+		es = next
+	}
+	es[n] = e
+	t.n.Store(n + 1)
 }
 
 // capOf reconstructs the key for a live entry.

@@ -1,6 +1,7 @@
 package authority_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"covirt/internal/authority"
@@ -202,5 +203,55 @@ func TestAliveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path verification allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestVerifyWhileTableGrows runs lock-free Verify and Alive on one
+// goroutine while another mints and delegates far past the table's slot
+// capacity, so publishes both fill slots in place and grow the slots.
+// Every key the reader has seen published must verify. Run it under -race:
+// the race detector checks that the in-place slot fill is ordered before
+// any reader's access to it.
+func TestVerifyWhileTableGrows(t *testing.T) {
+	tb := authority.NewTable()
+	const n = 1000
+	caps := make([]authority.Cap, n)
+	var published atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		root := tb.Mint(0, authority.KindMemory, authority.RightsAll, authority.WildScope(), "root")
+		caps[0] = root
+		published.Store(1)
+		for i := 1; i < n; i++ {
+			if i%7 == 0 {
+				caps[i] = tb.Mint(i, authority.KindIPI, authority.RightSend, authority.IPIScope(i, 0xF0), "ipi")
+			} else {
+				c, err := tb.Delegate(root, i, authority.RightMap, authority.MemScope(uint64(i)<<21, 1<<21), "mem")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				caps[i] = c
+			}
+			published.Store(int64(i + 1))
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		seen := published.Load()
+		for i := int64(0); i < seen; i++ {
+			c := caps[i]
+			if !tb.Alive(c) || !tb.Verify(c, c.Holder, c.Kind, c.Rights) {
+				t.Fatalf("published cap %d (%+v) failed verification", i, c)
+			}
+		}
+	}
+	if got := published.Load(); got != n {
+		t.Fatalf("minter stopped after %d of %d keys", got, n)
 	}
 }

@@ -152,6 +152,10 @@ type enclaveState struct {
 	epoch       uint64
 	dirty       []hw.Extent
 	dirtyEvents int
+	// epochRecs is closeEpoch's flush-batch scratch. closeEpoch holds
+	// ingestMu throughout, so it, like dirty's backing, is reused from
+	// epoch to epoch.
+	epochRecs []cmdRec
 	// Admission token bucket (QoS): current fill and the virtual-clock
 	// stamp the last refill was computed against.
 	qosInit   bool
@@ -770,6 +774,7 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 				ev.SegID, ev.Enclave.ID, ev.Cap.ID)
 		}
 	}
+	tr := c.Trace()
 	for _, ext := range ev.Extents {
 		before := st.ept.Stats().Pages()
 		if err := st.ept.MapRange(ext.Start, ext.Size, vmx.PermAll); err != nil {
@@ -777,7 +782,9 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 		}
 		st.countMap()
 		ev.Cost += (st.ept.Stats().Pages() - before) * costPerEPTLeaf
-		c.Trace().Record(-1, 0, "ctl:map", "enclave %d %v (%s)", ev.Enclave.ID, ext, ev.Kind)
+		if tr != nil {
+			tr.Record(-1, 0, "ctl:map", "enclave %d %v (%s)", ev.Enclave.ID, ext, ev.Kind)
+		}
 	}
 	return nil
 }
@@ -884,6 +891,7 @@ func (c *Controller) unmapExtents(st *enclaveState, ev *hobbes.Event) (uint64, e
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	var cost uint64
+	tr := c.Trace()
 	for _, ext := range ev.Extents {
 		if err := st.ept.UnmapRange(ext.Start, ext.Size); err != nil {
 			return cost, fmt.Errorf("covirt: EPT unmap %v: %w", ext, err)
@@ -891,7 +899,9 @@ func (c *Controller) unmapExtents(st *enclaveState, ev *hobbes.Event) (uint64, e
 		st.unmapOps++
 		cost += (ext.Size / hw.PageSize2M) * costPerUnmapLeaf
 		st.dirty = append(st.dirty, ext)
-		c.Trace().Record(-1, 0, "ctl:unmap", "enclave %d %v (%s)", ev.Enclave.ID, ext, ev.Kind)
+		if tr != nil {
+			tr.Record(-1, 0, "ctl:unmap", "enclave %d %v (%s)", ev.Enclave.ID, ext, ev.Kind)
+		}
 	}
 	st.dirtyEvents++
 	return cost, nil
@@ -925,7 +935,7 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 		return 0, nil
 	}
 	ranges := st.dirty
-	st.dirty = nil
+	st.dirty = st.dirty[:0] // ranges is consumed before ingestMu is released
 	st.dirtyEvents = 0
 	raw := uint64(len(ranges))
 	flushAll := false
@@ -937,7 +947,7 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 	epoch := st.epoch
 	st.ingest.Epochs++
 
-	recs := make([]cmdRec, 0, len(ranges)+1)
+	recs := st.epochRecs[:0]
 	if flushAll {
 		recs = append(recs, cmdRec{Typ: CmdFlushAll})
 	} else {
@@ -947,9 +957,9 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 	}
 	flushRecs := uint64(len(recs))
 	recs = append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch})
+	st.epochRecs = recs
 
 	var cost uint64
-	var queues []*cmdQueue
 	for coreID, q := range st.queues {
 		cpu := c.mach.CPU(coreID)
 		stall, err := q.pushBatch(recs, cpu.APIC.RaiseNMI, enc.Done())
@@ -963,9 +973,9 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 		st.ingest.FlushCmdsSaved += raw - flushRecs
 		st.ingest.StallCycles += stall
 		cost += costCmdIssue + stall
-		queues = append(queues, q)
 	}
-	for _, q := range queues {
+	// Every push above succeeded, so every queue now holds the epoch.
+	for _, q := range st.queues {
 		if err := q.waitEpoch(epoch, enc.Done()); err != nil {
 			// The enclave died mid-flush; nothing left to synchronize.
 			return cost, nil

@@ -90,9 +90,11 @@ func (h *Hypervisor) pop(frame int) { h.stackDepth -= frame }
 func (h *Hypervisor) HandleExit(c *hw.CPU, info *vmx.ExitInfo) vmx.ExitAction {
 	h.push(256)
 	defer h.pop(256)
-	h.tracer.Record(c.ID, c.TSC, "exit:"+info.Reason.String(),
-		"gpa=%#x write=%v vec=%#x msr=%#x port=%#x ipi=%d/%#x",
-		info.GPA, info.Write, info.Vector, info.MSR, info.Port, info.IPIDest, info.IPIVector)
+	if h.tracer != nil {
+		h.tracer.Record(c.ID, c.TSC, "exit:"+info.Reason.String(),
+			"gpa=%#x write=%v vec=%#x msr=%#x port=%#x ipi=%d/%#x",
+			info.GPA, info.Write, info.Vector, info.MSR, info.Port, info.IPIDest, info.IPIVector)
+	}
 
 	switch info.Reason {
 	case vmx.ExitEPTViolation:

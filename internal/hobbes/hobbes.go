@@ -109,11 +109,13 @@ type Bus struct {
 	tracer   *trace.Buffer
 }
 
-// Subscribe appends h; handlers run in subscription order.
+// Subscribe appends h; handlers run in subscription order. The list is
+// copy-on-write: Subscribe publishes a new slice and never writes into one
+// it has published, so Emit runs the handlers without copying them.
 func (b *Bus) Subscribe(h Handler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.handlers = append(b.handlers, h)
+	b.handlers = append(b.handlers[:len(b.handlers):len(b.handlers)], h)
 }
 
 // SetTracer routes every emitted event into the flight recorder as an
@@ -124,12 +126,13 @@ func (b *Bus) SetTracer(t *trace.Buffer) {
 	b.tracer = t
 }
 
-// snapshot copies the handler list and tracer under the lock so Emit can
-// run the handlers (which may Subscribe re-entrantly) without holding it.
+// snapshot returns the published handler list and the tracer, so Emit can
+// run the handlers (which may Subscribe re-entrantly) without holding the
+// lock.
 func (b *Bus) snapshot() ([]Handler, *trace.Buffer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Handler(nil), b.handlers...), b.tracer
+	return b.handlers, b.tracer
 }
 
 // Emit delivers ev to all handlers, stopping at the first error.
@@ -223,21 +226,23 @@ func NewMaster(fw *pisces.Framework) *Master {
 	return m
 }
 
+// frameworkKinds maps each Pisces event kind to its Hobbes kind.
+var frameworkKinds = [...]EventKind{
+	pisces.EvCreated:       EvEnclaveCreated,
+	pisces.EvBootPre:       EvEnclaveBootPre,
+	pisces.EvBooted:        EvEnclaveBooted,
+	pisces.EvMemAddPre:     EvMemAddPre,
+	pisces.EvMemRemovePost: EvMemRemovePost,
+	pisces.EvCPUAddPre:     EvCPUAddPre,
+	pisces.EvCPURemovePost: EvCPURemovePost,
+	pisces.EvCrashed:       EvEnclaveCrashed,
+	pisces.EvDestroyed:     EvEnclaveDestroyed,
+}
+
 // onFrameworkEvent adapts Pisces lifecycle events to the Hobbes bus and
 // performs master-control cleanup duties.
 func (m *Master) onFrameworkEvent(ev *pisces.Event) error {
-	kindMap := map[pisces.EventKind]EventKind{
-		pisces.EvCreated:       EvEnclaveCreated,
-		pisces.EvBootPre:       EvEnclaveBootPre,
-		pisces.EvBooted:        EvEnclaveBooted,
-		pisces.EvMemAddPre:     EvMemAddPre,
-		pisces.EvMemRemovePost: EvMemRemovePost,
-		pisces.EvCPUAddPre:     EvCPUAddPre,
-		pisces.EvCPURemovePost: EvCPURemovePost,
-		pisces.EvCrashed:       EvEnclaveCrashed,
-		pisces.EvDestroyed:     EvEnclaveDestroyed,
-	}
-	hev := &Event{Kind: kindMap[ev.Kind], Enclave: ev.Enclave, Core: ev.Core, Reason: ev.Reason, Cap: ev.Cap, MoreInBatch: ev.MoreInBatch}
+	hev := &Event{Kind: frameworkKinds[ev.Kind], Enclave: ev.Enclave, Core: ev.Core, Reason: ev.Reason, Cap: ev.Cap, MoreInBatch: ev.MoreInBatch}
 	if ev.Extent.Size > 0 {
 		hev.Extents = []hw.Extent{ev.Extent}
 	}

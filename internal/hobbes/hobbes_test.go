@@ -2,6 +2,8 @@ package hobbes
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"covirt/internal/hw"
@@ -149,4 +151,49 @@ func TestMasterCleansUpOnDestroy(t *testing.T) {
 	if m.IPIGranted(enc.ID, 3, 0x66) {
 		t.Error("dead enclave's IPI grants survived")
 	}
+}
+
+// TestSubscribeDuringEmitRunsPrefix subscribes handlers on one goroutine
+// while another emits. Handler i checks that exactly i handlers ran before
+// it on the same event, so every emit runs a prefix of the subscription
+// order: at least the handlers whose Subscribe returned before it started,
+// at most those whose Subscribe had begun when it ended, and never one out
+// of order. Run it under -race.
+func TestSubscribeDuringEmitRunsPrefix(t *testing.T) {
+	var b Bus
+	const n = 200
+	var begun, returned atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			lo := returned.Load()
+			ev := &Event{Kind: EvMemAddPre}
+			if err := b.Emit(ev); err != nil {
+				t.Error(err)
+				return
+			}
+			hi := begun.Load()
+			if ran := int64(ev.Cost); ran < lo || ran > hi {
+				t.Errorf("emit ran %d handlers; want between %d and %d", ran, lo, hi)
+				return
+			}
+			if lo == n {
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		want := uint64(i)
+		begun.Store(int64(i + 1))
+		b.Subscribe(func(ev *Event) error {
+			if ev.Cost != want {
+				return fmt.Errorf("handler %d ran after %d handlers", want, ev.Cost)
+			}
+			ev.Cost++
+			return nil
+		})
+		returned.Store(int64(i + 1))
+	}
+	<-done
 }

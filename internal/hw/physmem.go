@@ -16,8 +16,9 @@ const (
 )
 
 // Region is a contiguous range of backed physical memory belonging to one
-// NUMA node. Backing bytes are allocated lazily on first touch, in chunks,
-// so multi-gigabyte address space layouts stay cheap to construct.
+// NUMA node. Backing bytes are allocated lazily on first write, one 4 KiB
+// page at a time, so multi-gigabyte address space layouts stay cheap to
+// construct. A page nobody has written reads as zeros without being backed.
 type Region struct {
 	Start uint64
 	Size  uint64
@@ -28,7 +29,7 @@ type Region struct {
 	chunks map[uint64][]byte // chunk index -> backing
 }
 
-const regionChunk = 1 << 16 // 64 KiB lazy-allocation granule
+const regionChunk = PageSize4K // lazy-allocation granule
 
 // End returns the first address past the region.
 func (r *Region) End() uint64 { return r.Start + r.Size }
@@ -38,22 +39,29 @@ func (r *Region) Contains(addr, size uint64) bool {
 	return addr >= r.Start && addr+size >= addr && addr+size <= r.End()
 }
 
-// copyChunk moves bytes between p and the chunk covering addr, allocating
-// the chunk if needed, and returns the count moved. The copy runs under the
-// region lock: cores and the host legitimately share pages (rings, the
-// heartbeat page), so the backing itself must serialize access — an aligned
-// 64-bit load can then observe a stale word but never a torn one.
+// copyChunk moves bytes between p and the chunk covering addr and returns
+// the count moved. A write allocates the chunk on first touch; a read of a
+// chunk nobody has written fills zeros and allocates nothing. The copy runs
+// under the region lock: cores and the host legitimately share pages
+// (rings, the heartbeat page), so the backing itself must serialize access
+// — an aligned 64-bit load can then observe a stale word but never a torn
+// one.
 func (r *Region) copyChunk(addr uint64, p []byte, write bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := (addr - r.Start) / regionChunk
+	off := (addr - r.Start) % regionChunk
 	c, ok := r.chunks[idx]
 	if !ok {
+		if !write {
+			n := min(uint64(len(p)), regionChunk-off)
+			clear(p[:n])
+			return int(n)
+		}
 		//covirt:allow transitive-hot first-touch backing allocation, once per chunk
 		c = make([]byte, regionChunk)
 		r.chunks[idx] = c
 	}
-	off := (addr - r.Start) % regionChunk
 	if write {
 		return copy(c[off:], p)
 	}

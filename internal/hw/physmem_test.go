@@ -84,7 +84,8 @@ func TestPhysMemReadWrite(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("Read64(untouched) = %#x, %v; want 0", v, err)
 	}
-	// Cross-chunk write/read (chunk granule is 64 KiB).
+	// Cross-chunk write/read (the chunk granule is one 4 KiB page); the
+	// write spans three pages.
 	buf := make([]byte, regionChunk+100)
 	for i := range buf {
 		buf[i] = byte(i * 7)
@@ -107,6 +108,120 @@ func TestPhysMemReadWrite(t *testing.T) {
 	if pm.NodeOf(0x0) != -1 {
 		t.Errorf("NodeOf(unbacked) = %d, want -1", pm.NodeOf(0x0))
 	}
+}
+
+// TestPhysMemZeroFillIsUnbacked: a read of a page nobody has written
+// returns zeros, allocates nothing and leaves the page unbacked; only a
+// write backs a page, and then exactly that one 4 KiB page.
+func TestPhysMemZeroFillIsUnbacked(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	pm := NewPhysMem()
+	r, err := pm.AddRegion(0x100000, 1<<20, 0, "z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := uint64(0x100000 + 5*PageSize4K + 8)
+	if a := testing.AllocsPerRun(100, func() {
+		if v, err := pm.Read64(addr); err != nil || v != 0 {
+			t.Fatalf("Read64(untouched) = %#x, %v; want 0", v, err)
+		}
+	}); a != 0 {
+		t.Errorf("Read64 of an unwritten page allocates %v per call", a)
+	}
+	buf := []byte{1, 2, 3}
+	if err := pm.Read(0x100000+PageSize4K-1, buf); err != nil || buf[0]|buf[1]|buf[2] != 0 {
+		t.Errorf("straddling Read of unwritten pages = %v, %v; want zeros", buf, err)
+	}
+	if n := len(r.chunks); n != 0 {
+		t.Fatalf("reads backed %d pages, want 0", n)
+	}
+
+	// Each run writes a page nobody has written: the warm-up run sizes
+	// the chunk map, after which a first-touch write is one allocation.
+	next := uint64(0x100000 + 16*PageSize4K)
+	if a := testing.AllocsPerRun(1, func() {
+		if err := pm.Write64(next, 0xFEED); err != nil {
+			t.Fatal(err)
+		}
+		next += PageSize4K
+	}); a != 1 {
+		t.Errorf("first-touch Write64 makes %v allocations, want 1", a)
+	}
+	if n := len(r.chunks); n != 2 {
+		t.Fatalf("two first-touch writes backed %d pages, want 2", n)
+	}
+	for idx, c := range r.chunks {
+		if len(c) != PageSize4K {
+			t.Errorf("page %d backed by %d bytes, want %d", idx, len(c), PageSize4K)
+		}
+	}
+	if v, err := pm.Read64(0x100000 + 16*PageSize4K); err != nil || v != 0xFEED {
+		t.Errorf("Read64 after first touch = %#x, %v; want 0xfeed", v, err)
+	}
+}
+
+// TestPhysMemStraddlingWrite: a word written across a page boundary reads
+// back whole, and backs exactly the two pages it touches.
+func TestPhysMemStraddlingWrite(t *testing.T) {
+	pm := NewPhysMem()
+	r, err := pm.AddRegion(0x100000, 1<<20, 0, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := uint64(0x100000 + 3*PageSize4K - 3)
+	if err := pm.Write64(addr, 0x0123456789ABCDEF); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := pm.Read64(addr); err != nil || v != 0x0123456789ABCDEF {
+		t.Errorf("straddling Read64 = %#x, %v; want 0x0123456789abcdef", v, err)
+	}
+	// The word's low three bytes end the first page.
+	if v, err := pm.Read64(addr - 5); err != nil || v != 0xABCDEF<<40 {
+		t.Errorf("Read64 of the first page's last word = %#x, %v; want %#x", v, err, uint64(0xABCDEF)<<40)
+	}
+	if n := len(r.chunks); n != 2 {
+		t.Errorf("straddling write backed %d pages, want 2", n)
+	}
+}
+
+// TestPhysMemFirstTouchRace writes a page's first word on one goroutine
+// while another reads it, page after page. The reader must see either the
+// zero fill or the whole new value, never a mix of the two. Run it under
+// -race.
+func TestPhysMemFirstTouchRace(t *testing.T) {
+	pm := NewPhysMem()
+	const base, pages = 0x100000, 256
+	if _, err := pm.AddRegion(base, pages*PageSize4K, 0, "race"); err != nil {
+		t.Fatal(err)
+	}
+	const val = 0x0123456789ABCDEF
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := uint64(0); p < pages; p++ {
+			if err := pm.Write64(base+p*PageSize4K+8, val); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for p := uint64(0); p < pages; p++ {
+		for {
+			v, err := pm.Read64(base + p*PageSize4K + 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != 0 && v != val {
+				t.Fatalf("page %d read %#x: neither the zero fill nor %#x", p, v, uint64(val))
+			}
+			if v == val {
+				break
+			}
+		}
+	}
+	<-done
 }
 
 func TestPhysMemBusError(t *testing.T) {

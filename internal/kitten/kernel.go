@@ -446,21 +446,19 @@ func (k *Kernel) beat(cpu *hw.CPU) {
 	pisces.WriteHeartbeat(cpu, k.hbAddr, k.hbCount.Add(1))
 }
 
-// flushLocal performs this core's share of a pending TLB shootdown.
+// flushLocal performs this core's share of a pending TLB shootdown. It
+// consumes the core's queued ranges under flushMu (the TLB is the core's
+// own and takes no lock) and keeps the slice's backing for the next
+// shootdown, so queueing a range allocates only until the slice has grown.
 func (k *Kernel) flushLocal(cpu *hw.CPU) {
-	for _, r := range k.takePendingFlushes(cpu.ID) {
+	k.flushMu.Lock()
+	defer k.flushMu.Unlock()
+	ranges := k.flushPending[cpu.ID]
+	for _, r := range ranges {
 		cpu.TLB.FlushRange(r.Start, r.Size)
 		cpu.TSC += cpu.Costs().TLBFlushPage
 	}
-}
-
-// takePendingFlushes consumes the queued shootdown ranges for one core.
-func (k *Kernel) takePendingFlushes(cpuID int) []hw.Extent {
-	k.flushMu.Lock()
-	defer k.flushMu.Unlock()
-	ranges := k.flushPending[cpuID]
-	delete(k.flushPending, cpuID)
-	return ranges
+	k.flushPending[cpu.ID] = ranges[:0]
 }
 
 // queueFlush records a pending shootdown range for one core.

@@ -245,14 +245,16 @@ func (h *Host) takeService(encID int) chan struct{} {
 }
 
 // longcallService processes forwarded system calls for one enclave until
-// the enclave goes away.
+// the enclave goes away. The request and response messages escape into the
+// handler's function value, so the service reuses one pair for every call
+// instead of allocating a pair per call; handlers do not retain them.
 func (h *Host) longcallService(enc *pisces.Enclave) {
+	var m, resp pisces.Msg
 	for {
-		var m pisces.Msg
 		if err := enc.LcReq.Pop(h.io, &m); err != nil {
 			return // enclave stopped or crashed
 		}
-		resp := pisces.Msg{Type: m.Type, Seq: m.Seq}
+		resp = pisces.Msg{Type: m.Type, Seq: m.Seq}
 		fn := h.handlerFor(m.Type)
 		var cycles uint64 = lcBaseCost
 		if fn == nil {

@@ -116,7 +116,7 @@ func PutExtents(io MemIO, base uint64, exts []hw.Extent) error {
 
 // GetExtents deserializes n extent records from shared memory at base.
 func GetExtents(io MemIO, base uint64, n int) ([]hw.Extent, error) {
-	if n < 0 || n*ExtentRecordBytes > LcDataBytes {
+	if n < 0 || n > LcDataBytes/ExtentRecordBytes {
 		return nil, fmt.Errorf("pisces: bad extent count %d", n)
 	}
 	buf := make([]byte, n*ExtentRecordBytes)

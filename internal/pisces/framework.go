@@ -159,11 +159,13 @@ func NewFramework(m *hw.Machine, ledger *Ledger) *Framework {
 }
 
 // Subscribe registers an event sink. Sinks run synchronously in
-// registration order.
+// registration order. The list is copy-on-write: Subscribe publishes a new
+// slice and never writes into one it has published, so emit runs the sinks
+// without copying them.
 func (fw *Framework) Subscribe(s EventSink) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	fw.sinks = append(fw.sinks, s)
+	fw.sinks = append(fw.sinks[:len(fw.sinks):len(fw.sinks)], s)
 }
 
 // SetInterposer installs the boot interposer (at most one; Covirt).
@@ -180,12 +182,12 @@ func (fw *Framework) interposer() BootInterposer {
 	return fw.interp
 }
 
-// snapshotSinks copies the sink list under the lock so emit can run the
-// sinks (which may Subscribe re-entrantly) without holding it.
+// snapshotSinks returns the published sink list, so emit can run the sinks
+// (which may Subscribe re-entrantly) without holding the lock.
 func (fw *Framework) snapshotSinks() []EventSink {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	return append([]EventSink(nil), fw.sinks...)
+	return fw.sinks
 }
 
 // allocID reserves the next enclave ID.

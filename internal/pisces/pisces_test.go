@@ -365,6 +365,86 @@ func TestExtentHelpers(t *testing.T) {
 	}
 }
 
+// TestGetExtentsRejectsWrappingCount: the count is the longcall response
+// word a guest reads back, so it may be anything. A count whose byte size
+// wraps the int must be refused as an error like any other oversized
+// count, not reach the slice allocation and panic.
+func TestGetExtentsRejectsWrappingCount(t *testing.T) {
+	pm := hw.NewPhysMem()
+	if _, err := pm.AddRegion(0, 1<<20, 0, "x"); err != nil {
+		t.Fatal(err)
+	}
+	io := NativeMemIO{Mem: pm}
+	for _, n := range []int{1 << 62, 1<<62 + 1, 1 << 61, LcDataBytes/ExtentRecordBytes + 1} {
+		if _, err := GetExtents(io, OffLcData, n); err == nil {
+			t.Errorf("GetExtents(count %d) accepted", n)
+		}
+	}
+	full := LcDataBytes / ExtentRecordBytes
+	if got, err := GetExtents(io, OffLcData, full); err != nil || len(got) != full {
+		t.Errorf("GetExtents(count %d) = %d extents, %v; want a full buffer", full, len(got), err)
+	}
+}
+
+// TestRingConcurrentPushPopIntact pushes and pops from two goroutines at
+// once, so the ring-owned staging buffer is shared between a producer and
+// a consumer. Every message must arrive whole and in order; run it under
+// -race to check that the buffer is only touched under the ring lock.
+func TestRingConcurrentPushPopIntact(t *testing.T) {
+	pm := hw.NewPhysMem()
+	if _, err := pm.AddRegion(0, 1<<20, 0, "ring"); err != nil {
+		t.Fatal(err)
+	}
+	io := NativeMemIO{Mem: pm}
+	r := NewRing(0x1000, nil)
+	if err := r.Init(io); err != nil {
+		t.Fatal(err)
+	}
+	const msgs = 4 * RingSlots * 8
+	fill := func(i int) Msg {
+		m := Msg{Type: uint32(i), Seq: ^uint32(i)}
+		for b := range m.Payload {
+			m.Payload[b] = byte(i*31 + b)
+		}
+		return m
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < msgs; i++ {
+			m := fill(i)
+			if err := r.Push(io, &m); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for i := 0; i < msgs; i++ {
+		var out Msg
+		if i%2 == 0 {
+			if err := r.Pop(io, &out); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for {
+				ok, err := r.TryPop(io, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					break
+				}
+			}
+		}
+		if want := fill(i); out != want {
+			t.Fatalf("message %d arrived as %+v, want %+v", i, out, want)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCtlDrainNestedCallsFoldIntoOnePass: calls made from inside a drain
 // pass do not run the drain themselves; however many arrive during one
 // pass, the active drain makes exactly one more pass, and the guard is

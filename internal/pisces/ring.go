@@ -41,6 +41,10 @@ type Ring struct {
 	done <-chan struct{}
 
 	closed bool
+	// buf stages one message between the caller's Msg and shared memory.
+	// It is guarded by mu: a stack array would escape through the MemIO
+	// interface and cost an allocation per message.
+	buf [msgSize]byte
 }
 
 // NewRing creates the Go-side handle for a ring at base. The memory is not
@@ -91,11 +95,10 @@ func (r *Ring) Push(io MemIO, m *Msg) error {
 			return err
 		}
 		if head-tail < RingSlots {
-			var buf [msgSize]byte
-			put32(buf[:], 0, m.Type)
-			put32(buf[:], 4, m.Seq)
-			copy(buf[8:], m.Payload[:])
-			if err := io.WriteBytes(r.slotAddr(head), buf[:]); err != nil {
+			put32(r.buf[:], 0, m.Type)
+			put32(r.buf[:], 4, m.Seq)
+			copy(r.buf[8:], m.Payload[:])
+			if err := io.WriteBytes(r.slotAddr(head), r.buf[:]); err != nil {
 				return err
 			}
 			if err := io.Write64(r.base, head+1); err != nil {
@@ -118,13 +121,9 @@ func (r *Ring) Pop(io MemIO, m *Msg) error {
 			return err
 		}
 		if head > tail {
-			var buf [msgSize]byte
-			if err := io.ReadBytes(r.slotAddr(tail), buf[:]); err != nil {
+			if err := r.load(io, tail, m); err != nil {
 				return err
 			}
-			m.Type = get32(buf[:], 0)
-			m.Seq = get32(buf[:], 4)
-			copy(m.Payload[:], buf[8:])
 			if err := io.Write64(r.base+8, tail+1); err != nil {
 				return err
 			}
@@ -143,18 +142,26 @@ func (r *Ring) TryPop(io MemIO, m *Msg) (ok bool, err error) {
 	if err != nil || head == tail {
 		return false, err
 	}
-	var buf [msgSize]byte
-	if err := io.ReadBytes(r.slotAddr(tail), buf[:]); err != nil {
+	if err := r.load(io, tail, m); err != nil {
 		return false, err
 	}
-	m.Type = get32(buf[:], 0)
-	m.Seq = get32(buf[:], 4)
-	copy(m.Payload[:], buf[8:])
 	if err := io.Write64(r.base+8, tail+1); err != nil {
 		return false, err
 	}
 	r.cond.Broadcast()
 	return true, nil
+}
+
+// load copies the message in slot tail into m through the ring's staging
+// buffer. Caller holds r.mu.
+func (r *Ring) load(io MemIO, tail uint64, m *Msg) error {
+	if err := io.ReadBytes(r.slotAddr(tail), r.buf[:]); err != nil {
+		return err
+	}
+	m.Type = get32(r.buf[:], 0)
+	m.Seq = get32(r.buf[:], 4)
+	copy(m.Payload[:], r.buf[8:])
+	return nil
 }
 
 // Empty reports whether the ring holds no message, reading the header

@@ -45,6 +45,16 @@ type eptEntry struct {
 	perms Perms
 }
 
+// leafEntries interns the leaf entry for each combination of the three
+// permission bits. A leaf carries nothing but its permissions and is never
+// mutated, and no code compares entry pointers, so every leaf with the same
+// permissions shares one entry instead of allocating its own. A Perms value
+// outside the three bits fails the index bounds check.
+var leafEntries = [PermAll + 1]eptEntry{
+	{leaf: true, perms: 0}, {leaf: true, perms: 1}, {leaf: true, perms: 2}, {leaf: true, perms: 3},
+	{leaf: true, perms: 4}, {leaf: true, perms: 5}, {leaf: true, perms: 6}, {leaf: true, perms: 7},
+}
+
 // eptNode is one 512-entry EPT table. Slots publish immutable entries
 // atomically (nil = not present): readers walk without taking any lock,
 // writers serialize under EPT.mu and store fully built subtrees.
@@ -183,7 +193,7 @@ func (e *EPT) mapOne(gpa, pageSize uint64, perms Perms) error {
 	if slot.Load() != nil {
 		return fmt.Errorf("vmx: map %#x/%d overlaps existing mapping", gpa, pageSize)
 	}
-	slot.Store(&eptEntry{leaf: true, perms: perms})
+	slot.Store(&leafEntries[perms])
 	switch pageSize {
 	case hw.PageSize1G:
 		e.stats.Mapped1G++
@@ -255,7 +265,7 @@ func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 func (e *EPT) splitLeaf(slot *atomic.Pointer[eptEntry], old *eptEntry, level int) *eptNode {
 	child := &eptNode{}
 	childSpan := levelPageSize(level - 1)
-	shared := &eptEntry{leaf: true, perms: old.perms}
+	shared := &leafEntries[old.perms]
 	for i := range child.entries {
 		child.entries[i].Store(shared)
 	}

@@ -20,6 +20,11 @@ type VCPU struct {
 	// goroutine (the shootdown path invalidates it from the NMI handler,
 	// which also runs there).
 	transCache transCache
+
+	// nmiExit is the exit record OnNMI hands the handler. Every NMI exit
+	// carries the same contents, so the record lives here instead of being
+	// allocated per NMI. Owned by the execution goroutine, like transCache.
+	nmiExit ExitInfo
 }
 
 // InvalidateTransCache drops all cached nested walks. The hypervisor's
@@ -199,8 +204,8 @@ func (v *VCPU) OnInterrupt(c *hw.CPU, vector uint8, external bool) uint64 {
 // OnNMI implements hw.VirtLayer. NMIs always exit; Covirt uses them as the
 // controller's command-queue doorbell.
 func (v *VCPU) OnNMI(c *hw.CPU) uint64 {
-	info := &ExitInfo{Reason: ExitNMI}
-	_, cost := v.exit(c, info)
+	v.nmiExit = ExitInfo{Reason: ExitNMI}
+	_, cost := v.exit(c, &v.nmiExit)
 	return cost
 }
 

@@ -62,12 +62,17 @@ func (s *stencil27) interior(row int) bool { return s.inmask[row] }
 
 // spmv computes dst = A*src for rows in [lo, hi) — real arithmetic. On an
 // interior row, every row until the end of its x-line is also interior
-// (only i advances), so the kernel runs the offset-only inner loop across
-// the whole line without re-deriving (i,j,k) per row.
+// (only i advances), so the kernel runs the offset-only body across the
+// whole line without re-deriving (i,j,k) per row.
+//
+// The body writes the 26 subtractions out in offset-table order instead of
+// looping over the table: the summation order, and so every result bit, is
+// the loop's, but the speed of a 26-trip inner loop swung with where the
+// linker happened to place the function.
 //
 //covirt:hot
 func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
-	offs := &s.offs
+	o := &s.offs
 	for row := lo; row < hi; {
 		if !s.interior(row) {
 			s.spmvSlow(dst, src, row)
@@ -80,9 +85,32 @@ func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
 		}
 		for ; row < end; row++ {
 			sum := 26.0 * src[row]
-			for _, o := range offs {
-				sum -= src[row+o]
-			}
+			sum -= src[row+o[0]]
+			sum -= src[row+o[1]]
+			sum -= src[row+o[2]]
+			sum -= src[row+o[3]]
+			sum -= src[row+o[4]]
+			sum -= src[row+o[5]]
+			sum -= src[row+o[6]]
+			sum -= src[row+o[7]]
+			sum -= src[row+o[8]]
+			sum -= src[row+o[9]]
+			sum -= src[row+o[10]]
+			sum -= src[row+o[11]]
+			sum -= src[row+o[12]]
+			sum -= src[row+o[13]]
+			sum -= src[row+o[14]]
+			sum -= src[row+o[15]]
+			sum -= src[row+o[16]]
+			sum -= src[row+o[17]]
+			sum -= src[row+o[18]]
+			sum -= src[row+o[19]]
+			sum -= src[row+o[20]]
+			sum -= src[row+o[21]]
+			sum -= src[row+o[22]]
+			sum -= src[row+o[23]]
+			sum -= src[row+o[24]]
+			sum -= src[row+o[25]]
 			dst[row] = sum
 		}
 	}

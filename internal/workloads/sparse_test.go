@@ -1,10 +1,40 @@
 package workloads
 
 import (
+	"math"
 	"testing"
 
 	"covirt/internal/hw"
 )
+
+// TestSpmvMatchesSlowPath is the oracle for spmv's written-out interior
+// body: on every row of a small grid, over the whole grid and over ranges
+// that start and stop mid-line, it must produce the bits the boundary
+// path's neighbour-by-neighbour sum produces. Inputs span many magnitudes,
+// so any change in summation order shows up in the low bits.
+func TestSpmvMatchesSlowPath(t *testing.T) {
+	s := newStencil27(7, 6, 5)
+	n := s.rows()
+	src := make([]float64, n)
+	rng := hw.NewRand(20211)
+	for i := range src {
+		src[i] = math.Ldexp(float64(rng.Next()>>11), int(rng.Uint64n(40))-60)
+	}
+	want := make([]float64, n)
+	for row := 0; row < n; row++ {
+		s.spmvSlow(want, src, row)
+	}
+	for _, r := range [][2]int{{0, n}, {3, n - 5}, {n / 3, n / 2}, {9, 10}} {
+		got := make([]float64, n)
+		s.spmv(got, src, r[0], r[1])
+		for row := r[0]; row < r[1]; row++ {
+			if math.Float64bits(got[row]) != math.Float64bits(want[row]) {
+				t.Errorf("spmv[%d,%d) row %d = %x, spmvSlow = %x", r[0], r[1], row,
+					math.Float64bits(got[row]), math.Float64bits(want[row]))
+			}
+		}
+	}
+}
 
 // gatherCharger builds a sparseCharger with synthetic extents, bypassing
 // the Env carve-out: fillGatherAddrs only reads the extents, the RNG, and
