@@ -83,8 +83,16 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			fixture: "tracecov",
 			checks:  []string{checkTrace},
 			want: []string{
-				"internal/hobbes/hobbes.go:7", // EventKind has no Record emission site
-				"internal/vmx/exit.go:13",     // ExitDead never used outside String
+				"internal/pisces/event.go:7", // EventKind has no Record emission site
+				"internal/vmx/exit.go:13",    // ExitDead never used outside String
+			},
+		},
+		{
+			fixture: "tracecovmoved",
+			checks:  []string{checkTrace},
+			want: []string{
+				"internal/pisces/event.go:6", // listed package declares no EventKind
+				// internal/vmx is absent, so ExitReason is skipped
 			},
 		},
 		{

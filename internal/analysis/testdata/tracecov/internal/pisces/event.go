@@ -1,7 +1,7 @@
-// Package hobbes: every EventKind constant is produced by non-test code,
+// Package pisces: every EventKind constant is produced by non-test code,
 // but no Record call is ever fed by EventKind.String() — the bus forgot
 // its tracer hook — so trace-coverage must flag the enum itself.
-package hobbes
+package pisces
 
 // EventKind classifies bus events.
 type EventKind int // want: no trace emission site

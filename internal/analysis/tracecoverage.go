@@ -19,8 +19,10 @@ import (
 //     readers of DESIGN.md will wait for forever.
 //
 // The enums covered are the VM-exit reasons (vmx.ExitReason) and the
-// Hobbes resource-event kinds (hobbes.EventKind), including the
-// supervision lifecycle events.
+// resource-event kinds of the node's bus (pisces.EventKind). A listed
+// package that exists but no longer declares its enum is itself a
+// finding: the enum moved or was renamed, and the check would otherwise
+// go silent.
 var traceCoverage = &Analyzer{
 	Name:      checkTrace,
 	Doc:       "every exit-reason / event-kind constant must reach a trace emission site",
@@ -28,13 +30,14 @@ var traceCoverage = &Analyzer{
 }
 
 // traceEnums lists the trace-visible enum types by declaring package
-// suffix. Enums absent from a module (fixture trees) are skipped.
+// suffix. Enums whose package is absent from a module (fixture trees) are
+// skipped.
 var traceEnums = []struct {
 	pkg string // module-relative package suffix
 	typ string // named enum type
 }{
 	{"internal/vmx", "ExitReason"},
-	{"internal/hobbes", "EventKind"},
+	{"internal/pisces", "EventKind"},
 }
 
 func runTraceCoverage(m *Module) []Finding {
@@ -54,6 +57,7 @@ func checkTraceEnum(m *Module, pkgSuffix, typName string) []Finding {
 	consts := make(map[string]*constDecl)
 	var order []string
 	var typeDecl ast.Node
+	var pkgClause ast.Node // the declaring package's first non-test file
 
 	// Locate the enum's declaration and its exported constants in the
 	// declaring package's non-test files.
@@ -64,6 +68,9 @@ func checkTraceEnum(m *Module, pkgSuffix, typName string) []Finding {
 		for _, f := range u.Files {
 			if isTestFile(m, f) {
 				continue
+			}
+			if pkgClause == nil {
+				pkgClause = f.Name
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch d := n.(type) {
@@ -90,8 +97,16 @@ func checkTraceEnum(m *Module, pkgSuffix, typName string) []Finding {
 			})
 		}
 	}
+	if pkgClause == nil {
+		return nil // module has no such package (e.g. an unrelated fixture)
+	}
 	if typeDecl == nil {
-		return nil // module has no such enum (e.g. an unrelated fixture)
+		return []Finding{{
+			Check: checkTrace,
+			Pos:   m.Fset.Position(pkgClause.Pos()),
+			Msg: pkgSuffix + " declares no " + typName + ": the traced enum moved or was " +
+				"renamed, so trace-coverage would check nothing; update traceEnums",
+		}}
 	}
 
 	// Scan all non-test code for constant uses (outside the enum's own

@@ -107,8 +107,8 @@ func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
 // doorbell (so the drainer is guaranteed to be on its way), and parks on
 // the queue's condition variable until slots free up, charging
 // cmdqStallCycles per stall to the returned wait cost. A closed done
-// channel (enclave death) aborts the wait; teardown's wake releases the
-// parked pusher.
+// channel (enclave death) aborts the wait; the wake that follows enclave
+// death (see buildCPU) releases the parked pusher.
 //
 // It returns the cycles spent stalled on a full ring.
 func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{}) (uint64, error) {
@@ -143,7 +143,7 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 				continue
 			}
 			// Wait with a wakeup guarantee: the drainer broadcasts after
-			// each completion publish, and teardown broadcasts too.
+			// each completion publish, and enclave death broadcasts too.
 			q.cond.Wait()
 			continue
 		}
@@ -216,15 +216,16 @@ func (q *cmdQueue) waitEpoch(e uint64, done <-chan struct{}) error {
 		default:
 		}
 		// Wait with a wakeup guarantee: the hypervisor broadcasts after
-		// each drain pass, and enclave teardown broadcasts too.
+		// each drain pass, and enclave death broadcasts too.
 		q.cond.Wait()
 	}
 	return nil
 }
 
-// wake unblocks waiters (teardown). The broadcast runs under the lock so
-// it cannot land between a waiter's done-channel check and its cond.Wait
-// and be lost — the waiter would then sleep forever on a dead queue.
+// wake unblocks waiters (enclave death, core removal). The broadcast runs
+// under the lock so it cannot land between a waiter's done-channel check
+// and its cond.Wait and be lost — the waiter would then sleep forever on a
+// dead queue.
 func (q *cmdQueue) wake() {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"covirt/internal/authority"
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/pisces"
 	"covirt/internal/trace"
@@ -170,9 +169,8 @@ type enclaveState struct {
 // resource-management operations and translating them into hypervisor
 // configuration changes.
 type Controller struct {
-	mach   *hw.Machine
-	fw     *pisces.Framework
-	master *hobbes.Master
+	mach *hw.Machine
+	fw   *pisces.Framework
 
 	// auth is the node's capability table (shared with the framework);
 	// rootIO is the host's root I/O capability from which port grants are
@@ -251,14 +249,13 @@ func (c *Controller) Trace() *trace.Buffer {
 }
 
 // Attach loads the Covirt controller: it hooks the framework's boot path,
-// subscribes to the Hobbes event bus, and registers its ioctl extensions.
-// defaults are the protection features used for enclaves without an
-// explicit IoctlSetFeatures/SetFeatures call.
-func Attach(mach *hw.Machine, fw *pisces.Framework, master *hobbes.Master, defaults Features) (*Controller, error) {
+// subscribes to the framework's event bus, and registers its ioctl
+// extensions. defaults are the protection features used for enclaves
+// without an explicit IoctlSetFeatures/SetFeatures call.
+func Attach(mach *hw.Machine, fw *pisces.Framework, defaults Features) (*Controller, error) {
 	c := &Controller{
 		mach:     mach,
 		fw:       fw,
-		master:   master,
 		auth:     fw.Auth,
 		defaults: defaults,
 		pending:  make(map[int]Features),
@@ -268,7 +265,7 @@ func Attach(mach *hw.Machine, fw *pisces.Framework, master *hobbes.Master, defau
 	c.rootIO = c.auth.Mint(0, authority.KindIO, authority.RightsAll,
 		authority.WildScope(), "root-io")
 	fw.SetInterposer(c)
-	master.Bus.Subscribe(c.onEvent)
+	fw.Bus.Subscribe(c.onEvent)
 	for cmd, h := range map[uint32]func(any) (any, error){
 		IoctlSetFeatures: c.ioctlSetFeatures,
 		IoctlStatus:      c.ioctlStatus,
@@ -444,33 +441,34 @@ func (c *Controller) FeaturesFor(encID int) Features {
 	return c.defaults
 }
 
-// onEvent is the Hobbes bus subscription: every resource-management event
-// becomes a direct edit of the affected enclave's virtualization context.
-func (c *Controller) onEvent(ev *hobbes.Event) error {
+// onEvent is the controller's bus subscription: every resource-management
+// event becomes a direct edit of the affected enclave's virtualization
+// context.
+func (c *Controller) onEvent(ev *pisces.Event) error {
 	switch ev.Kind {
-	case hobbes.EvEnclaveBootPre:
+	case pisces.EvEnclaveBootPre:
 		return c.buildState(ev.Enclave)
-	case hobbes.EvMemAddPre, hobbes.EvXememAttachPre:
+	case pisces.EvMemAddPre, pisces.EvXememAttachPre:
 		return c.mapExtents(ev)
-	case hobbes.EvMemRemovePost, hobbes.EvXememDetachPost:
+	case pisces.EvMemRemovePost, pisces.EvXememDetachPost:
 		return c.unmapAndFlush(ev)
-	case hobbes.EvIngestFlush:
+	case pisces.EvIngestFlush:
 		return c.flushIngest(ev)
-	case hobbes.EvCPUAddPre:
+	case pisces.EvCPUAddPre:
 		return c.addCPU(ev)
-	case hobbes.EvCPURemovePost:
+	case pisces.EvCPURemovePost:
 		return c.removeCPU(ev)
-	case hobbes.EvIPIGrant:
+	case pisces.EvIPIGrant:
 		if st := c.stateFor(ev.Enclave); st != nil {
 			st.filter.Grant(ev.DestCore, ev.Vector, ev.Cap)
 		}
-	case hobbes.EvIPIRevoke:
+	case pisces.EvIPIRevoke:
 		if st := c.stateFor(ev.Enclave); st != nil {
 			st.filter.Revoke(ev.DestCore, ev.Vector)
 		}
-	case hobbes.EvCapRevoked:
+	case pisces.EvCapRevoked:
 		return c.capRevoked(ev)
-	case hobbes.EvEnclaveCrashed, hobbes.EvEnclaveDestroyed:
+	case pisces.EvEnclaveCrashed, pisces.EvEnclaveDestroyed:
 		c.teardown(ev.Enclave)
 	}
 	return nil
@@ -484,7 +482,7 @@ func (c *Controller) onEvent(ev *hobbes.Event) error {
 // this cleanup, not enforcement.
 //
 //covirt:ambient revocation withdraws authority; the key was verified when granted
-func (c *Controller) capRevoked(ev *hobbes.Event) error {
+func (c *Controller) capRevoked(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil {
 		return nil
@@ -639,6 +637,18 @@ func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int)
 	}
 	st.nextSlot++
 	st.queues[coreID] = q
+	// A controller thread parked on the queue must see the enclave die even
+	// when no drain follows: the longcall service can be parked in
+	// closeEpoch at that moment, and linuxhost's bus handler waits for the
+	// service before this controller's handler runs. A node crash ends the
+	// watcher too, as it does the enclave's rings.
+	go func() {
+		select {
+		case <-enc.Done():
+		case <-c.mach.CrashedCh():
+		}
+		q.wake()
+	}()
 
 	vmcs := vmx.NewVMCS(coreID)
 	vmcs.Controls = vmx.Controls{
@@ -670,7 +680,7 @@ func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int)
 // addCPU handles a hot-added core: build its virtualization context before
 // the enclave is told about it (the framework then calls InterposeBoot on
 // the new core), and extend the IPI whitelist.
-func (c *Controller) addCPU(ev *hobbes.Event) error {
+func (c *Controller) addCPU(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil {
 		return nil
@@ -685,7 +695,7 @@ func (c *Controller) addCPU(ev *hobbes.Event) error {
 
 // removeCPU tears down a hot-removed core's context after the co-kernel
 // has released it.
-func (c *Controller) removeCPU(ev *hobbes.Event) error {
+func (c *Controller) removeCPU(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil {
 		return nil
@@ -749,7 +759,7 @@ func (c *Controller) InterposeBoot(enc *pisces.Enclave, cpu *hw.CPU, bpAddr uint
 // EPT-accessible before the enclave learns of them. No hypervisor
 // synchronization is needed — nothing about an *absent* translation can be
 // cached in a TLB.
-func (c *Controller) mapExtents(ev *hobbes.Event) error {
+func (c *Controller) mapExtents(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil || st.ept == nil {
 		return nil
@@ -760,7 +770,7 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 	// the consumer's attach key. An absent or dead key aborts the
 	// operation before anything reaches the EPT.
 	switch ev.Kind {
-	case hobbes.EvMemAddPre:
+	case pisces.EvMemAddPre:
 		for _, ext := range ev.Extents {
 			if !c.auth.Covers(ev.Cap, ev.Enclave.ID, authority.KindMemory,
 				authority.RightMap, authority.MemScope(ext.Start, ext.Size)) {
@@ -768,7 +778,7 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 					ext, ev.Enclave.ID, ev.Cap.ID)
 			}
 		}
-	case hobbes.EvXememAttachPre:
+	case pisces.EvXememAttachPre:
 		if !c.auth.Verify(ev.Cap, ev.Enclave.ID, authority.KindXemem, authority.RightAttach) {
 			return fmt.Errorf("covirt: xemem attach of seg %d denied for enclave %d (cap %d)",
 				ev.SegID, ev.Enclave.ID, ev.Cap.ID)
@@ -796,7 +806,7 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 // (the wait IS the passage of time — deterministic for sequentially driven
 // event streams), so a storming enclave self-paces without touching its
 // neighbors' buckets.
-func (c *Controller) admit(st *enclaveState, ev *hobbes.Event) uint64 {
+func (c *Controller) admit(st *enclaveState, ev *pisces.Event) uint64 {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	st.ingest.Events++
@@ -860,7 +870,7 @@ func mergeExtents(exts []hw.Extent) []hw.Extent {
 // MoreInBatch leaves the epoch open: the batch's final event (or the
 // emitter's ingest-flush sweep) closes it, so N grants coalesce into one
 // invalidation per core instead of N.
-func (c *Controller) unmapAndFlush(ev *hobbes.Event) error {
+func (c *Controller) unmapAndFlush(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil || st.ept == nil {
 		return nil
@@ -887,7 +897,7 @@ func (c *Controller) unmapAndFlush(ev *hobbes.Event) error {
 // unmapExtents removes the event's extents from the EPT and adds them to
 // the enclave's open shootdown epoch, returning the unmap cycles charged
 // to the event.
-func (c *Controller) unmapExtents(st *enclaveState, ev *hobbes.Event) (uint64, error) {
+func (c *Controller) unmapExtents(st *enclaveState, ev *pisces.Event) (uint64, error) {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	var cost uint64
@@ -911,7 +921,7 @@ func (c *Controller) unmapExtents(st *enclaveState, ev *hobbes.Event) (uint64, e
 // anything — the defensive sweep batched emitters run so an aborted batch
 // can never leave dirty ranges waiting on a closing event that will not
 // come.
-func (c *Controller) flushIngest(ev *hobbes.Event) error {
+func (c *Controller) flushIngest(ev *pisces.Event) error {
 	st := c.stateFor(ev.Enclave)
 	if st == nil || st.ept == nil {
 		return nil
@@ -984,16 +994,13 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 	return cost, nil
 }
 
-// teardown drops controller state for a dead enclave and releases any
-// waiters stuck on its command queues.
+// teardown drops controller state for a dead enclave. Waiters on its
+// command queues were released when the enclave died (buildCPU).
 func (c *Controller) teardown(enc *pisces.Enclave) {
 	if enc == nil {
 		return
 	}
 	if st := c.takeState(enc.ID); st != nil {
-		for _, q := range st.queues {
-			q.wake()
-		}
 		c.Trace().Record(-1, 0, "ctl:teardown", "enclave %d state dropped (%d cores)", enc.ID, len(st.vmcs))
 	}
 }

@@ -14,11 +14,12 @@
 //
 // The controller module (Controller) lives in the management plane: it
 // registers with the Pisces framework's boot path (boot interposition and
-// the new Covirt ioctls) and subscribes to the Hobbes resource-management
-// event bus. Resource events are translated into direct edits of the
-// enclave's virtualization data structures — EPT mappings, MSR/IO bitmaps,
-// the IPI whitelist — asynchronously with respect to the enclave's
-// execution. Only changes that may be cached by an enclave CPU (unmapped
+// the new Covirt ioctls) and subscribes to the node's resource-management
+// event bus (pisces.Bus), on which the framework and the Hobbes master
+// control process publish. Resource events are translated into direct
+// edits of the enclave's virtualization data structures — EPT mappings,
+// MSR/IO bitmaps, the IPI whitelist — asynchronously with respect to the
+// enclave's execution. Only changes that may be cached by an enclave CPU (unmapped
 // translations in its TLB) require synchronizing with the hypervisor, via
 // fixed-size commands in a shared-memory queue signalled by NMI.
 //

@@ -20,3 +20,14 @@ func (c *Controller) EPTMapped(enc *pisces.Enclave, addr uint64) bool {
 
 // StackDepth exposes the hypervisor's current nested exit-handling depth.
 func (h *Hypervisor) StackDepth() int { return h.stackDepth }
+
+// PendingCommands reports the records queued for core but not yet drained.
+// It reads the queue under the queue's own lock only, so it answers while
+// a closing epoch holds the ingest lock and waits.
+func (c *Controller) PendingCommands(enc *pisces.Enclave, core int) uint64 {
+	st := c.stateFor(enc)
+	if st == nil || st.queues[core] == nil {
+		return 0
+	}
+	return st.queues[core].depth()
+}

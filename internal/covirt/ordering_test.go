@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"covirt/internal/covirt"
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
+	"covirt/internal/pisces"
 )
 
 // TestMapBeforeNotifyOrdering verifies the paper's assignment ordering: by
@@ -19,8 +19,8 @@ func TestMapBeforeNotifyOrdering(t *testing.T) {
 	var sawMapped bool
 	// Subscribed after the controller: runs once the controller handled
 	// the same event.
-	r.h.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
-		if ev.Kind == hobbes.EvMemAddPre && ev.Enclave == enc {
+	r.h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind == pisces.EvMemAddPre && ev.Enclave == enc {
 			for _, x := range ev.Extents {
 				if r.ctrl.EPTMapped(enc, x.Start) && r.ctrl.EPTMapped(enc, x.End()-hw.PageSize4K) {
 					sawMapped = true

@@ -2,11 +2,12 @@ package covirt_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"covirt/internal/covirt"
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
 	"covirt/internal/pisces"
@@ -137,6 +138,95 @@ func TestBatchedRemoveFlushAllThreshold(t *testing.T) {
 	}
 }
 
+// TestRefusedRemovalClosesNoEpoch removes an extent the co-kernel refuses
+// to give back, because a kernel allocation holds it. Nothing left the
+// EPT, so the aborted batch's closer must not admit an event, close an
+// epoch or interrupt an enclave core.
+func TestRefusedRemovalClosesNoEpoch(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", 2, []int{0}, 64<<20)
+	ext, err := r.h.Pisces.AddMemory(enc, 0, 128<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The boot extent has less than 128 MiB free, so this allocation
+	// overlaps the granted extent.
+	held, err := k.AllocMemory(0, ext.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Start >= ext.End() || ext.Start >= held.End() {
+		t.Fatalf("kernel allocation %v does not overlap the granted extent %v", held, ext)
+	}
+	pre := r.ctrl.QueueStatsFor(enc.ID).Ingest
+	preTSC := k.CPU(1).TSCSnapshot()
+	if err := r.h.Pisces.RemoveMemory(enc, ext); err == nil {
+		t.Fatal("removal of an extent the kernel holds succeeded")
+	}
+	post := r.ctrl.QueueStatsFor(enc.ID).Ingest
+	if post.Epochs != pre.Epochs || post.Events != pre.Events {
+		t.Errorf("refused removal moved ingest: epochs %d -> %d, events %d -> %d",
+			pre.Epochs, post.Epochs, pre.Events, post.Events)
+	}
+	if tsc := k.CPU(1).TSCSnapshot(); tsc != preTSC {
+		t.Errorf("refused removal charged core 1 %d cycles", tsc-preTSC)
+	}
+}
+
+// TestCrashReleasesLongcallWaitingOnEpoch crashes an enclave while its
+// longcall service waits for a shootdown epoch that a core stalled with
+// interrupts off will never apply. Linuxhost's handler waits for the
+// service before the controller's teardown runs, so ReportCrash returns
+// only if the queue wait itself observes the enclave's death.
+func TestCrashReleasesLongcallWaitingOnEpoch(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", 2, []int{0}, 128<<20)
+	mem, err := r.h.HostAlloc(0, hw.PageSize2M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.h.HostFree(mem)
+	seg, err := r.h.Master.Reg.Make(0x57A11, r.h.Pisces.RootMem, []hw.Extent{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalling := make(chan struct{})
+	if _, err := k.Spawn("stall", 1, func(e *kitten.Env) error {
+		close(stalling)
+		return e.CPU.StallNoIRQ(1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-stalling
+	if _, err := k.Spawn("detach", 0, func(e *kitten.Env) error {
+		if _, err := e.XemAttach(seg.ID); err != nil {
+			return err
+		}
+		return e.XemDetach(seg.ID)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Once the detach's shootdown is queued for the stalled core, the
+	// service is in (or entering) its wait for that core's epoch.
+	deadline := time.Now().Add(30 * time.Second)
+	for r.ctrl.PendingCommands(enc, enc.Cores[1]) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("detach never queued a shootdown for the stalled core")
+		}
+		runtime.Gosched()
+	}
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		r.h.Pisces.ReportCrash(enc, "test: crash during an epoch wait")
+	}()
+	select {
+	case <-crashed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ReportCrash hung: the longcall service never left its epoch wait")
+	}
+}
+
 // TestOldGeometryBackpressure is the end-to-end regression for the hard
 // "command queue full" failure that the pre-batching 8-slot ring hit: with
 // coalescing off, a 72-extent batch pushes 73 records per core into the
@@ -180,8 +270,8 @@ func TestQoSStarvation(t *testing.T) {
 	// the per-remove-event costs observed on the bus.
 	victimCosts := func(r *rig, victim *pisces.Enclave, storm func(i int)) []uint64 {
 		var costs []uint64
-		r.h.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
-			if ev.Kind == hobbes.EvMemRemovePost && ev.Enclave == victim {
+		r.h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
+			if ev.Kind == pisces.EvMemRemovePost && ev.Enclave == victim {
 				costs = append(costs, ev.Cost)
 			}
 			return nil

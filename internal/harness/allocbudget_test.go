@@ -114,7 +114,7 @@ func TestXememRoundAllocBudget(t *testing.T) {
 }
 
 // TestMemGrantRoundAllocBudget pins the grant/revoke round at its measured
-// 21 allocations plus 10 %.
+// 19 allocations plus 10 %.
 func TestMemGrantRoundAllocBudget(t *testing.T) {
-	checkBudget(t, 23, memRound)
+	checkBudget(t, 20, memRound)
 }

@@ -7,8 +7,8 @@ import (
 	"text/tabwriter"
 
 	"covirt/internal/covirt"
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
+	"covirt/internal/pisces"
 	"covirt/internal/testbed"
 	"covirt/internal/workloads"
 )
@@ -146,14 +146,14 @@ func runCtlSatJob(batch, pairs int) (*workloads.Result, error) {
 	// grant-side and flush-sweep costs still count toward busy cycles.
 	var applyCosts []uint64
 	var ctlCycles uint64
-	n.Host.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
+	n.Host.Master.Bus.Subscribe(func(ev *pisces.Event) error {
 		if ev.Enclave != enc {
 			return nil
 		}
 		switch ev.Kind {
-		case hobbes.EvMemAddPre, hobbes.EvIngestFlush:
+		case pisces.EvMemAddPre, pisces.EvIngestFlush:
 			ctlCycles += ev.Cost
-		case hobbes.EvMemRemovePost:
+		case pisces.EvMemRemovePost:
 			ctlCycles += ev.Cost
 			applyCosts = append(applyCosts, ev.Cost)
 		}

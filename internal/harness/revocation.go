@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"covirt/internal/authority"
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
 	"covirt/internal/pisces"
@@ -217,8 +216,8 @@ func revStormJob(j *Job, size int) (*workloads.Result, error) {
 	// attach-key events carry the frames withdrawn from their consumer.
 	var keys, detached int
 	var unmapped, cost uint64
-	m.Bus.Subscribe(func(ev *hobbes.Event) error {
-		if ev.Kind != hobbes.EvCapRevoked {
+	m.Bus.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind != pisces.EvCapRevoked {
 			return nil
 		}
 		keys++

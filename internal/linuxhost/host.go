@@ -79,16 +79,16 @@ func New(m *hw.Machine) (*Host, error) {
 
 	// Start the longcall service for every enclave as it boots, and drop
 	// dead enclaves' descriptor tables.
-	h.Pisces.Subscribe(func(ev *pisces.Event) error {
+	h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
 		switch ev.Kind {
-		case pisces.EvBooted:
+		case pisces.EvEnclaveBooted:
 			svcDone := make(chan struct{})
 			h.setService(ev.Enclave.ID, svcDone)
 			go func() {
 				defer close(svcDone)
 				h.longcallService(ev.Enclave)
 			}()
-		case pisces.EvCrashed, pisces.EvDestroyed:
+		case pisces.EvEnclaveCrashed, pisces.EvEnclaveDestroyed:
 			// The rings are closed by teardown; wait for the service to
 			// stop touching the enclave's (about to be recycled) memory.
 			if svcDone := h.takeService(ev.Enclave.ID); svcDone != nil {

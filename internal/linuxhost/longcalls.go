@@ -3,7 +3,6 @@ package linuxhost
 import (
 	"encoding/binary"
 
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/pisces"
 )
@@ -113,7 +112,7 @@ func (h *Host) registerDefaultLongcalls() {
 		// Protection layers map the consumer's context BEFORE the frame
 		// list is transmitted (Covirt's map-before-notify ordering); the
 		// event names the consumer's freshly delegated attach key.
-		ev := &hobbes.Event{Kind: hobbes.EvXememAttachPre, Enclave: enc, Extents: exts, SegID: segid, Cap: attachCap}
+		ev := &pisces.Event{Kind: pisces.EvXememAttachPre, Enclave: enc, Extents: exts, SegID: segid, Cap: attachCap}
 		if err := h.Master.Bus.Emit(ev); err != nil {
 			_, _ = h.Master.Reg.DetachDone(segid, enc.ID) // roll back
 			setResp(resp, pisces.LcErrFault, 0, 0)
@@ -152,7 +151,7 @@ func (h *Host) registerDefaultLongcalls() {
 		}
 		// The co-kernel has acknowledged removal; protection layers now
 		// unmap and flush, before completion is reported.
-		ev := &hobbes.Event{Kind: hobbes.EvXememDetachPost, Enclave: enc, Extents: exts, SegID: segid}
+		ev := &pisces.Event{Kind: pisces.EvXememDetachPost, Enclave: enc, Extents: exts, SegID: segid}
 		if err := h.Master.Bus.Emit(ev); err != nil {
 			setResp(resp, pisces.LcErrFault, 0, 0)
 			return 200

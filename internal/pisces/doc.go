@@ -18,5 +18,7 @@
 //     framework;
 //   - hook points around memory add/remove let a protection layer update
 //     its mappings in the required order (map before the enclave learns of
-//     new memory; unmap and flush after the enclave has released it).
+//     new memory; unmap and flush after the enclave has released it). They
+//     are events on the node's one synchronous resource-event bus (Bus),
+//     which the Hobbes master control process publishes on too.
 package pisces

@@ -8,48 +8,6 @@ import (
 	"covirt/internal/hw"
 )
 
-// EventKind classifies framework notifications delivered to event sinks
-// (the Hobbes runtime and, through it, the Covirt controller module).
-type EventKind int
-
-// Framework event kinds. The Pre/Post distinction encodes Covirt's ordering
-// rule: resources are mapped into the protection context before the enclave
-// learns of them, and unmapped (with TLB shootdown) only after the enclave
-// has relinquished them.
-const (
-	EvCreated EventKind = iota
-	EvBootPre           // before any enclave core starts executing
-	EvBooted
-	EvMemAddPre     // extent allocated, enclave not yet notified
-	EvMemRemovePost // enclave acked removal, host has not yet reclaimed
-	EvCPUAddPre     // core allocated, enclave not yet notified
-	EvCPURemovePost // enclave released the core, host has not yet reclaimed
-	EvCrashed
-	EvDestroyed
-)
-
-// Event is a framework notification.
-type Event struct {
-	Kind    EventKind
-	Enclave *Enclave
-	Extent  hw.Extent
-	Core    int // CPU add/remove events
-	Reason  string
-	// Cap names the capability authorizing the resource crossing (memory
-	// add/remove events). Protection layers verify it before mapping.
-	Cap authority.Cap
-	// MoreInBatch marks an event as part of a batch whose final member
-	// carries false: protection layers may defer expensive
-	// synchronization (TLB shootdowns) to the batch's last event. Set by
-	// the batch emit paths (RemoveMemoryBatch), never by single-event
-	// operations.
-	MoreInBatch bool
-}
-
-// EventSink receives framework events synchronously. Returning an error
-// from a Pre event aborts the operation.
-type EventSink func(ev *Event) error
-
 // BootInterposer hooks an enclave's CPU boot path. Covirt registers one to
 // slide its hypervisor underneath the co-kernel: Pisces "instead boots into
 // the Covirt hypervisor, which handles the virtualization hardware setup
@@ -129,12 +87,16 @@ type Framework struct {
 	Auth    *authority.Table
 	RootMem authority.Cap
 
+	// Bus carries the node's resource events: the framework emits its
+	// lifecycle and memory/CPU crossings on it, Hobbes adds its own, and
+	// protection layers subscribe.
+	Bus *Bus
+
 	hostIO NativeMemIO
 
 	mu       sync.Mutex
 	enclaves map[int]*Enclave
 	nextID   int
-	sinks    []EventSink
 	interp   BootInterposer
 
 	ioctlMu sync.Mutex
@@ -148,6 +110,7 @@ func NewFramework(m *hw.Machine, ledger *Ledger) *Framework {
 		Machine:  m,
 		Ledger:   ledger,
 		Auth:     authority.NewTable(),
+		Bus:      &Bus{},
 		hostIO:   NativeMemIO{Mem: m.Mem},
 		enclaves: make(map[int]*Enclave),
 		nextID:   1,
@@ -156,16 +119,6 @@ func NewFramework(m *hw.Machine, ledger *Ledger) *Framework {
 	fw.RootMem = fw.Auth.Mint(0, authority.KindMemory, authority.RightsAll,
 		authority.WildScope(), "root-mem")
 	return fw
-}
-
-// Subscribe registers an event sink. Sinks run synchronously in
-// registration order. The list is copy-on-write: Subscribe publishes a new
-// slice and never writes into one it has published, so emit runs the sinks
-// without copying them.
-func (fw *Framework) Subscribe(s EventSink) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	fw.sinks = append(fw.sinks[:len(fw.sinks):len(fw.sinks)], s)
 }
 
 // SetInterposer installs the boot interposer (at most one; Covirt).
@@ -182,14 +135,6 @@ func (fw *Framework) interposer() BootInterposer {
 	return fw.interp
 }
 
-// snapshotSinks returns the published sink list, so emit can run the sinks
-// (which may Subscribe re-entrantly) without holding the lock.
-func (fw *Framework) snapshotSinks() []EventSink {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.sinks
-}
-
 // allocID reserves the next enclave ID.
 func (fw *Framework) allocID() int {
 	fw.mu.Lock()
@@ -204,16 +149,6 @@ func (fw *Framework) register(enc *Enclave) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.enclaves[enc.ID] = enc
-}
-
-// emit delivers ev to all sinks, stopping at the first error.
-func (fw *Framework) emit(ev *Event) error {
-	for _, s := range fw.snapshotSinks() {
-		if err := s(ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Enclave returns the enclave with the given id, or nil.
@@ -356,7 +291,7 @@ func (fw *Framework) CreateEnclave(spec EnclaveSpec) (*Enclave, error) {
 	}
 
 	fw.register(enc)
-	if err := fw.emit(&Event{Kind: EvCreated, Enclave: enc}); err != nil {
+	if err := fw.Bus.Emit(&Event{Kind: EvEnclaveCreated, Enclave: enc}); err != nil {
 		return nil, err
 	}
 	return enc, nil
@@ -378,7 +313,7 @@ func (fw *Framework) Boot(enc *Enclave, kernel Bootable) error {
 		cpu.SetNMIHandler(nil)
 		cpu.TLB.FlushAll()
 	}
-	if err := fw.emit(&Event{Kind: EvBootPre, Enclave: enc}); err != nil {
+	if err := fw.Bus.Emit(&Event{Kind: EvEnclaveBootPre, Enclave: enc}); err != nil {
 		enc.setState(StateCreated)
 		return err
 	}
@@ -404,7 +339,7 @@ func (fw *Framework) Boot(enc *Enclave, kernel Bootable) error {
 		return fmt.Errorf("pisces: kernel boot: %w", err)
 	}
 	enc.setRunning(kernel)
-	return fw.emit(&Event{Kind: EvBooted, Enclave: enc})
+	return fw.Bus.Emit(&Event{Kind: EvEnclaveBooted, Enclave: enc})
 }
 
 // sendCtl issues one control command and waits for the enclave's ack.
@@ -458,7 +393,7 @@ func (fw *Framework) AddMemory(enc *Enclave, node int, size uint64) (hw.Extent, 
 		fw.Ledger.FreeMemory(ext)
 		return hw.Extent{}, err
 	}
-	if err := fw.emit(&Event{Kind: EvMemAddPre, Enclave: enc, Extent: ext, Cap: cap}); err != nil {
+	if err := fw.Bus.Emit(&Event{Kind: EvMemAddPre, Enclave: enc, Extents: []hw.Extent{ext}, Cap: cap}); err != nil {
 		_, _ = fw.Auth.Revoke(cap)
 		fw.Ledger.FreeMemory(ext)
 		return hw.Extent{}, err
@@ -476,7 +411,7 @@ func (fw *Framework) AddMemory(enc *Enclave, node int, size uint64) (hw.Extent, 
 		// The enclave rejected (or died before accepting) the grant: undo
 		// the protection-layer mapping before reclaiming, or the enclave
 		// would retain hardware access to memory it never accepted.
-		_ = fw.emit(&Event{Kind: EvMemRemovePost, Enclave: enc, Extent: ext, Cap: cap})
+		_ = fw.Bus.Emit(&Event{Kind: EvMemRemovePost, Enclave: enc, Extents: []hw.Extent{ext}, Cap: cap})
 		_, _ = fw.Auth.Revoke(cap)
 		fw.Ledger.FreeMemory(ext)
 		return hw.Extent{}, err
@@ -501,9 +436,9 @@ func (fw *Framework) RemoveMemory(enc *Enclave, ext hw.Extent) error {
 // at batch granularity: no frame returns to the allocator while any
 // enclave core could still hold a translation to it.
 //
-// On a mid-batch failure a closing zero-extent event flushes whatever
-// already left the protection layer, and only the extents whose events
-// succeeded are reclaimed before the error is reported. An extent the
+// On a mid-batch failure an EvIngestFlush flushes whatever already left
+// the protection layer, and only the extents whose events succeeded are
+// reclaimed before the error is reported. An extent the
 // enclave refused stays with the enclave, as do its successors. An extent
 // whose event failed has left the enclave but is not reclaimed: a
 // protection layer whose unmap failed may still map those frames.
@@ -540,18 +475,17 @@ func (fw *Framework) RemoveMemoryBatch(enc *Enclave, exts []hw.Extent) error {
 			break
 		}
 		cap := enc.dropMem(idx)
-		ev := &Event{Kind: EvMemRemovePost, Enclave: enc, Extent: ext, Cap: cap, MoreInBatch: i < len(exts)-1}
-		if err := fw.emit(ev); err != nil {
+		ev := &Event{Kind: EvMemRemovePost, Enclave: enc, Extents: []hw.Extent{ext}, Cap: cap, MoreInBatch: i < len(exts)-1}
+		if err := fw.Bus.Emit(ev); err != nil {
 			firstErr = err
 			break
 		}
 		reclaim = append(reclaim, relinquished{ext, cap})
 	}
 	if firstErr != nil {
-		// The batch aborted with its closing event unsent: emit a
-		// zero-extent closer so deferred shootdowns run before anything
-		// is reclaimed.
-		_ = fw.emit(&Event{Kind: EvMemRemovePost, Enclave: enc})
+		// The batch aborted with its closing event unsent: flush the
+		// deferred shootdowns before anything is reclaimed.
+		_ = fw.Bus.Emit(&Event{Kind: EvIngestFlush, Enclave: enc})
 	}
 	// Protection teardown already ran through the events; each key (and
 	// anything the enclave delegated from it) dies here.
@@ -583,7 +517,7 @@ func (fw *Framework) AddCPU(enc *Enclave, node int) (int, error) {
 	cpu.SetIRQHandler(nil)
 	cpu.SetNMIHandler(nil)
 	cpu.TLB.FlushAll()
-	if err := fw.emit(&Event{Kind: EvCPUAddPre, Enclave: enc, Core: core}); err != nil {
+	if err := fw.Bus.Emit(&Event{Kind: EvCPUAddPre, Enclave: enc, Core: core}); err != nil {
 		fw.Ledger.FreeCores(cores)
 		return -1, err
 	}
@@ -597,7 +531,7 @@ func (fw *Framework) AddCPU(enc *Enclave, node int) (int, error) {
 	m.Type = CmdCPUAdd
 	put64(m.Payload[:], 0, uint64(core))
 	if _, err := fw.sendCtl(enc, &m); err != nil {
-		_ = fw.emit(&Event{Kind: EvCPURemovePost, Enclave: enc, Core: core})
+		_ = fw.Bus.Emit(&Event{Kind: EvCPURemovePost, Enclave: enc, Core: core})
 		fw.Ledger.FreeCores(cores)
 		return -1, err
 	}
@@ -624,7 +558,7 @@ func (fw *Framework) RemoveCPU(enc *Enclave, core int) error {
 		return err
 	}
 	enc.dropCore(idx)
-	if err := fw.emit(&Event{Kind: EvCPURemovePost, Enclave: enc, Core: core}); err != nil {
+	if err := fw.Bus.Emit(&Event{Kind: EvCPURemovePost, Enclave: enc, Core: core}); err != nil {
 		return err
 	}
 	cpu := fw.Machine.CPU(core)
@@ -653,7 +587,7 @@ func (fw *Framework) ReportCrash(enc *Enclave, reason string) {
 	if kernel != nil {
 		kernel.Shutdown()
 	}
-	_ = fw.emit(&Event{Kind: EvCrashed, Enclave: enc, Reason: reason})
+	_ = fw.Bus.Emit(&Event{Kind: EvEnclaveCrashed, Enclave: enc, Reason: reason})
 	// A dead enclave holds no authority: every key it held — and every key
 	// delegated from those (shared segments, narrowed grants to peers) —
 	// dies with it, closing the stale-owner window.
@@ -699,7 +633,7 @@ func (fw *Framework) Destroy(enc *Enclave) error {
 	if q, ok := kernel.(Quiescer); ok {
 		q.Quiesce()
 	}
-	err := fw.emit(&Event{Kind: EvDestroyed, Enclave: enc})
+	err := fw.Bus.Emit(&Event{Kind: EvEnclaveDestroyed, Enclave: enc})
 	fw.Auth.RevokeHolder(enc.ID)
 	for _, e := range mem {
 		fw.Ledger.FreeMemory(e)

@@ -200,8 +200,8 @@ func TestBootStateMachine(t *testing.T) {
 func TestBootPreEventAbortsBoot(t *testing.T) {
 	_, fw := fwFixture(t)
 	sentinel := errors.New("veto")
-	fw.Subscribe(func(ev *pisces.Event) error {
-		if ev.Kind == pisces.EvBootPre {
+	fw.Bus.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind == pisces.EvEnclaveBootPre {
 			return sentinel
 		}
 		return nil
@@ -249,7 +249,7 @@ func TestMemAddRejectionRollsBack(t *testing.T) {
 	defer fw.Destroy(enc)
 	free := fw.Ledger.FreeBytes(0)
 	var sawRollback bool
-	fw.Subscribe(func(ev *pisces.Event) error {
+	fw.Bus.Subscribe(func(ev *pisces.Event) error {
 		if ev.Kind == pisces.EvMemRemovePost {
 			sawRollback = true
 		}
@@ -288,8 +288,9 @@ func TestRemoveMemoryValidation(t *testing.T) {
 
 // removeFixture boots a stub enclave, grows it by n 2 MiB extents, and
 // subscribes a handler that rejects the EvMemRemovePost of reject. It
-// returns the added extents and the extents of every EvMemRemovePost seen
-// from then on (a zero extent is a closing event).
+// returns the added extents and the extent of every EvMemRemovePost seen
+// from then on; an EvIngestFlush, the closer of an aborted batch, is
+// recorded as a zero extent.
 func removeFixture(t *testing.T, n int, reject int, sentinel error) (*pisces.Framework, *pisces.Enclave, []hw.Extent, *[]hw.Extent) {
 	t.Helper()
 	_, fw := fwFixture(t)
@@ -310,13 +311,15 @@ func removeFixture(t *testing.T, n int, reject int, sentinel error) (*pisces.Fra
 		exts = append(exts, ext)
 	}
 	var seen []hw.Extent
-	fw.Subscribe(func(ev *pisces.Event) error {
-		if ev.Kind != pisces.EvMemRemovePost {
-			return nil
-		}
-		seen = append(seen, ev.Extent)
-		if ev.Extent == exts[reject] {
-			return sentinel
+	fw.Bus.Subscribe(func(ev *pisces.Event) error {
+		switch ev.Kind {
+		case pisces.EvIngestFlush:
+			seen = append(seen, hw.Extent{})
+		case pisces.EvMemRemovePost:
+			seen = append(seen, ev.Extents...)
+			if slices.Contains(ev.Extents, exts[reject]) {
+				return sentinel
+			}
 		}
 		return nil
 	})
@@ -328,7 +331,7 @@ func removeFixture(t *testing.T, n int, reject int, sentinel error) (*pisces.Fra
 // whose unmap succeeded, may return to the ledger. The rejected extent has
 // left the enclave but stays out of the ledger: its frames may still be
 // mapped. The third extent was never touched and stays with the enclave,
-// and a closing event flushes what the batch had already unmapped.
+// and an EvIngestFlush flushes what the batch had already unmapped.
 func TestRemoveMemoryBatchReclaimsOnlyUnmapped(t *testing.T) {
 	sentinel := errors.New("unmap failed")
 	fw, enc, exts, seen := removeFixture(t, 3, 1, sentinel)
@@ -337,7 +340,7 @@ func TestRemoveMemoryBatchReclaimsOnlyUnmapped(t *testing.T) {
 		t.Fatalf("err = %v, want the handler's rejection", err)
 	}
 	if want := []hw.Extent{exts[0], exts[1], {}}; !slices.Equal(*seen, want) {
-		t.Errorf("remove events = %v, want %v (the last a closing event)", *seen, want)
+		t.Errorf("remove events = %v, want %v (the last an ingest flush)", *seen, want)
 	}
 	if got := fw.Ledger.FreeBytes(0); got != free+exts[0].Size {
 		t.Errorf("ledger grew by %d bytes, want %d (extent 1 only)", got-free, exts[0].Size)
@@ -384,8 +387,8 @@ func TestReportCrashIsIdempotentAndReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashes int
-	fw.Subscribe(func(ev *pisces.Event) error {
-		if ev.Kind == pisces.EvCrashed {
+	fw.Bus.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind == pisces.EvEnclaveCrashed {
 			crashes++
 		}
 		return nil

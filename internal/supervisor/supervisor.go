@@ -1,6 +1,6 @@
 // Package supervisor implements node-level enclave supervision and
-// automated recovery. A Supervisor attaches to a testbed node's Hobbes
-// event bus and watches enclaves for two failure classes:
+// automated recovery. A Supervisor attaches to a testbed node's event bus
+// and watches enclaves for two failure classes:
 //
 //   - hard crashes — the Pisces framework reports them on the bus
 //     (EvEnclaveCrashed), e.g. a Covirt-contained double fault;
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 
-	"covirt/internal/hobbes"
 	"covirt/internal/hw"
 	"covirt/internal/pisces"
 	"covirt/internal/testbed"
@@ -174,7 +173,7 @@ type Supervisor struct {
 	byEnc   map[int]*watch
 }
 
-// New attaches a supervisor to the node's Hobbes bus.
+// New attaches a supervisor to the node's event bus.
 func New(n *testbed.Node, opt Options) *Supervisor {
 	s := &Supervisor{
 		node:         n,
@@ -185,8 +184,8 @@ func New(n *testbed.Node, opt Options) *Supervisor {
 		onQuarantine: opt.OnQuarantine,
 		byEnc:        make(map[int]*watch),
 	}
-	n.Host.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
-		if ev.Kind == hobbes.EvEnclaveCrashed && ev.Enclave != nil {
+	n.Host.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
+		if ev.Kind == pisces.EvEnclaveCrashed && ev.Enclave != nil {
 			s.latchCrash(ev.Enclave.ID, ev.Reason)
 		}
 		return nil
@@ -245,11 +244,6 @@ func (s *Supervisor) Scan() error {
 		enc := w.be.Enc
 		reason := fmt.Sprintf("supervisor: %d missed heartbeats", MissedBeats)
 		s.record(now, "sup:hang", "enclave %d %s: %s", enc.ID, w.be.Guest.Name, reason)
-		if err := s.node.Host.Master.Bus.Emit(&hobbes.Event{
-			Kind: hobbes.EvEnclaveHung, Enclave: enc, Reason: reason,
-		}); err != nil {
-			return err
-		}
 		// The crash report tears the enclave down and echoes back through
 		// the bus, latching w.failed for pass 2.
 		s.node.Host.Pisces.ReportCrash(enc, reason)
@@ -379,12 +373,6 @@ func (s *Supervisor) restart(w *watch, now uint64) error {
 	old := w.be
 	attempt := w.restarts + 1
 	s.record(now, "sup:restart", "enclave %d %s attempt %d", old.Enc.ID, old.Guest.Name, attempt)
-	if err := s.node.Host.Master.Bus.Emit(&hobbes.Event{
-		Kind: hobbes.EvEnclaveRestarting, Enclave: old.Enc,
-		Reason: fmt.Sprintf("attempt %d", attempt),
-	}); err != nil {
-		return err
-	}
 	<-old.Enc.Reclaimed()
 	be, err := s.node.ReplaceGuest(old)
 	if err != nil {
@@ -393,10 +381,7 @@ func (s *Supervisor) restart(w *watch, now uint64) error {
 
 	s.rebind(w, old.Enc.ID, be, now)
 	s.record(now, "sup:recovered", "enclave %d %s restarts=%d", be.Enc.ID, be.Guest.Name, attempt)
-	return s.node.Host.Master.Bus.Emit(&hobbes.Event{
-		Kind: hobbes.EvEnclaveRecovered, Enclave: be.Enc,
-		Reason: fmt.Sprintf("restart %d", attempt),
-	})
+	return nil
 }
 
 // rebind points w at the freshly booted enclave and marks it healthy.
@@ -425,11 +410,6 @@ func (s *Supervisor) quarantine(w *watch, now uint64) error {
 	}
 	s.record(now, "sup:quarantined", "enclave %d %s after %d failures: %s",
 		enc.ID, w.be.Guest.Name, w.failures, w.lastReason)
-	if err := s.node.Host.Master.Bus.Emit(&hobbes.Event{
-		Kind: hobbes.EvEnclaveQuarantined, Enclave: enc, Reason: w.lastReason,
-	}); err != nil {
-		return err
-	}
 	if s.onQuarantine != nil {
 		s.onQuarantine(w.be.Guest.Name)
 	}

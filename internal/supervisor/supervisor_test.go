@@ -139,7 +139,7 @@ func TestCrashRestartLoop(t *testing.T) {
 		t.Fatalf("post-recovery workload: %v", err)
 	}
 
-	for _, kind := range []string{"sup:detect", "sup:restart", "sup:recovered", "ev:enclave-restarting", "ev:enclave-recovered"} {
+	for _, kind := range []string{"sup:detect", "sup:restart", "sup:recovered"} {
 		if len(buf.Filter(kind)) == 0 {
 			t.Errorf("trace missing %q events", kind)
 		}
@@ -169,7 +169,7 @@ func TestBudgetExhaustionQuarantines(t *testing.T) {
 	if st.Failures != 2 || st.Restarts != 1 {
 		t.Errorf("exhaustion accounting: %+v", st)
 	}
-	if len(buf.Filter("sup:quarantined")) == 0 || len(buf.Filter("ev:enclave-quarantined")) == 0 {
+	if len(buf.Filter("sup:quarantined")) == 0 {
 		t.Error("quarantine not traced")
 	}
 
@@ -321,7 +321,7 @@ func TestNautilusRecurringHang(t *testing.T) {
 	if boots.Load() != 2 {
 		t.Errorf("entry booted %d times, want 2", boots.Load())
 	}
-	if len(buf.Filter("sup:hang")) == 0 || len(buf.Filter("ev:enclave-hung")) == 0 {
+	if len(buf.Filter("sup:hang")) == 0 {
 		t.Error("hang verdicts not traced")
 	}
 }

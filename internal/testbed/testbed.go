@@ -161,7 +161,7 @@ func (s Spec) Build() (*Node, error) {
 
 	n := &Node{M: m, Host: host}
 	if s.Covirt {
-		ctrl, err := covirt.Attach(m, host.Pisces, host.Master, s.Features)
+		ctrl, err := covirt.Attach(m, host.Pisces, s.Features)
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +302,7 @@ func (n *Node) ReplaceGuest(old *Enclave) (*Enclave, error) {
 // EnableTracing turns on the node-wide flight recorder: the Covirt
 // controller's tracer when the controller is attached (so exits, controller
 // commands and bus events interleave in one timeline), else a standalone
-// buffer. Hobbes bus events are routed into it either way.
+// buffer. Bus events are routed into it either way.
 func (n *Node) EnableTracing(capacity int) *trace.Buffer {
 	var buf *trace.Buffer
 	if n.Ctrl != nil {
@@ -310,7 +310,7 @@ func (n *Node) EnableTracing(capacity int) *trace.Buffer {
 	} else {
 		buf = trace.New(capacity)
 	}
-	n.Host.Master.Bus.SetTracer(buf)
+	n.Host.Pisces.Bus.SetTracer(buf)
 	return buf
 }
 

@@ -2,7 +2,7 @@
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
 #   ./scripts/check.sh                # full gate (static + smoke + race)
-#   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke only
+#   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke (perfbench too) only
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -85,6 +85,13 @@ end
 
 begin "go test -short ./... (smoke tier)"
 go test -short ./...
+end
+
+# perfbench/ is a module of its own, built against internal/ through a
+# replace directive, so ./... above never compiles it: an API change that
+# breaks the benchmark must fail here.
+begin "perfbench: go vet + go test -short"
+(cd perfbench && go vet ./... && go test -short ./...)
 end
 
 if [ "$mode" = static ]; then
