@@ -119,7 +119,7 @@ const helpText = `commands:
   boot <id> [none|mem|mem+ipi|all]        boot Kitten under covirt features
   list                                    list enclaves
   status <id>                             covirt status (exits, EPT, IPIs) + supervision
-  qstats <id>                             command-queue/ingest stats (depth, epochs, QoS)
+  qstats <id>                             command-queue/ingest stats (depth, epochs, flushes)
   ping <id>                               control-channel liveness check
   addmem <id> <node> <MB>                 hot-add memory
   addcpu <id> <node>                      hot-add a core
@@ -293,8 +293,6 @@ func (sh *shell) exec(line string) error {
 			qs.Slots, in.Events, in.Epochs, qs.EpochIssued)
 		fmt.Printf("flush cmds: %d issued, %d coalesced away; push stalls: %d cycles\n",
 			in.FlushCmds, in.FlushCmdsSaved, in.StallCycles)
-		fmt.Printf("admission: tokens=%d waits=%d (%d cycles)\n",
-			qs.Tokens, in.AdmissionWaits, in.AdmissionWaitCycles)
 		cores := make([]int, 0, len(qs.Depth))
 		for c := range qs.Depth {
 			cores = append(cores, c)

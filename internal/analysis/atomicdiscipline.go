@@ -29,7 +29,8 @@ import (
 //     plain side holds a lock the atomic side does not take;
 //  2. a field listed in a //covirt:guards <field,...> directive on a
 //     mutex field of the same struct must only be written while that
-//     mutex is held;
+//     mutex is held (for a map-typed field, an element store, ++/-- or
+//     delete/clear on its map counts as a write);
 //  3. inferred guards: a field (unannotated, non-atomic) written at two
 //     or more sites under one mutex class must not also be written bare
 //     — the bare write is a latent race the race detector only catches
@@ -519,17 +520,10 @@ func classifyAccess(u *Pkg, sel *ast.SelectorExpr, stack []ast.Node) accessKind 
 		return nil
 	}
 	// Written?
+	if writes(parent(1), sel) {
+		return accWrite
+	}
 	switch p := parent(1).(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if ast.Unparen(lhs) == sel {
-				return accWrite
-			}
-		}
-	case *ast.IncDecStmt:
-		if ast.Unparen(p.X) == sel {
-			return accWrite
-		}
 	case *ast.UnaryExpr:
 		if p.Op == token.AND {
 			// &s.f: atomic if it feeds a sync/atomic call directly.
@@ -542,8 +536,42 @@ func classifyAccess(u *Pkg, sel *ast.SelectorExpr, stack []ast.Node) accessKind 
 		if ast.Unparen(p.Key) == sel || ast.Unparen(p.Value) == sel {
 			return accWrite
 		}
+	case *ast.IndexExpr:
+		// s.f[k] = v and s.f[k]++ edit the map a map-typed field holds.
+		if p.X == sel && isMapField(u, sel) && writes(parent(2), p) {
+			return accWrite
+		}
+	case *ast.CallExpr:
+		// delete(s.f, k) and clear(s.f) edit the field's map too.
+		fn, ok := ast.Unparen(p.Fun).(*ast.Ident)
+		if ok && len(p.Args) > 0 && ast.Unparen(p.Args[0]) == sel && isMapField(u, sel) {
+			if b, ok := u.Info.Uses[fn].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+				return accWrite
+			}
+		}
 	}
 	return accRead
+}
+
+// writes reports whether stmt assigns to x or increments or decrements it.
+func writes(stmt ast.Node, x ast.Expr) bool {
+	switch s := stmt.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range s.Lhs {
+			if ast.Unparen(lhs) == x {
+				return true
+			}
+		}
+	case *ast.IncDecStmt:
+		return ast.Unparen(s.X) == x
+	}
+	return false
+}
+
+// isMapField reports whether the selected field holds a map.
+func isMapField(u *Pkg, sel *ast.SelectorExpr) bool {
+	_, ok := u.Info.TypeOf(sel).Underlying().(*types.Map)
+	return ok
 }
 
 // isAtomicCall reports a call to a sync/atomic package function.

@@ -108,3 +108,29 @@ func (b *Bad) Set(v int) {
 	defer b.mu.Unlock()
 	b.ok = v
 }
+
+// Table declares mu as the guard of its map: Put edits the map under mu;
+// Drop and Poke edit it bare; Get only reads it.
+type Table struct {
+	mu sync.Mutex //covirt:guards m
+	m  map[int]int
+}
+
+func (t *Table) Put(k, v int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[k] = v
+	delete(t.m, -k)
+}
+
+func (t *Table) Drop(k int) {
+	delete(t.m, k) // map delete outside declared guard
+}
+
+func (t *Table) Poke(k int) {
+	t.m[k]++ // map element write outside declared guard
+}
+
+func (t *Table) Get(k int) int {
+	return t.m[k]
+}

@@ -2,6 +2,7 @@ package covirt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,32 +27,15 @@ const (
 // cheaper than walking a long range list on every core.
 const flushAllThreshold = 8
 
-// QoS is a per-enclave token-bucket admission policy on the controller's
-// ingest path. Refill is deterministic integer arithmetic on the
-// controller's virtual clock: tokens accrue at one per CyclesPerToken
-// cycles, capped at Burst. An enclave whose bucket is empty waits out the
-// remainder of the current refill interval — the wait advances the virtual
-// clock (the stall itself is the passage of time) and is charged to the
-// event's cost, so a grant-storming enclave self-paces at the refill rate
-// while its neighbors' buckets are untouched. The zero value disables
-// admission control.
-type QoS struct {
-	Burst          uint64 // bucket capacity in tokens (0 disables)
-	CyclesPerToken uint64 // virtual cycles per accrued token
-}
-
-// enabled reports whether this policy actually admits.
-func (q QoS) enabled() bool { return q.Burst > 0 && q.CyclesPerToken > 0 }
-
 // IngestStats counts one enclave's traffic through the controller's
-// ingest path (resource-assignment events, admission decisions, epochs,
-// and flush-command economics).
+// ingest path (resource-assignment events, epochs, and flush-command
+// economics).
 type IngestStats struct {
-	// Events is the number of admitted resource-assignment events.
+	// Events is the number of resource-assignment events ingested.
 	Events uint64
-	// AdmissionWaits / AdmissionWaitCycles count token-bucket stalls.
-	AdmissionWaits      uint64
-	AdmissionWaitCycles uint64
+	// AdmissionWaits is always 0: the controller admits every event. It
+	// stays because perfbench reports it as covirt.admission_waits.
+	AdmissionWaits uint64
 	// Epochs is the number of shootdown epochs closed.
 	Epochs uint64
 	// FlushCmds is the number of flush commands pushed (all cores).
@@ -63,8 +47,8 @@ type IngestStats struct {
 	StallCycles uint64
 }
 
-// QueueStats is the per-enclave command-queue / admission snapshot behind
-// the enclavectl qstats verb.
+// QueueStats is the per-enclave command-queue / ingest snapshot behind the
+// enclavectl qstats verb.
 type QueueStats struct {
 	EnclaveID int
 	Slots     uint64 // ring capacity per core
@@ -74,10 +58,7 @@ type QueueStats struct {
 	// EpochApplied maps core id -> last epoch that core has applied.
 	EpochIssued  uint64
 	EpochApplied map[int]uint64
-	// Tokens is the enclave's current admission-bucket fill (only
-	// meaningful when QoS is configured).
-	Tokens uint64
-	Ingest IngestStats
+	Ingest       IngestStats
 }
 
 // Ioctl numbers the controller registers with the Pisces framework's
@@ -117,6 +98,17 @@ type Status struct {
 	FlushCmds   uint64
 }
 
+// coreCtl is the controller's record of one enclave core: the
+// command-queue slot it holds, the VMCS built for it, that slot's queue
+// and, once InterposeBoot has launched the core, its hypervisor.
+type coreCtl struct {
+	id    int // machine core id
+	slot  int
+	vmcs  *vmx.VMCS
+	queue *cmdQueue
+	hv    *Hypervisor
+}
+
 // enclaveState is the controller's view of one protected enclave: the
 // hardware-level virtualization data structures it edits directly.
 type enclaveState struct {
@@ -129,19 +121,23 @@ type enclaveState struct {
 	filter *IPIFilter
 	io     *IOTable
 
-	vmcs   map[int]*vmx.VMCS
-	hvs    map[int]*Hypervisor
-	queues map[int]*cmdQueue
-
-	// nextSlot indexes the per-CPU command-queue array for hot-added
-	// cores (the reserved area holds pisces.MaxBootCores slots).
-	nextSlot int
+	// coresMu guards the enclave's live cores, keyed by machine core id,
+	// and the command queue of every slot built so far. CPU hot-plug
+	// writes them while the ingest path and the status snapshots read
+	// them. It is held for lookups and edits, and by pushEpoch across one
+	// epoch's pushes, never across waitEpoch.
+	coresMu sync.Mutex //covirt:guards cores,slotQueues
+	cores   map[int]*coreCtl
+	// slotQueues[s] is slot s's queue in the reserved area (which holds
+	// pisces.MaxBootCores slots). It is built when the slot is first
+	// used and passes unchanged to every later core that takes the slot.
+	slotQueues []*cmdQueue
 
 	// ingestMu serializes the enclave's ingest path: the EPT operation
-	// counters, the shootdown-epoch accumulator and the admission bucket
-	// below. Events for one enclave are normally sequential (one longcall
-	// service goroutine), but host-side grants and revocations can overlap
-	// guest-driven attaches and detaches.
+	// counters and the shootdown-epoch accumulator below. Events for one
+	// enclave are normally sequential (one longcall service goroutine),
+	// but host-side grants and revocations can overlap guest-driven
+	// attaches and detaches.
 	ingestMu sync.Mutex //covirt:guards mapOps,unmapOps
 	mapOps   uint64
 	unmapOps uint64
@@ -151,15 +147,11 @@ type enclaveState struct {
 	epoch       uint64
 	dirty       []hw.Extent
 	dirtyEvents int
-	// epochRecs is closeEpoch's flush-batch scratch. closeEpoch holds
-	// ingestMu throughout, so it, like dirty's backing, is reused from
-	// epoch to epoch.
-	epochRecs []cmdRec
-	// Admission token bucket (QoS): current fill and the virtual-clock
-	// stamp the last refill was computed against.
-	qosInit   bool
-	qosTokens uint64
-	qosStamp  uint64
+	// epochRecs and epochWaits are closeEpoch's flush-batch and wait-list
+	// scratch. closeEpoch holds ingestMu throughout, so they, like dirty's
+	// backing, are reused from epoch to epoch.
+	epochRecs  []cmdRec
+	epochWaits []*cmdQueue
 
 	ingest IngestStats
 }
@@ -183,50 +175,9 @@ type Controller struct {
 	pending  map[int]Features // pre-boot per-enclave overrides
 	states   map[int]*enclaveState
 
-	// coalesce enables epoch-based shootdown coalescing (merge the open
-	// epoch's dirty ranges into one flush per core); qos is the admission
-	// policy applied to every enclave; clock is the controller's virtual
-	// ingest timeline (advanced by admission stalls — the stall is the
-	// passage of time). A controller attaches with coalescing on and QoS
-	// off; SetCoalescing and SetQoS change them per controller.
-	coalesce bool
-	qos      QoS
-	clock    hw.Clock
-
 	// tracer is the optional flight recorder shared with all hypervisor
 	// instances (nil-safe; see EnableTracing).
 	tracer *trace.Buffer
-}
-
-// SetCoalescing enables or disables epoch-based shootdown coalescing on
-// this controller (the per-extent path pushes one flush per dirty range;
-// both paths share the epoch completion protocol, so invalidation
-// semantics are identical — TestEpochCoalescingEquivalence proves it).
-func (c *Controller) SetCoalescing(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.coalesce = on
-}
-
-// SetQoS installs the admission policy for this controller's enclaves
-// (zero disables).
-func (c *Controller) SetQoS(q QoS) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.qos = q
-}
-
-// coalesceOn / qosPolicy read the switches under the lock.
-func (c *Controller) coalesceOn() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coalesce
-}
-
-func (c *Controller) qosPolicy() QoS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.qos
 }
 
 // EnableTracing attaches a flight recorder capturing every VM exit and
@@ -260,7 +211,6 @@ func Attach(mach *hw.Machine, fw *pisces.Framework, defaults Features) (*Control
 		defaults: defaults,
 		pending:  make(map[int]Features),
 		states:   make(map[int]*enclaveState),
-		coalesce: true,
 	}
 	c.rootIO = c.auth.Mint(0, authority.KindIO, authority.RightsAll,
 		authority.WildScope(), "root-io")
@@ -324,8 +274,8 @@ func (c *Controller) ioctlQueueStats(arg any) (any, error) {
 }
 
 // QueueStatsFor snapshots an enclave's per-core command-queue depths,
-// epoch progress, and admission counters (the qstats operator view), or
-// nil when the enclave is not under Covirt.
+// epoch progress, and ingest counters (the qstats operator view), or nil
+// when the enclave is not under Covirt.
 func (c *Controller) QueueStatsFor(encID int) *QueueStats {
 	st := c.stateByID(encID)
 	if st == nil {
@@ -333,18 +283,19 @@ func (c *Controller) QueueStatsFor(encID int) *QueueStats {
 	}
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
 	out := &QueueStats{
 		EnclaveID:    encID,
 		Slots:        cmdqSlots,
-		Depth:        make(map[int]uint64, len(st.queues)),
+		Depth:        make(map[int]uint64, len(st.cores)),
 		EpochIssued:  st.epoch,
-		EpochApplied: make(map[int]uint64, len(st.queues)),
-		Tokens:       st.qosTokens,
+		EpochApplied: make(map[int]uint64, len(st.cores)),
 		Ingest:       st.ingest,
 	}
-	for coreID, q := range st.queues {
-		out.Depth[coreID] = q.depth()
-		out.EpochApplied[coreID] = q.epochApplied()
+	for id, cc := range st.cores {
+		out.Depth[id] = cc.queue.depth()
+		out.EpochApplied[id] = cc.queue.epochApplied()
 	}
 	return out
 }
@@ -391,11 +342,16 @@ func (c *Controller) StatusFor(encID int) *Status {
 	if st.ept != nil {
 		out.EPT = st.ept.Stats()
 	}
-	for _, h := range st.hvs {
-		for k, v := range h.Stats().Snapshot() {
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	for _, cc := range st.cores {
+		if cc.hv == nil {
+			continue
+		}
+		for k, v := range cc.hv.Stats().Snapshot() {
 			out.Exits[k] += v
 		}
-		_, cyc := h.Stats().Total()
+		_, cyc := cc.hv.Stats().Total()
 		out.ExitCycles += cyc
 	}
 	return out
@@ -409,6 +365,14 @@ func (st *enclaveState) opCounts() (mapOps, unmapOps, flushCmds uint64) {
 	return st.mapOps, st.unmapOps, st.ingest.FlushCmds
 }
 
+// admit counts one ingested resource-assignment event; the controller
+// admits every event.
+func (st *enclaveState) admit() {
+	st.ingestMu.Lock()
+	defer st.ingestMu.Unlock()
+	st.ingest.Events++
+}
+
 // countMap records one EPT map operation. Host grants and guest attaches
 // can map concurrently, so the count is taken under the ingest lock.
 func (st *enclaveState) countMap() {
@@ -420,10 +384,14 @@ func (st *enclaveState) countMap() {
 // Hypervisor returns the per-core hypervisor managing machine core cpuID of
 // enclave encID (tests and tooling).
 func (c *Controller) Hypervisor(encID, cpuID int) *Hypervisor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.states[encID]; st != nil {
-		return st.hvs[cpuID]
+	st := c.stateByID(encID)
+	if st == nil {
+		return nil
+	}
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	if cc := st.cores[cpuID]; cc != nil {
+		return cc.hv
 	}
 	return nil
 }
@@ -558,9 +526,7 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 		feat:   feat,
 		filter: NewIPIFilter(enc.Cores, c.auth),
 		io:     NewIOTable(c.auth),
-		vmcs:   make(map[int]*vmx.VMCS),
-		hvs:    make(map[int]*Hypervisor),
-		queues: make(map[int]*cmdQueue),
+		cores:  make(map[int]*coreCtl),
 	}
 	if feat.Memory {
 		st.ept = vmx.NewEPT()
@@ -623,33 +589,11 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 	return nil
 }
 
-// buildCPU constructs the per-core virtualization context — command queue
-// slot, VMCS with feature-derived controls, pre-set guest state — for one
-// enclave core. Used for every boot core and for hot-added cores.
+// buildCPU constructs the per-core virtualization context — VMCS with
+// feature-derived controls, pre-set guest state, command-queue slot — for
+// one enclave core and links it into st.cores. Used for every boot core
+// and for hot-added cores.
 func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int) error {
-	if st.nextSlot >= pisces.MaxBootCores {
-		return fmt.Errorf("covirt: enclave %d exhausted its %d command-queue slots", enc.ID, pisces.MaxBootCores)
-	}
-	base := enc.Base()
-	q, err := newCmdQueue(c.mach.Mem, base+pisces.OffCovirtCmdQ+uint64(st.nextSlot)*CmdQueueStride)
-	if err != nil {
-		return err
-	}
-	st.nextSlot++
-	st.queues[coreID] = q
-	// A controller thread parked on the queue must see the enclave die even
-	// when no drain follows: the longcall service can be parked in
-	// closeEpoch at that moment, and linuxhost's bus handler waits for the
-	// service before this controller's handler runs. A node crash ends the
-	// watcher too, as it does the enclave's rings.
-	go func() {
-		select {
-		case <-enc.Done():
-		case <-c.mach.CrashedCh():
-		}
-		q.wake()
-	}()
-
 	vmcs := vmx.NewVMCS(coreID)
 	vmcs.Controls = vmx.Controls{
 		EnableEPT:        st.feat.Memory,
@@ -671,9 +615,48 @@ func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int)
 		RIP: enc.Mem()[0].Start + pisces.ReservedBytes, // kernel entry
 		RSP: enc.Mem()[0].End(),
 		CR3: enc.Mem()[0].Start + pisces.ReservedBytes - hw.PageSize4K,
-		RSI: base + pisces.OffBootParams,
+		RSI: enc.Base() + pisces.OffBootParams,
 	}
-	st.vmcs[coreID] = vmcs
+	return c.linkCore(st, &coreCtl{id: coreID, vmcs: vmcs})
+}
+
+// linkCore gives cc the lowest command-queue slot no live core holds, with
+// that slot's queue, and links cc into st.cores. A slot's queue is built
+// on the slot's first use and never rebuilt: unlinkCore leaves it empty,
+// and a waiter still reading it for an earlier epoch must never see its
+// epoch word go back to 0.
+func (c *Controller) linkCore(st *enclaveState, cc *coreCtl) error {
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	var held [pisces.MaxBootCores]bool
+	for _, o := range st.cores {
+		held[o.slot] = true
+	}
+	cc.slot = slices.Index(held[:], false)
+	if cc.slot < 0 {
+		return fmt.Errorf("covirt: enclave %d exhausted its %d command-queue slots", st.enc.ID, pisces.MaxBootCores)
+	}
+	if cc.slot == len(st.slotQueues) {
+		q, err := newCmdQueue(c.mach.Mem, st.enc.Base()+pisces.OffCovirtCmdQ+uint64(cc.slot)*CmdQueueStride)
+		if err != nil {
+			return err
+		}
+		st.slotQueues = append(st.slotQueues, q)
+		// A controller thread parked on the queue must see the enclave die
+		// even when no drain follows: the longcall service can be parked in
+		// closeEpoch at that moment, and linuxhost's bus handler waits for
+		// the service before this controller's handler runs. A node crash
+		// ends the watcher too, as it does the enclave's rings.
+		go func() {
+			select {
+			case <-st.enc.Done():
+			case <-c.mach.CrashedCh():
+			}
+			q.wake()
+		}()
+	}
+	cc.queue = st.slotQueues[cc.slot]
+	st.cores[cc.id] = cc
 	return nil
 }
 
@@ -701,17 +684,28 @@ func (c *Controller) removeCPU(ev *pisces.Event) error {
 		return nil
 	}
 	st.filter.RemoveOwnCore(ev.Core)
-	if q := st.queues[ev.Core]; q != nil {
-		q.wake()
-	}
-	delete(st.queues, ev.Core)
-	delete(st.vmcs, ev.Core)
-	delete(st.hvs, ev.Core)
 	if cpu := c.mach.CPU(ev.Core); cpu != nil {
+		st.unlinkCore(cpu)
 		cpu.Virt = nil
 	}
 	c.Trace().Record(-1, 0, "ctl:cpu-remove", "enclave %d core %d", ev.Enclave.ID, ev.Core)
 	return nil
+}
+
+// unlinkCore drops a hot-removed core from st.cores and applies what its
+// queue still holds. The co-kernel has stopped the core's scheduler, which
+// does not poll on the way out, so an epoch pushed after its last poll
+// would never be applied and closeEpoch would wait for it forever.
+// pushEpoch pushes under the same lock, so every epoch either reached this
+// queue before the unlink and is applied here, or never reaches it. The
+// drain's cycles go uncharged: the core is offline.
+func (st *enclaveState) unlinkCore(cpu *hw.CPU) {
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	if cc := st.cores[cpu.ID]; cc != nil {
+		delete(st.cores, cpu.ID)
+		cc.queue.drain(cpu)
+	}
 }
 
 // InterposeBoot implements pisces.BootInterposer: instead of booting the
@@ -722,8 +716,8 @@ func (c *Controller) InterposeBoot(enc *pisces.Enclave, cpu *hw.CPU, bpAddr uint
 	if st == nil {
 		return fmt.Errorf("covirt: no state for enclave %d (boot-pre event missed?)", enc.ID)
 	}
-	vmcs := st.vmcs[cpu.ID]
-	if vmcs == nil {
+	cc := st.core(cpu.ID)
+	if cc == nil {
 		return fmt.Errorf("covirt: no VMCS for core %d", cpu.ID)
 	}
 	// The hypervisor reads its own boot parameters (validating the chain
@@ -741,18 +735,28 @@ func (c *Controller) InterposeBoot(enc *pisces.Enclave, cpu *hw.CPU, bpAddr uint
 		enc:    enc,
 		feat:   st.feat,
 		flt:    st.filter,
-		queue:  st.queues[cpu.ID],
+		queue:  cc.queue,
 		io:     st.io,
 		tracer: tracer,
 		onFault: func(h *Hypervisor, reason string) {
 			c.fw.ReportCrash(enc, "covirt: "+reason)
 		},
 	}
-	h.vcpu = vmx.Launch(cpu, vmcs, h)
-	st.hvs[cpu.ID] = h
+	h.vcpu = vmx.Launch(cpu, cc.vmcs, h)
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	cc.hv = h
 	// World switch into the guest.
 	cpu.TSC += cpu.Costs().VMEntry
 	return nil
+}
+
+// core returns the record of a live core, or nil. Its id, slot, vmcs and
+// queue never change once linked; hv is read and written under coresMu.
+func (st *enclaveState) core(id int) *coreCtl {
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	return st.cores[id]
 }
 
 // mapExtents handles map-before-notify events: the extents become
@@ -764,7 +768,7 @@ func (c *Controller) mapExtents(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	ev.Cost += c.admit(st, ev)
+	st.admit()
 	// Every mapping names its authorizing capability: a fresh memory grant
 	// presents a memory key covering the extent; a XEMEM attach presents
 	// the consumer's attach key. An absent or dead key aborts the
@@ -797,49 +801,6 @@ func (c *Controller) mapExtents(ev *pisces.Event) error {
 		}
 	}
 	return nil
-}
-
-// admit applies the controller's admission policy to one ingest event of
-// st's enclave and returns the stall cycles the caller charges to the
-// event (outside the ingest lock, like every other event-cost charge). A
-// stalled admission advances the controller's virtual clock by the stall
-// (the wait IS the passage of time — deterministic for sequentially driven
-// event streams), so a storming enclave self-paces without touching its
-// neighbors' buckets.
-func (c *Controller) admit(st *enclaveState, ev *pisces.Event) uint64 {
-	st.ingestMu.Lock()
-	defer st.ingestMu.Unlock()
-	st.ingest.Events++
-	q := c.qosPolicy()
-	if !q.enabled() {
-		return 0
-	}
-	now := c.clock.Now()
-	if !st.qosInit {
-		st.qosInit = true
-		st.qosTokens = q.Burst
-		st.qosStamp = now
-	}
-	if refill := (now - st.qosStamp) / q.CyclesPerToken; refill > 0 {
-		st.qosTokens += refill
-		if st.qosTokens > q.Burst {
-			st.qosTokens = q.Burst
-		}
-		st.qosStamp += refill * q.CyclesPerToken
-	}
-	var wait uint64
-	if st.qosTokens == 0 {
-		// Wait out the remainder of the current refill interval; the
-		// token that accrues at its end is the one this event consumes.
-		wait = q.CyclesPerToken - (now - st.qosStamp)
-		c.clock.Advance(wait)
-		st.qosStamp += q.CyclesPerToken
-		st.qosTokens = 1
-		st.ingest.AdmissionWaits++
-		st.ingest.AdmissionWaitCycles += wait
-	}
-	st.qosTokens--
-	return wait
 }
 
 // mergeExtents sorts ranges by start address and merges overlapping or
@@ -875,23 +836,20 @@ func (c *Controller) unmapAndFlush(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	ev.Cost += c.admit(st, ev)
+	st.admit()
 	cost, err := c.unmapExtents(st, ev)
 	ev.Cost += cost
 	if err != nil {
 		// Flush what already left the EPT before reporting: the failed
 		// extent is still mapped, but the unmapped ones must not linger
 		// in any TLB while the caller unwinds.
-		fcost, _ := c.closeEpoch(st, ev.Enclave)
-		ev.Cost += fcost
+		ev.Cost += c.closeEpoch(st, ev.Enclave)
 		return err
 	}
-	if ev.MoreInBatch {
-		return nil
+	if !ev.MoreInBatch {
+		ev.Cost += c.closeEpoch(st, ev.Enclave)
 	}
-	fcost, err := c.closeEpoch(st, ev.Enclave)
-	ev.Cost += fcost
-	return err
+	return nil
 }
 
 // unmapExtents removes the event's extents from the EPT and adds them to
@@ -926,72 +884,80 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	cost, err := c.closeEpoch(st, ev.Enclave)
-	ev.Cost += cost
-	return err
+	ev.Cost += c.closeEpoch(st, ev.Enclave)
+	return nil
 }
 
 // closeEpoch seals the open shootdown epoch: the accumulated dirty ranges
-// become one batched command push per core — merged (and collapsed to a
-// CmdFlushAll past flushAllThreshold) when coalescing is on, verbatim
-// per-extent when off — terminated by a CmdEpoch marker. Every core gets
-// one doorbell, and the operation completes only when every core reports
-// the epoch applied. Returns the issue and stall cycles charged to the
-// triggering event.
-func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, error) {
+// are merged (and collapsed to one CmdFlushAll past flushAllThreshold)
+// into one batched command push per core, terminated by a CmdEpoch
+// marker. Every core gets one doorbell, and the operation completes only
+// when every core reports the epoch applied. Returns the issue and stall
+// cycles charged to the triggering event.
+func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) uint64 {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	if st.dirtyEvents == 0 && len(st.dirty) == 0 {
-		return 0, nil
+		return 0
 	}
-	ranges := st.dirty
+	raw := uint64(len(st.dirty))
+	ranges := mergeExtents(st.dirty)
 	st.dirty = st.dirty[:0] // ranges is consumed before ingestMu is released
 	st.dirtyEvents = 0
-	raw := uint64(len(ranges))
-	flushAll := false
-	if c.coalesceOn() {
-		ranges = mergeExtents(ranges)
-		flushAll = len(ranges) > flushAllThreshold
-	}
 	st.epoch++
-	epoch := st.epoch
 	st.ingest.Epochs++
 
 	recs := st.epochRecs[:0]
-	if flushAll {
+	if len(ranges) > flushAllThreshold {
 		recs = append(recs, cmdRec{Typ: CmdFlushAll})
 	} else {
 		for _, r := range ranges {
 			recs = append(recs, cmdRec{Typ: CmdFlushRange, Arg0: r.Start, Arg1: r.Size})
 		}
 	}
-	flushRecs := uint64(len(recs))
-	recs = append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch})
+	recs = append(recs, cmdRec{Typ: CmdEpoch, Arg0: st.epoch})
 	st.epochRecs = recs
 
-	var cost uint64
-	for coreID, q := range st.queues {
-		cpu := c.mach.CPU(coreID)
-		stall, err := q.pushBatch(recs, cpu.APIC.RaiseNMI, enc.Done())
+	// A core hot-removed from here on has its queue applied by
+	// unlinkCore, so each wait ends.
+	waits, cost := c.pushEpoch(st, recs, raw, enc.Done())
+	for _, q := range waits {
+		if q.waitEpoch(st.epoch, enc.Done()) != nil {
+			break // the enclave died mid-flush; nothing left to synchronize
+		}
+	}
+	return cost
+}
+
+// pushEpoch pushes one epoch's records to every live core and rings each
+// core's doorbell, holding coresMu throughout, so that a core unlinkCore
+// removes got the whole epoch before the unlink or none of it. The pushes
+// cannot park on an honest guest's ring: closeEpoch waits for each epoch
+// before opening the next, so every epoch starts on empty 64-slot rings,
+// and an epoch is at most flushAllThreshold+1 records. It returns the
+// queues to wait on (in st.epochWaits) and the cycles to charge; when the
+// enclave died under backpressure there is nothing to wait on. Called
+// with ingestMu held; raw is the epoch's unmerged range count.
+func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done <-chan struct{}) (waits []*cmdQueue, cost uint64) {
+	st.coresMu.Lock()
+	defer st.coresMu.Unlock()
+	flushRecs := uint64(len(recs) - 1) // all but the CmdEpoch marker
+	waits = st.epochWaits[:0]
+	for _, cc := range st.cores {
+		cpu := c.mach.CPU(cc.id)
+		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI, done)
 		if err != nil {
-			// The enclave died under backpressure; nothing left to
-			// synchronize.
-			return cost, nil
+			return nil, cost
 		}
 		cpu.APIC.RaiseNMI()
 		st.ingest.FlushCmds += flushRecs
 		st.ingest.FlushCmdsSaved += raw - flushRecs
 		st.ingest.StallCycles += stall
 		cost += costCmdIssue + stall
+		waits = append(waits, cc.queue)
 	}
-	// Every push above succeeded, so every queue now holds the epoch.
-	for _, q := range st.queues {
-		if err := q.waitEpoch(epoch, enc.Done()); err != nil {
-			// The enclave died mid-flush; nothing left to synchronize.
-			return cost, nil
-		}
-	}
-	return cost, nil
+	st.epochWaits = waits
+	return waits, cost
 }
 
 // teardown drops controller state for a dead enclave. Waiters on its
@@ -1000,8 +966,11 @@ func (c *Controller) teardown(enc *pisces.Enclave) {
 	if enc == nil {
 		return
 	}
-	if st := c.takeState(enc.ID); st != nil {
-		c.Trace().Record(-1, 0, "ctl:teardown", "enclave %d state dropped (%d cores)", enc.ID, len(st.vmcs))
+	st := c.takeState(enc.ID)
+	if tr := c.Trace(); st != nil && tr != nil {
+		st.coresMu.Lock()
+		defer st.coresMu.Unlock()
+		tr.Record(-1, 0, "ctl:teardown", "enclave %d state dropped (%d cores)", enc.ID, len(st.cores))
 	}
 }
 

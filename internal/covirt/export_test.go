@@ -9,6 +9,9 @@ import "covirt/internal/pisces"
 // DecodeBootParams exposes decodeBootParams.
 var DecodeBootParams = decodeBootParams
 
+// FlushAllThreshold exposes flushAllThreshold.
+const FlushAllThreshold = flushAllThreshold
+
 // HasState reports whether the controller holds live state for enc.
 func (c *Controller) HasState(enc *pisces.Enclave) bool { return c.stateFor(enc) != nil }
 
@@ -22,12 +25,16 @@ func (c *Controller) EPTMapped(enc *pisces.Enclave, addr uint64) bool {
 func (h *Hypervisor) StackDepth() int { return h.stackDepth }
 
 // PendingCommands reports the records queued for core but not yet drained.
-// It reads the queue under the queue's own lock only, so it answers while
-// a closing epoch holds the ingest lock and waits.
+// It takes only the per-core lock and the queue's own lock, neither of
+// which a closing epoch holds while it waits, so it answers while that
+// epoch holds the ingest lock.
 func (c *Controller) PendingCommands(enc *pisces.Enclave, core int) uint64 {
 	st := c.stateFor(enc)
-	if st == nil || st.queues[core] == nil {
+	if st == nil {
 		return 0
 	}
-	return st.queues[core].depth()
+	if cc := st.core(core); cc != nil {
+		return cc.queue.depth()
+	}
+	return 0
 }

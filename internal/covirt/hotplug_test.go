@@ -1,11 +1,14 @@
 package covirt_test
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"covirt/internal/covirt"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
+	"covirt/internal/pisces"
 )
 
 func TestCPUHotAddRunsProtectedWork(t *testing.T) {
@@ -154,5 +157,163 @@ func TestCPUHotRemoveRefusals(t *testing.T) {
 	close(stop)
 	if err := busy.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hotplugCycle hot-adds one core to enc and hot-removes it again.
+func hotplugCycle(r *rig, enc *pisces.Enclave) error {
+	core, err := r.h.Pisces.AddCPU(enc, 0)
+	if err != nil {
+		return err
+	}
+	return r.h.Pisces.RemoveCPU(enc, core)
+}
+
+// TestCPUHotplugConcurrentStatus polls StatusFor and QueueStatsFor while
+// 20 add/remove cycles edit the enclave's per-core table. Under -race, an
+// edit or a snapshot that skips the per-core lock fails it.
+func TestCPUHotplugConcurrentStatus(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, _ := r.boot(t, "lwk", 1, []int{0}, 128<<20)
+	stop := make(chan struct{})
+	observerDone := make(chan struct{})
+	go func() { // observer: snapshots race against the hot-plug edits
+		defer close(observerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = r.ctrl.StatusFor(enc.ID)
+			_ = r.ctrl.QueueStatsFor(enc.ID)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-observerDone
+	}()
+	for i := 0; i < 20; i++ {
+		if err := hotplugCycle(r, enc); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if qs := r.ctrl.QueueStatsFor(enc.ID); len(qs.Depth) != 1 {
+		t.Errorf("queue stats list %d cores after the cycles, want 1", len(qs.Depth))
+	}
+}
+
+// TestCPUHotplugReusesQueueSlots runs more add/remove cycles than the
+// reserved area has command-queue slots: a removed core must give its slot
+// back. Each cycle closes an epoch through the added core's queue, so the
+// next core to take the slot inherits a queue whose epoch word is not 0,
+// and the core added last must still join the flush protocol.
+func TestCPUHotplugReusesQueueSlots(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", 1, []int{0}, 128<<20)
+	for i := 0; i < 20; i++ {
+		core, err := r.h.Pisces.AddCPU(enc, 0)
+		if err != nil {
+			t.Fatalf("cycle %d: add: %v", i, err)
+		}
+		ext, err := r.h.Pisces.AddMemory(enc, 0, 2<<20)
+		if err != nil {
+			t.Fatalf("cycle %d: add memory: %v", i, err)
+		}
+		if err := r.h.Pisces.RemoveMemory(enc, ext); err != nil {
+			t.Fatalf("cycle %d: remove memory: %v", i, err)
+		}
+		if err := r.h.Pisces.RemoveCPU(enc, core); err != nil {
+			t.Fatalf("cycle %d: remove: %v", i, err)
+		}
+	}
+	core, err := r.h.Pisces.AddCPU(enc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := r.h.Pisces.AddMemory(enc, 0, 2<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, _ := k.Spawn("warm", 1, func(e *kitten.Env) error {
+		e.Access(ext.Start+4096, false, hw.AccessHot)
+		return nil
+	})
+	if err := warm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pre := r.ctrl.StatusFor(enc.ID).FlushCmds
+	if err := r.h.Pisces.RemoveMemory(enc, ext); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.ctrl.StatusFor(enc.ID).FlushCmds - pre; got != 2 {
+		t.Errorf("flush cmds = %d, want 2 (boot core and core %d)", got, core)
+	}
+	if k.CPU(1).TLB.Lookup(ext.Start + 4096) {
+		t.Error("the core added last kept a stale translation")
+	}
+}
+
+// TestCPUHotplugRacesGrantRevoke runs a host grant/revoke loop against 40
+// add/remove cycles. A removal whose epoch reaches a core after that
+// core's last poll must still complete: the core's scheduler stops
+// without draining, so the controller applies the queue it unlinks.
+func TestCPUHotplugRacesGrantRevoke(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, _ := r.boot(t, "lwk", 1, []int{0}, 128<<20)
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // host: grant and revoke until the cycles end
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ext, err := r.h.Pisces.AddMemory(enc, 0, 2<<20)
+			if err == nil {
+				err = r.h.Pisces.RemoveMemory(enc, ext)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < 40; i++ {
+			if err := hotplugCycle(r, enc); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("hot-plug cycles racing a grant/revoke loop hung")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	qs := r.ctrl.QueueStatsFor(enc.ID)
+	if qs.Ingest.Epochs == 0 {
+		t.Error("the grant/revoke loop closed no epoch")
+	}
+	for core, d := range qs.Depth {
+		if d != 0 {
+			t.Errorf("core %d left %d undrained records", core, d)
+		}
 	}
 }

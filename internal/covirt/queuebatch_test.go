@@ -40,45 +40,36 @@ func addAndWarm(t *testing.T, r *rig, enc *pisces.Enclave, k *kitten.Kernel, cor
 	return exts
 }
 
-// TestEpochCoalescingEquivalence proves the invalidation semantics of the
-// coalesced path: a batched removal with range merging on and the same
-// removal with merging off must leave every enclave core's TLB in the same
-// state (no stale translation for any removed page), while the coalesced
-// run pushes strictly fewer flush commands. Both runs close exactly one
-// epoch per batch.
+// TestEpochCoalescingEquivalence checks the invalidation semantics of the
+// coalesced ingest path: a batched removal must leave no stale translation
+// for any removed page on any enclave core, close exactly one epoch, and
+// merge the adjacent grants into one flush command per core, saving the
+// per-extent ones.
 func TestEpochCoalescingEquivalence(t *testing.T) {
 	const cores, extents = 2, 4
-	for _, coalesce := range []bool{true, false} {
-		r := newRig(t, covirt.FeaturesMem)
-		r.ctrl.SetCoalescing(coalesce)
-		enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
-		exts := addAndWarm(t, r, enc, k, cores, extents)
-		if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
-			t.Fatalf("coalesce=%v: %v", coalesce, err)
-		}
-		for core := 0; core < cores; core++ {
-			for _, ext := range exts {
-				if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
-					t.Errorf("coalesce=%v: core %d holds a stale translation for %v", coalesce, core, ext)
-				}
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
+	exts := addAndWarm(t, r, enc, k, cores, extents)
+	if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
+		t.Fatal(err)
+	}
+	for core := 0; core < cores; core++ {
+		for _, ext := range exts {
+			if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+				t.Errorf("core %d holds a stale translation for %v", core, ext)
 			}
 		}
-		qs := r.ctrl.QueueStatsFor(enc.ID)
-		if qs.Ingest.Epochs != 1 {
-			t.Errorf("coalesce=%v: epochs = %d, want 1", coalesce, qs.Ingest.Epochs)
-		}
-		// Adjacent 2 MiB grants merge into one range: one flush per core
-		// coalesced, one per extent per core verbatim.
-		want := uint64(cores * extents)
-		if coalesce {
-			want = uint64(cores)
-		}
-		if qs.Ingest.FlushCmds != want {
-			t.Errorf("coalesce=%v: flush cmds = %d, want %d", coalesce, qs.Ingest.FlushCmds, want)
-		}
-		if coalesce && qs.Ingest.FlushCmdsSaved == 0 {
-			t.Error("coalescing saved no flush commands")
-		}
+	}
+	qs := r.ctrl.QueueStatsFor(enc.ID)
+	if qs.Ingest.Epochs != 1 {
+		t.Errorf("epochs = %d, want 1", qs.Ingest.Epochs)
+	}
+	// Adjacent 2 MiB grants merge into one range: one flush per core.
+	if qs.Ingest.FlushCmds != cores {
+		t.Errorf("flush cmds = %d, want %d", qs.Ingest.FlushCmds, cores)
+	}
+	if qs.Ingest.FlushCmdsSaved == 0 {
+		t.Error("coalescing saved no flush commands")
 	}
 }
 
@@ -227,127 +218,68 @@ func TestCrashReleasesLongcallWaitingOnEpoch(t *testing.T) {
 	}
 }
 
-// TestOldGeometryBackpressure is the end-to-end regression for the hard
-// "command queue full" failure that the pre-batching 8-slot ring hit: with
-// coalescing off, a 72-extent batch pushes 73 records per core into the
-// 64-slot ring — the old code errored out of the unmap; the new path parks
-// under backpressure and completes, charging the stall.
-func TestOldGeometryBackpressure(t *testing.T) {
-	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetCoalescing(false)
-	enc, k := r.boot(t, "old", 2, []int{0}, 128<<20)
-
-	exts := addAndWarm(t, r, enc, k, 2, 72)
-	if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
-		t.Fatalf("batched remove overflowing the ring: %v", err)
-	}
-	qs := r.ctrl.QueueStatsFor(enc.ID)
-	if qs.Slots != 64 {
-		t.Fatalf("ring slots = %d, want 64", qs.Slots)
-	}
-	if qs.Ingest.StallCycles == 0 {
-		t.Error("overflowing the ring charged no backpressure stall")
-	}
-	for core := 0; core < 2; core++ {
-		for _, ext := range exts {
-			if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
-				t.Errorf("core %d holds a stale translation for %v", core, ext)
+// TestEpochRecordBound pins the bound that lets pushEpoch hold the
+// per-core lock across its pushes: however many extents a batch removes,
+// its epoch pushes at most FlushAllThreshold+1 records to each core, so
+// the 64-slot ring (empty at every epoch's start) never parks the push.
+// Each shape removes 72 extents, the batch that overflowed the ring when
+// every extent was flushed separately; a batch of exactly
+// FlushAllThreshold disjoint extents reaches the bound.
+func TestEpochRecordBound(t *testing.T) {
+	const cores = 2
+	for _, tc := range []struct {
+		name      string
+		remove    int // extents removed in one batch
+		disjoint  bool
+		flushRecs uint64 // flush records per core (the CmdEpoch marker aside)
+	}{
+		{"adjacent-72", 72, false, 1},
+		{"disjoint-72", 72, true, 1}, // one CmdFlushAll
+		{"disjoint-threshold", covirt.FlushAllThreshold, true, covirt.FlushAllThreshold},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, covirt.FeaturesMem)
+			enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
+			// A disjoint batch interleaves kept grants between the
+			// removed ones, so no two removed extents merge.
+			stride := 1
+			if tc.disjoint {
+				stride = 2
 			}
-		}
-	}
-}
-
-// TestQoSStarvation measures the admission isolation property: a
-// grant-storming enclave is paced by its token bucket (admission waits
-// accumulate) while an interleaved well-behaved victim is admitted without
-// a single wait — its per-event apply cost, including p99, is identical to
-// a run with no stormer at all, and to a run with no admission policy.
-func TestQoSStarvation(t *testing.T) {
-	policy := covirt.QoS{Burst: 8, CyclesPerToken: 10000}
-	const victimPairs = 4
-
-	// victimCosts drives the victim's event sequence on rig r and returns
-	// the per-remove-event costs observed on the bus.
-	victimCosts := func(r *rig, victim *pisces.Enclave, storm func(i int)) []uint64 {
-		var costs []uint64
-		r.h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
-			if ev.Kind == pisces.EvMemRemovePost && ev.Enclave == victim {
-				costs = append(costs, ev.Cost)
+			granted := addAndWarm(t, r, enc, k, cores, tc.remove*stride)
+			var remove []hw.Extent
+			for i := 0; i < len(granted); i += stride {
+				remove = append(remove, granted[i])
 			}
-			return nil
+			if err := r.h.Pisces.RemoveMemoryBatch(enc, remove); err != nil {
+				t.Fatal(err)
+			}
+			qs := r.ctrl.QueueStatsFor(enc.ID)
+			if qs.Slots != 64 {
+				t.Fatalf("ring slots = %d, want 64", qs.Slots)
+			}
+			in := qs.Ingest
+			if in.Epochs != 1 {
+				t.Errorf("epochs = %d, want 1", in.Epochs)
+			}
+			perCore := in.FlushCmds / cores
+			if perCore != tc.flushRecs {
+				t.Errorf("flush records per core = %d, want %d", perCore, tc.flushRecs)
+			}
+			if perCore+1 > covirt.FlushAllThreshold+1 {
+				t.Errorf("epoch pushed %d records per core, over the bound %d", perCore+1, covirt.FlushAllThreshold+1)
+			}
+			if in.StallCycles != 0 {
+				t.Errorf("epoch push stalled %d cycles on a 64-slot ring", in.StallCycles)
+			}
+			for core := 0; core < cores; core++ {
+				for _, ext := range remove {
+					if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+						t.Errorf("core %d holds a stale translation for %v", core, ext)
+					}
+				}
+			}
 		})
-		for i := 0; i < victimPairs; i++ {
-			if storm != nil {
-				storm(i)
-			}
-			ext, err := r.h.Pisces.AddMemory(victim, 0, 2<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.h.Pisces.RemoveMemory(victim, ext); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return costs
-	}
-
-	// Control: the victim alone under the same QoS policy.
-	ctl := newRig(t, covirt.FeaturesMem)
-	ctl.ctrl.SetQoS(policy)
-	victimAlone, _ := ctl.boot(t, "victim", 1, []int{0}, 128<<20)
-	baseline := victimCosts(ctl, victimAlone, nil)
-	if q := ctl.ctrl.QueueStatsFor(victimAlone.ID); q.Ingest.AdmissionWaits != 0 {
-		t.Fatalf("lone victim hit %d admission waits; the bucket must never empty", q.Ingest.AdmissionWaits)
-	}
-
-	// QoS off: a bucket the victim never empties must cost nothing, so its
-	// events cost exactly what they cost with no admission policy at all.
-	off := newRig(t, covirt.FeaturesMem)
-	victimOff, _ := off.boot(t, "victim", 1, []int{0}, 128<<20)
-	unpoliced := victimCosts(off, victimOff, nil)
-	if len(unpoliced) != len(baseline) {
-		t.Fatalf("victim events = %d without QoS, %d under it", len(unpoliced), len(baseline))
-	}
-	for i := range unpoliced {
-		if unpoliced[i] != baseline[i] {
-			t.Errorf("victim event %d cost %d without QoS, %d under an unexhausted bucket", i, unpoliced[i], baseline[i])
-		}
-	}
-
-	// Measured: the victim interleaved with a storming neighbor that
-	// bursts 10 grant/revoke pairs (20 admissions) before every victim
-	// pair.
-	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetQoS(policy)
-	stormer, _ := r.boot(t, "stormer", 1, []int{0}, 128<<20)
-	victim, _ := r.boot(t, "victim", 1, []int{0}, 128<<20)
-	costs := victimCosts(r, victim, func(int) {
-		for s := 0; s < 10; s++ {
-			ext, err := r.h.Pisces.AddMemory(stormer, 0, 2<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.h.Pisces.RemoveMemory(stormer, ext); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-
-	sq := r.ctrl.QueueStatsFor(stormer.ID)
-	if sq.Ingest.AdmissionWaits == 0 {
-		t.Error("storming enclave was never paced by its token bucket")
-	}
-	vq := r.ctrl.QueueStatsFor(victim.ID)
-	if vq.Ingest.AdmissionWaits != 0 {
-		t.Errorf("victim enclave hit %d admission waits; QoS leaked across enclaves", vq.Ingest.AdmissionWaits)
-	}
-	if len(costs) != len(baseline) {
-		t.Fatalf("victim events = %d with stormer, %d alone", len(costs), len(baseline))
-	}
-	for i := range costs {
-		if costs[i] != baseline[i] {
-			t.Errorf("victim event %d cost %d with stormer, %d alone; p99 not flat", i, costs[i], baseline[i])
-		}
 	}
 }
 
@@ -359,7 +291,6 @@ func TestQoSStarvation(t *testing.T) {
 func TestConcurrentMultiEnclaveIngest(t *testing.T) {
 	const enclaves = 3
 	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetQoS(covirt.QoS{Burst: 64, CyclesPerToken: 1000})
 	// The rig donates three cores per node; the third two-core enclave
 	// straddles both nodes.
 	nodeSets := [][]int{{0}, {1}, {0, 1}}

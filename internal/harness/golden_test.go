@@ -69,13 +69,12 @@ func TestSpanRoutingOutputEquivalence(t *testing.T) {
 
 // TestIngestTogglesOutputEquivalence holds the workload experiments to the
 // output of the uncoalesced control plane at one and eight workers: the
-// fig5a and mttr goldens were byte-identical to runs with epoch
-// coalescing off, so a divergence means the coalescer merged away an
-// invalidation it owed (a stale TLB entry changes a fault path).
-// ctl-saturation is absent because coalescing is the effect it measures.
-// covirt's TestEpochCoalescingEquivalence twin-runs one controller with
-// coalescing on and off, and TestQoSStarvation shows admission under an
-// unexhausted bucket charges nothing.
+// fig5a and mttr goldens were recorded byte-identical to runs with epoch
+// coalescing off, when a switch still allowed that, so a divergence means
+// the coalescer merged away an invalidation it owed (a stale TLB entry
+// changes a fault path). ctl-saturation is absent because coalescing is
+// the effect it measures. covirt's TestEpochCoalescingEquivalence checks
+// that a coalesced batch leaves no stale translation on any core.
 func TestIngestTogglesOutputEquivalence(t *testing.T) {
 	testGoldensAt(t, []string{"fig5a", "mttr"}, []int{1, 8})
 }

@@ -39,8 +39,10 @@ func (s State) String() string {
 
 // Enclave is one hardware partition running an independent OS/R.
 type Enclave struct {
-	ID    int
-	Name  string
+	ID   int
+	Name string
+	// Cores is reassigned under mu by CPU hot-plug; while the enclave
+	// runs, read it through CPUs or BootCPU.
 	Cores []int
 
 	mu          sync.Mutex
@@ -221,6 +223,8 @@ func (e *Enclave) dropCore(i int) {
 
 // CPUs resolves the enclave's cores to simulated CPUs.
 func (e *Enclave) CPUs() []*hw.CPU {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	out := make([]*hw.CPU, 0, len(e.Cores))
 	for _, id := range e.Cores {
 		out = append(out, e.fw.Machine.CPU(id))
@@ -229,7 +233,11 @@ func (e *Enclave) CPUs() []*hw.CPU {
 }
 
 // BootCPU returns the enclave's boot core (first assigned core).
-func (e *Enclave) BootCPU() *hw.CPU { return e.fw.Machine.CPU(e.Cores[0]) }
+func (e *Enclave) BootCPU() *hw.CPU {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fw.Machine.CPU(e.Cores[0])
+}
 
 // MemCaps returns a snapshot of the enclave's memory capabilities,
 // parallel to Mem().

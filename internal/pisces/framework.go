@@ -355,7 +355,7 @@ func (fw *Framework) sendCtl(enc *Enclave, m *Msg) (*Msg, error) {
 		return nil, err
 	}
 	// Doorbell: kick the enclave's boot core.
-	fw.Machine.RouteIPI(-1, enc.Cores[0], VectorCtl)
+	fw.Machine.RouteIPI(-1, enc.BootCPU().ID, VectorCtl)
 	var resp Msg
 	if err := enc.CtlResp.Pop(fw.hostIO, &resp); err != nil {
 		return nil, err

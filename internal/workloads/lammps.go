@@ -194,7 +194,7 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 
 			// Synchronization (halo exchange, global thermo/pour logic).
 			for b := 0; b < prof.barriersPerStep; b++ {
-				bar.Wait(e, rank)
+				bar.Wait(e)
 			}
 			if step%5 == 0 {
 				_ = red.Sum(e, rank, md.kineticEnergy())

@@ -86,7 +86,7 @@ func (m *MiniFE) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		// ledger sees one deterministic mutation sequence.
 		ord.Do(rank, func() { e.Free(matrix) })
 		assembleCycles[rank].v = e.CPU.TSC - t0
-		bar.Wait(e, rank)
+		bar.Wait(e)
 
 		// Phase 2: CG solve.
 		return solveFn(e, rank)

@@ -22,13 +22,14 @@ type RandomAccess struct {
 	// Updates is the number of updates per thread (default 4x table size
 	// scaled down; we use a fixed count for bounded runs).
 	Updates int
-	// OMPChunk models the OpenMP runtime's dynamic-scheduling signalling:
-	// every OMPChunk updates, the runtime performs one APIC ICR write
-	// (work-distribution check) — traffic that traps under IPI protection.
-	OMPChunk int
 	// Seed displaces the per-rank update streams (0 = legacy fixed stream).
 	Seed uint64
 }
+
+// ompChunk models the OpenMP runtime's dynamic-scheduling signalling:
+// every ompChunk updates, the runtime performs one APIC ICR write
+// (work-distribution check) — traffic that traps under IPI protection.
+const ompChunk = 1536
 
 // Name implements Runner.
 func (r *RandomAccess) Name() string { return "randomaccess" }
@@ -63,10 +64,6 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 	if updates == 0 {
 		updates = 1 << 19
 	}
-	chunk := r.OMPChunk
-	if chunk == 0 {
-		chunk = 1536
-	}
 	logicalWords := uint64(1) << logN
 	// Real table: capped so wall-clock memory stays modest; the address
 	// pattern still spans the full logical table.
@@ -88,29 +85,16 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		defer e.Free(ext)
 
 		rng := hw.NewRand(0x243F6A8885A308D3 ^ r.Seed ^ uint64(rank+1))
-		// Updates are charged in batches that never straddle an OMP chunk
-		// boundary, so the dynamic-schedule IPI fires after the last update
-		// of each chunk. Each update charges 6 compute ops (RNG + index
+		// Updates are charged one OMP chunk per batch, so the
+		// dynamic-schedule IPI fires after the last update of each full
+		// chunk. Each update charges 6 compute ops (RNG + index
 		// arithmetic) before its table access.
-		segMax := chunk
-		if segMax <= 0 {
-			segMax = 4096
-		}
-		buf := make([]uint64, segMax)
-		for u := 0; u < updates; {
-			seg := updates - u
-			if chunk > 0 {
-				if rem := chunk - u%chunk; rem < seg {
-					seg = rem
-				}
-			}
-			if seg > segMax {
-				seg = segMax
-			}
-			fillUpdates(buf[:seg], &rng, table, logicalWords, ext)
-			e.AccessGather(buf[:seg], 6, true, hw.AccessDRAM)
-			u += seg
-			if chunk > 0 && u%chunk == 0 {
+		buf := make([]uint64, min(updates, ompChunk))
+		for u := 0; u < updates; u += len(buf) {
+			seg := buf[:min(updates-u, len(buf))]
+			fillUpdates(seg, &rng, table, logicalWords, ext)
+			e.AccessGather(seg, 6, true, hw.AccessDRAM)
+			if len(seg) == ompChunk {
 				// OpenMP dynamic-schedule check: one ICR write to self.
 				e.SendIPI(rank, VectorOMPSched)
 			}

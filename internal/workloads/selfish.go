@@ -19,14 +19,15 @@ type Detour struct {
 type Selfish struct {
 	// DurationCycles is how long the detection loop runs.
 	DurationCycles uint64
-	// ThresholdMult flags iterations slower than ThresholdMult x the
-	// calibrated minimum (the benchmark's default factor is ~9x, we use a
-	// tighter factor because the simulated loop is perfectly regular).
-	ThresholdMult uint64
 
 	// Detours holds the events from the last run.
 	Detours []Detour
 }
+
+// detourThresholdMult flags iterations slower than detourThresholdMult x
+// the calibrated minimum (the benchmark's default factor is ~9x, we use a
+// tighter factor because the simulated loop is perfectly regular).
+const detourThresholdMult = 3
 
 // Name implements Runner.
 func (s *Selfish) Name() string { return "selfish-detour" }
@@ -36,10 +37,6 @@ func (s *Selfish) Run(k *kitten.Kernel, threads int) (*Result, error) {
 	dur := s.DurationCycles
 	if dur == 0 {
 		dur = 400_000_000 // a couple of timer periods at the default tick
-	}
-	mult := s.ThresholdMult
-	if mult == 0 {
-		mult = 3
 	}
 	// Reuse the event buffer across runs; the append in the timing loop is
 	// the benchmark's own measurement semantics (a detour is rare), but the
@@ -62,7 +59,7 @@ func (s *Selfish) Run(k *kitten.Kernel, threads int) (*Result, error) {
 			}
 			prev = now
 		}
-		threshold := iter * mult
+		threshold := iter * detourThresholdMult
 
 		start := prev
 		var lost uint64

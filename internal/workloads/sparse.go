@@ -525,12 +525,12 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 		if rank == 0 {
 			rr = rr0
 		}
-		bar.Wait(e, rank)
+		bar.Wait(e)
 
 		for it := 0; it < cg.iters; it++ {
 			cg.s.spmv(ap, p, lo, hi)
 			ch.chargeSpMV()
-			bar.Wait(e, rank) // halo: neighbours read our p rows
+			bar.Wait(e) // halo: neighbours read our p rows
 			local = 0
 			for i := lo; i < hi; i++ {
 				local += p[i] * ap[i]
@@ -540,7 +540,7 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 			if rank == 0 {
 				alpha = rr / pap
 			}
-			bar.Wait(e, rank)
+			bar.Wait(e)
 			for i := lo; i < hi; i++ {
 				x[i] += alpha * p[i]
 				r[i] -= alpha * ap[i]
@@ -566,12 +566,12 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 				beta = rrNew / rr
 				rr = rrNew
 			}
-			bar.Wait(e, rank)
+			bar.Wait(e)
 			for i := lo; i < hi; i++ {
 				p[i] = z[i] + beta*p[i]
 			}
 			ch.chargeAXPY()
-			bar.Wait(e, rank)
+			bar.Wait(e)
 		}
 
 		if rank == 0 && finalRes != nil {

@@ -26,10 +26,6 @@ const CyclesPerSecond = 1.7e9
 // Seconds converts cycles to seconds at the platform frequency.
 func Seconds(cycles uint64) float64 { return float64(cycles) / CyclesPerSecond }
 
-// VectorBarrier is the IPI vector used by the OpenMP-style runtime for
-// barrier signalling inside an enclave.
-const VectorBarrier uint8 = 0x61
-
 // VectorOMPSched is the IPI vector the modelled OpenMP runtime uses for
 // work-distribution signalling (periodic scheduling checks).
 const VectorOMPSched uint8 = 0x62
@@ -76,17 +72,12 @@ type Seeder interface{ SetSeed(uint64) }
 // barriers, it involves no interrupts on the common path, which is why the
 // paper's multi-core results show IPI protection adding no cost to the
 // mini-apps.
-//
-// Setting UseIPIWakeup models a runtime whose blocked threads sleep and
-// are woken by IPI (the futex slow path): rank 0 then sends a real IPI to
-// every other rank at release, traffic that traps under IPI protection.
 type Barrier struct {
-	n            int
-	UseIPIWakeup bool
-	mu           sync.Mutex
-	cond         *sync.Cond
-	count        int
-	gen          int
+	n     int
+	mu    sync.Mutex
+	cond  *sync.Cond
+	count int
+	gen   int
 }
 
 // barrierSpinCost is the charged cost of one barrier arrival: an atomic
@@ -100,15 +91,10 @@ func NewBarrier(n int) *Barrier {
 	return b
 }
 
-// Wait blocks rank until all n ranks arrive.
-func (b *Barrier) Wait(e *kitten.Env, rank int) {
+// Wait blocks the calling rank until all n ranks arrive.
+func (b *Barrier) Wait(e *kitten.Env) {
 	if b.n > 1 {
 		e.Compute(barrierSpinCost)
-		if b.UseIPIWakeup && rank == 0 {
-			for i := 1; i < b.n; i++ {
-				e.SendIPI(i, VectorBarrier)
-			}
-		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -188,7 +174,7 @@ func NewAllreduce(n int) *Allreduce {
 // Sum contributes v for rank and returns the global sum.
 func (a *Allreduce) Sum(e *kitten.Env, rank int, v float64) float64 {
 	a.vals[rank].v = v
-	a.b.Wait(e, rank)
+	a.b.Wait(e)
 	if rank == 0 {
 		s := 0.0
 		for i := range a.vals {
@@ -197,7 +183,7 @@ func (a *Allreduce) Sum(e *kitten.Env, rank int, v float64) float64 {
 		a.out = s
 		e.Compute(uint64(16 * len(a.vals)))
 	}
-	a.b.Wait(e, rank)
+	a.b.Wait(e)
 	return a.out
 }
 
@@ -213,8 +199,7 @@ func runParallel(k *kitten.Kernel, name string, threads int, fn func(e *kitten.E
 		PerCore: make([]uint64, threads),
 		Metrics: make(map[string]float64),
 	}
-	// Ignore barrier wake IPIs beyond their (charged) delivery cost.
-	k.OnIPI(VectorBarrier, func(*kitten.Env) {})
+	// Ignore OpenMP scheduling IPIs beyond their (charged) delivery cost.
 	k.OnIPI(VectorOMPSched, func(*kitten.Env) {})
 	var mu sync.Mutex
 	err := k.RunParallel(name, threads, func(e *kitten.Env, rank int) error {

@@ -183,7 +183,7 @@ func TestBarrierAndAllreduce(t *testing.T) {
 	sums := make([]float64, 4)
 	err := n.K.RunParallel("reduce", 4, func(e *kitten.Env, rank int) error {
 		for round := 0; round < 5; round++ {
-			bar.Wait(e, rank)
+			bar.Wait(e)
 			sums[rank] = red.Sum(e, rank, float64(rank+1))
 		}
 		return nil
