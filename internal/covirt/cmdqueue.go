@@ -1,22 +1,12 @@
 package covirt
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"covirt/internal/hw"
-	"covirt/internal/vmx"
 )
-
-// invalidateTransCache drops the VCPU's cached nested walks alongside a TLB
-// shootdown, keeping both translation caches on the same doorbell. The
-// drain runs on the guest CPU's own execution goroutine (NMI handler), so
-// touching the VCPU-owned cache is safe.
-func invalidateTransCache(cpu *hw.CPU) {
-	if v, ok := cpu.Virt.(*vmx.VCPU); ok {
-		v.InvalidateTransCache()
-	}
-}
 
 // Hypervisor command types carried on the command queue.
 const (
@@ -65,6 +55,13 @@ const (
 	cmdqStallCycles = 500
 )
 
+// errCorruptHeader reports a queue header no honest pusher and drainer can
+// produce: the tail past the head, or more records pending than the ring
+// holds. The header lies in the enclave's reserved area, which its EPT
+// maps, so a guest can rewrite it; the hypervisor terminates an enclave
+// whose drain finds it so.
+var errCorruptHeader = errors.New("corrupt command-queue header")
+
 // cmdRec is one fixed-size command record.
 type cmdRec struct {
 	Typ, Arg0, Arg1 uint64
@@ -100,6 +97,22 @@ func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
 	return q, nil
 }
 
+// ends reads the queue's head and tail and checks them against each other.
+// It returns errCorruptHeader when they fail the check. Called with q.mu
+// held.
+func (q *cmdQueue) ends() (head, tail uint64, err error) {
+	if head, err = q.mem.Read64(q.base + cmdqOffHead); err != nil {
+		return 0, 0, err
+	}
+	if tail, err = q.mem.Read64(q.base + cmdqOffTail); err != nil {
+		return 0, 0, err
+	}
+	if tail > head || head-tail > cmdqSlots {
+		return head, tail, errCorruptHeader
+	}
+	return head, tail, nil
+}
+
 // pushBatch enqueues all records under as few critical sections as
 // possible: every record that fits the ring is written and then made
 // visible with ONE head publish. When the ring is full the push applies
@@ -108,7 +121,9 @@ func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
 // the queue's condition variable until slots free up, charging
 // cmdqStallCycles per stall to the returned wait cost. A closed done
 // channel (enclave death) aborts the wait; the wake that follows enclave
-// death (see buildCPU) releases the parked pusher.
+// death (see buildCPU) releases the parked pusher. A corrupt header fails
+// the push before any slot is written; the doorbell still rings, so the
+// drainer sees the header too and terminates the enclave.
 //
 // It returns the cycles spent stalled on a full ring.
 func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{}) (uint64, error) {
@@ -116,11 +131,11 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(recs) > 0 {
-		head, err := q.mem.Read64(q.base + cmdqOffHead)
-		if err != nil {
-			return waitCycles, err
+		head, tail, err := q.ends()
+		if errors.Is(err, errCorruptHeader) {
+			q.ringDoorbell(doorbell)
+			return waitCycles, fmt.Errorf("covirt: queue at %#x: %w (head %d, tail %d)", q.base, err, head, tail)
 		}
-		tail, err := q.mem.Read64(q.base + cmdqOffTail)
 		if err != nil {
 			return waitCycles, err
 		}
@@ -137,9 +152,7 @@ func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{
 			// lock was dropped; re-checking occupancy before parking makes
 			// that wakeup impossible to lose — any later completion
 			// publish broadcasts under this lock.
-			h, e1 := q.mem.Read64(q.base + cmdqOffHead)
-			t, e2 := q.mem.Read64(q.base + cmdqOffTail)
-			if e1 == nil && e2 == nil && cmdqSlots-(h-t) > 0 {
+			if h, t, err := q.ends(); err != nil || h-t < cmdqSlots {
 				continue
 			}
 			// Wait with a wakeup guarantee: the drainer broadcasts after
@@ -180,15 +193,12 @@ func (q *cmdQueue) ringDoorbell(doorbell func()) {
 	doorbell()
 }
 
-// depth returns the number of pushed-but-undrained records.
+// depth returns the number of pushed-but-undrained records, or 0 when the
+// header is unreadable or corrupt.
 func (q *cmdQueue) depth() uint64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	head, err := q.mem.Read64(q.base + cmdqOffHead)
-	if err != nil {
-		return 0
-	}
-	tail, err := q.mem.Read64(q.base + cmdqOffTail)
+	head, tail, err := q.ends()
 	if err != nil {
 		return 0
 	}
@@ -204,8 +214,9 @@ func (q *cmdQueue) epochApplied() uint64 {
 	return v
 }
 
-// waitEpoch blocks until the hypervisor reports epoch e applied or done
-// closes (enclave death).
+// waitEpoch blocks until the hypervisor reports epoch e applied, done
+// closes (enclave death), or the header turns out corrupt: a drain that
+// finds it so applies nothing and broadcasts, so no epoch would land.
 func (q *cmdQueue) waitEpoch(e uint64, done <-chan struct{}) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -214,6 +225,9 @@ func (q *cmdQueue) waitEpoch(e uint64, done <-chan struct{}) error {
 		case <-done:
 			return fmt.Errorf("covirt: enclave died before epoch %d applied", e)
 		default:
+		}
+		if _, _, err := q.ends(); errors.Is(err, errCorruptHeader) {
+			return fmt.Errorf("covirt: epoch %d: queue at %#x: %w", e, q.base, err)
 		}
 		// Wait with a wakeup guarantee: the hypervisor broadcasts after
 		// each drain pass, and enclave death broadcasts too.
@@ -249,16 +263,17 @@ func flushRangeLeaves(start, size uint64) uint64 {
 // handler body). Each pass snapshots the whole ring under one critical
 // section, applies every record, then retires them with one tail advance,
 // one epoch publish, and one broadcast — the NMI does not lock-roundtrip
-// per record. It returns cycles spent.
-func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
+// per record. The TLB flushes are the only invalidation: the VCPU's
+// nested-walk cache checks every entry against EPT.Gen(), which the
+// controller's unmap bumped before pushing. It returns cycles spent, and
+// errCorruptHeader when the header fails its check.
+func (q *cmdQueue) drain(cpu *hw.CPU) (uint64, error) {
 	cs := cpu.Costs()
 	var spent uint64
 	for {
-		recs, tail, ok := q.fetchAll()
-		if !ok || len(recs) == 0 {
-			// Empty queue, or the backing region vanished mid-teardown
-			// (waiters are then released by teardown's wake).
-			return spent
+		recs, tail, err := q.fetchAll()
+		if err != nil || len(recs) == 0 {
+			return spent, err
 		}
 		var epoch uint64
 		for _, rec := range recs {
@@ -266,11 +281,9 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 			switch rec.Typ {
 			case CmdFlushAll:
 				cpu.TLB.FlushAll()
-				invalidateTransCache(cpu)
 				spent += cs.TLBFlushAll
 			case CmdFlushRange:
 				cpu.TLB.FlushRange(rec.Arg0, rec.Arg1)
-				invalidateTransCache(cpu)
 				spent += flushRangeLeaves(rec.Arg0, rec.Arg1) * cs.TLBFlushPage
 			case CmdEpoch:
 				if rec.Arg0 > epoch {
@@ -279,7 +292,7 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 			}
 		}
 		if err := q.publishCompletion(tail, uint64(len(recs)), epoch); err != nil {
-			return spent
+			return spent, nil
 		}
 	}
 }
@@ -288,21 +301,24 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 // one critical section. The locked read is the simulation's stand-in for
 // the hardware's acquire-ordered head load: the controller publishes slot
 // contents before advancing the head pointer inside pushBatch's critical
-// section.
-func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, bool) {
+// section. An empty queue, or a backing region that vanished mid-teardown
+// (waiters are then released by teardown's wake), yields no records. A
+// corrupt header yields errCorruptHeader, after a broadcast that lets
+// epoch waiters see it.
+func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	head, err := q.mem.Read64(q.base + cmdqOffHead)
+	head, tail, err := q.ends()
+	if errors.Is(err, errCorruptHeader) {
+		q.cond.Broadcast()
+		return nil, 0, err
+	}
 	if err != nil {
-		return nil, 0, false
+		return nil, 0, nil
 	}
-	tail, err := q.mem.Read64(q.base + cmdqOffTail)
-	if err != nil || tail >= head {
-		return nil, 0, false
-	}
-	// The ring holds at most cmdqSlots records, and scratch was sized to
-	// exactly that in newCmdQueue, so the snapshot is written in place —
-	// the NMI-path drain never allocates.
+	// The check bounds the ring at cmdqSlots records, and scratch was
+	// sized to exactly that in newCmdQueue, so the snapshot is written in
+	// place — the NMI-path drain never allocates.
 	n := head - tail
 	for k := uint64(0); k < n; k++ {
 		slot := q.base + cmdqHdrSize + ((tail+k)&(cmdqSlots-1))*cmdqSlotSize
@@ -310,13 +326,13 @@ func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, bool) {
 		for i := range rec {
 			v, err := q.mem.Read64(slot + uint64(i)*8)
 			if err != nil {
-				return nil, 0, false
+				return nil, 0, nil
 			}
 			rec[i] = v
 		}
 		q.scratch[k] = cmdRec{Typ: rec[0], Arg0: rec[1], Arg1: rec[2]}
 	}
-	return q.scratch[:n], tail, true
+	return q.scratch[:n], tail, nil
 }
 
 // publishCompletion retires n drained records in one critical section: the

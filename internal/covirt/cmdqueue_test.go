@@ -1,9 +1,11 @@
 package covirt
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"covirt/internal/authority"
 	"covirt/internal/hw"
@@ -29,6 +31,16 @@ func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU) {
 // whose queue has a drainer of its own.
 func noDoorbell() {}
 
+// drainOK drains q on cpu, reporting a failed header check to t.
+func drainOK(t *testing.T, q *cmdQueue, cpu *hw.CPU) uint64 {
+	t.Helper()
+	spent, err := q.drain(cpu)
+	if err != nil {
+		t.Errorf("drain: %v", err)
+	}
+	return spent
+}
+
 func TestCmdQueuePushDrain(t *testing.T) {
 	_, q, cpu := queueFixture(t)
 	recs := []cmdRec{{Typ: CmdFlushRange, Arg0: 0x1000, Arg1: 0x2000}, {Typ: CmdEpoch, Arg0: 1}}
@@ -40,7 +52,7 @@ func TestCmdQueuePushDrain(t *testing.T) {
 	}
 	// Warm a TLB entry in the to-be-flushed range.
 	cpu.TLB.Insert(0x1800, hw.PageSize4K)
-	spent := q.drain(cpu)
+	spent := drainOK(t, q, cpu)
 	if spent == 0 {
 		t.Error("drain charged nothing")
 	}
@@ -51,7 +63,7 @@ func TestCmdQueuePushDrain(t *testing.T) {
 		t.Error("flush command did not flush")
 	}
 	// Draining an empty queue is free.
-	if q.drain(cpu) != 0 {
+	if drainOK(t, q, cpu) != 0 {
 		t.Error("empty drain charged cycles")
 	}
 }
@@ -63,7 +75,7 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushAll}}, noDoorbell, nil); err != nil {
 		t.Fatal(err)
 	}
-	q.drain(cpu)
+	drainOK(t, q, cpu)
 	if cpu.TLB.Len() != 0 {
 		t.Error("entries survived CmdFlushAll")
 	}
@@ -92,7 +104,7 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 	// all records.
 	var doorbells int
 	var spent uint64
-	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += q.drain(cpu) }, nil)
+	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += drainOK(t, q, cpu) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 	if wait == 0 {
 		t.Error("overflowing push charged no stall cycles")
 	}
-	spent += q.drain(cpu)
+	spent += drainOK(t, q, cpu)
 	if want := uint64(3 * cmdqSlots); q.epochApplied() != want {
 		t.Errorf("epoch applied = %d, want %d", q.epochApplied(), want)
 	}
@@ -142,7 +154,7 @@ func TestCmdQueueWaitCompleted(t *testing.T) {
 			t.Errorf("waitEpoch: %v", err)
 		}
 	}()
-	q.drain(cpu)
+	drainOK(t, q, cpu)
 	wg.Wait()
 	// Waiting for an already-applied epoch returns immediately.
 	if err := q.waitEpoch(1, done); err != nil {
@@ -184,10 +196,10 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	go func() { // hypervisor: drain until told to stop
 		defer close(drained)
 		for {
-			q.drain(drainCPU)
+			drainOK(t, q, drainCPU)
 			select {
 			case <-stop:
-				q.drain(drainCPU)
+				drainOK(t, q, drainCPU)
 				return
 			default:
 			}
@@ -252,6 +264,57 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	}
 }
 
+// TestCmdQueueCorruptHeader: the header lies in guest-writable memory, so
+// both ends check it before trusting its indices. Unchecked, a head 1000
+// records past the tail makes the drain index past its 64-record
+// snapshot, and a tail past the head makes it apply nothing, so an epoch
+// waiter never wakes. The drain must report the corruption and release
+// the waiter, and a push must fail without writing a slot, after ringing
+// the doorbell so the drainer looks too.
+func TestCmdQueueCorruptHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		off, val uint64
+	}{
+		{"head", cmdqOffHead, 1000},
+		{"tail", cmdqOffTail, 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, q, cpu := queueFixture(t)
+			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
+				t.Fatal(err)
+			}
+			waited := make(chan error, 1)
+			go func() { waited <- q.waitEpoch(1, nil) }()
+			//covirt:allow queue-protocol the test forges the header as a guest can
+			if err := m.Mem.Write64(q.base+tc.off, tc.val); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.drain(cpu); !errors.Is(err, errCorruptHeader) {
+				t.Errorf("drain over a forged %s = %v, want %v", tc.name, err, errCorruptHeader)
+			}
+			select {
+			case err := <-waited:
+				if !errors.Is(err, errCorruptHeader) {
+					t.Errorf("epoch wait = %v, want %v", err, errCorruptHeader)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("epoch waiter still parked 30 s after the drain found the header corrupt")
+			}
+			rang := false
+			if _, err := q.pushBatch(epochRecs(2, 1), func() { rang = true }, nil); !errors.Is(err, errCorruptHeader) {
+				t.Errorf("push over a forged %s = %v, want %v", tc.name, err, errCorruptHeader)
+			}
+			if !rang {
+				t.Error("push over a corrupt header rang no doorbell")
+			}
+			if q.epochApplied() != 0 || q.depth() != 0 {
+				t.Errorf("epoch %d, depth %d over a corrupt header; want 0, 0", q.epochApplied(), q.depth())
+			}
+		})
+	}
+}
+
 // Property: any sequence of flush-range commands leaves exactly the pages
 // outside all flushed ranges in the TLB.
 func TestCmdQueueFlushProperty(t *testing.T) {
@@ -279,7 +342,9 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 			flushed[start] = true
 			flushed[start+hw.PageSize4K] = true
 		}
-		q.drain(cpu)
+		if _, err := q.drain(cpu); err != nil {
+			return false
+		}
 		for _, p := range pages {
 			base := uint64(p) * hw.PageSize4K
 			want := !flushed[base]

@@ -1,6 +1,7 @@
 package covirt
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -698,13 +699,15 @@ func (c *Controller) removeCPU(ev *pisces.Event) error {
 // would never be applied and closeEpoch would wait for it forever.
 // pushEpoch pushes under the same lock, so every epoch either reached this
 // queue before the unlink and is applied here, or never reaches it. The
-// drain's cycles go uncharged: the core is offline.
+// drain's cycles go uncharged: the core is offline. A drain that finds the
+// header corrupt applies nothing, and the epoch wait fails on the same
+// check instead of hanging.
 func (st *enclaveState) unlinkCore(cpu *hw.CPU) {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
 	if cc := st.cores[cpu.ID]; cc != nil {
 		delete(st.cores, cpu.ID)
-		cc.queue.drain(cpu)
+		_, _ = cc.queue.drain(cpu)
 	}
 }
 
@@ -843,11 +846,14 @@ func (c *Controller) unmapAndFlush(ev *pisces.Event) error {
 		// Flush what already left the EPT before reporting: the failed
 		// extent is still mapped, but the unmapped ones must not linger
 		// in any TLB while the caller unwinds.
-		ev.Cost += c.closeEpoch(st, ev.Enclave)
-		return err
+		fcost, ferr := c.closeEpoch(st, ev.Enclave)
+		ev.Cost += fcost
+		return errors.Join(err, ferr)
 	}
 	if !ev.MoreInBatch {
-		ev.Cost += c.closeEpoch(st, ev.Enclave)
+		fcost, err := c.closeEpoch(st, ev.Enclave)
+		ev.Cost += fcost
+		return err
 	}
 	return nil
 }
@@ -884,8 +890,9 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	ev.Cost += c.closeEpoch(st, ev.Enclave)
-	return nil
+	cost, err := c.closeEpoch(st, ev.Enclave)
+	ev.Cost += cost
+	return err
 }
 
 // closeEpoch seals the open shootdown epoch: the accumulated dirty ranges
@@ -893,12 +900,15 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 // into one batched command push per core, terminated by a CmdEpoch
 // marker. Every core gets one doorbell, and the operation completes only
 // when every core reports the epoch applied. Returns the issue and stall
-// cycles charged to the triggering event.
-func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) uint64 {
+// cycles charged to the triggering event, and an error when a core's queue
+// header is corrupt: that core never applies the epoch, so its ranges may
+// stay cached and must not be reclaimed. An enclave that dies mid-flush is
+// no error; nothing is left to synchronize.
+func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, error) {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	if st.dirtyEvents == 0 && len(st.dirty) == 0 {
-		return 0
+		return 0, nil
 	}
 	raw := uint64(len(st.dirty))
 	ranges := mergeExtents(st.dirty)
@@ -920,13 +930,18 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) uint64 {
 
 	// A core hot-removed from here on has its queue applied by
 	// unlinkCore, so each wait ends.
-	waits, cost := c.pushEpoch(st, recs, raw, enc.Done())
+	waits, cost, err := c.pushEpoch(st, recs, raw, enc.Done())
 	for _, q := range waits {
-		if q.waitEpoch(st.epoch, enc.Done()) != nil {
-			break // the enclave died mid-flush; nothing left to synchronize
+		if werr := q.waitEpoch(st.epoch, enc.Done()); werr != nil {
+			if !errors.Is(werr, errCorruptHeader) {
+				break // the enclave died mid-flush
+			}
+			if err == nil {
+				err = werr
+			}
 		}
 	}
-	return cost
+	return cost, err
 }
 
 // pushEpoch pushes one epoch's records to every live core and rings each
@@ -936,9 +951,11 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) uint64 {
 // before opening the next, so every epoch starts on empty 64-slot rings,
 // and an epoch is at most flushAllThreshold+1 records. It returns the
 // queues to wait on (in st.epochWaits) and the cycles to charge; when the
-// enclave died under backpressure there is nothing to wait on. Called
-// with ingestMu held; raw is the epoch's unmerged range count.
-func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done <-chan struct{}) (waits []*cmdQueue, cost uint64) {
+// enclave died under backpressure there is nothing to wait on. A core
+// whose queue header is corrupt is skipped and reported; the other cores
+// still get the epoch. Called with ingestMu held; raw is the epoch's
+// unmerged range count.
+func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done <-chan struct{}) (waits []*cmdQueue, cost uint64, corrupt error) {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
 	flushRecs := uint64(len(recs) - 1) // all but the CmdEpoch marker
@@ -946,8 +963,14 @@ func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done
 	for _, cc := range st.cores {
 		cpu := c.mach.CPU(cc.id)
 		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI, done)
+		if errors.Is(err, errCorruptHeader) {
+			if corrupt == nil {
+				corrupt = err
+			}
+			continue
+		}
 		if err != nil {
-			return nil, cost
+			return nil, cost, nil
 		}
 		cpu.APIC.RaiseNMI()
 		st.ingest.FlushCmds += flushRecs
@@ -957,7 +980,7 @@ func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done
 		waits = append(waits, cc.queue)
 	}
 	st.epochWaits = waits
-	return waits, cost
+	return waits, cost, corrupt
 }
 
 // teardown drops controller state for a dead enclave. Waiters on its

@@ -144,6 +144,68 @@ func TestWildWriteContained(t *testing.T) {
 	}
 }
 
+// TestForgedCmdQueueHeaderContained: each core's command-queue header lies
+// in the enclave's reserved area, which its EPT maps, so a guest can
+// rewrite it. Trusted, a head forged 1000 records past the tail makes the
+// next drain index past its snapshot buffer and panic the whole process,
+// and a tail forged past the head leaves a host RemoveMemory waiting
+// forever on an epoch the drain never applies. Either forgery must cost
+// only the forger: the removal fails within a bounded time, the forger's
+// hypervisor terminates it, the node stays up and a bystander enclave
+// keeps running.
+func TestForgedCmdQueueHeaderContained(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		off, val uint64
+	}{
+		{"head", covirt.CmdQueueOffHead, 1000},
+		{"tail", covirt.CmdQueueOffTail, 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, covirt.FeaturesMem)
+			enc, k := r.boot(t, "forger", 1, []int{0}, 128<<20)
+			_, kB := r.boot(t, "bystander", 1, []int{1}, 128<<20)
+			ext, err := r.h.Pisces.AddMemory(enc, 0, 64<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := enc.Base() + pisces.OffCovirtCmdQ + tc.off // the boot core's queue
+			task, _ := k.Spawn("forge", 0, func(e *kitten.Env) error {
+				return e.RawWrite64(hdr, tc.val)
+			})
+			if err := task.Wait(); err != nil {
+				t.Fatalf("forging the queue %s: %v", tc.name, err)
+			}
+
+			removed := make(chan error, 1)
+			go func() { removed <- r.h.Pisces.RemoveMemory(enc, ext) }()
+			select {
+			case err := <-removed:
+				if err == nil || !strings.Contains(err.Error(), "corrupt command-queue header") {
+					t.Errorf("RemoveMemory = %v, want a corrupt-header error: the core never applied its flush", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("RemoveMemory still blocked 30 s after the guest forged its queue header")
+			}
+			select {
+			case <-enc.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("the forger is still running 30 s after its drain met the forged header")
+			}
+			if !strings.Contains(enc.CrashReason(), "corrupt command-queue header") {
+				t.Errorf("forger crash reason = %q", enc.CrashReason())
+			}
+			if r.h.M.Crashed() {
+				t.Fatal("node crashed")
+			}
+			tB, _ := kB.Spawn("alive", 0, func(e *kitten.Env) error { e.Compute(100); return nil })
+			if err := tB.Wait(); err != nil {
+				t.Errorf("bystander task: %v", err)
+			}
+		})
+	}
+}
+
 func TestWildWriteWithoutCovirtCorrupts(t *testing.T) {
 	// Same bug, no protection: the canary is corrupted and nothing stops it.
 	spec := hw.DefaultSpec()

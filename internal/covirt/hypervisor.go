@@ -142,9 +142,16 @@ func (h *Hypervisor) HandleExit(c *hw.CPU, info *vmx.ExitInfo) vmx.ExitAction {
 		return vmx.ActionResume
 
 	case vmx.ExitNMI:
-		// The controller's doorbell: synchronize local state.
+		// The controller's doorbell: synchronize local state. A queue
+		// header the guest rewrote into an impossible state is an
+		// abort-class error of this enclave.
 		if h.queue != nil {
-			c.TSC += h.queue.drain(c)
+			spent, err := h.queue.drain(c)
+			c.TSC += spent
+			if err != nil {
+				h.terminate(err.Error())
+				return vmx.ActionKill
+			}
 		}
 		return vmx.ActionResume
 

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // AccessKind selects the data-cost class of a memory access. Workloads pick
 // the class matching their access pattern; the TLB/translation path is
@@ -456,21 +453,16 @@ func (c *CPU) guardData(addr uint64, write bool, kind AccessKind) error {
 	return nil
 }
 
-// memRW moves backing bytes for a guarded accessor through the per-core
-// cached region, so one logical access resolves its region once and takes
-// only the region's chunk lock — same semantics as PhysMem.Read/Write (the
-// whole range must sit in a single region).
-func (c *CPU) memRW(addr uint64, p []byte, write bool) error {
+// backing resolves the region holding [addr, addr+size) for a guarded
+// accessor through the per-core region memo, with the same requirement as
+// PhysMem.Read/Write: the whole range must sit in a single region. An
+// access anywhere else is a bus error, escalated as an abort.
+func (c *CPU) backing(addr, size uint64, write bool) (*Region, error) {
 	r := c.findRegion(addr)
-	if r == nil || !r.Contains(addr, uint64(len(p))) {
-		return &Fault{Kind: FaultBusError, Addr: addr, Write: write}
+	if r == nil || !r.Contains(addr, size) {
+		return nil, c.abort(&Fault{Kind: FaultBusError, Addr: addr, Write: write})
 	}
-	if write {
-		r.write(addr, p)
-	} else {
-		r.read(addr, p)
-	}
-	return nil
+	return r, nil
 }
 
 // Read64G reads a guest-visible 64-bit value at physical addr, going
@@ -480,11 +472,11 @@ func (c *CPU) Read64G(addr uint64) (uint64, error) {
 	if err := c.guardData(addr, false, AccessHot); err != nil {
 		return 0, err
 	}
-	var b [8]byte
-	if err := c.memRW(addr, b[:], false); err != nil {
-		return 0, c.abort(err.(*Fault))
+	r, err := c.backing(addr, 8, false)
+	if err != nil {
+		return 0, err
 	}
-	v := binary.LittleEndian.Uint64(b[:])
+	v := r.load64(addr)
 	if perr := c.poll(); perr != nil {
 		return v, perr
 	}
@@ -499,11 +491,11 @@ func (c *CPU) Write64G(addr, val uint64) error {
 	if err := c.guardData(addr, true, AccessHot); err != nil {
 		return err
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], val)
-	if err := c.memRW(addr, b[:], true); err != nil {
-		return c.abort(err.(*Fault))
+	r, err := c.backing(addr, 8, true)
+	if err != nil {
+		return err
 	}
+	r.store64(addr, val)
 	return c.poll()
 }
 
@@ -515,9 +507,11 @@ func (c *CPU) ReadBytesG(addr uint64, p []byte) error {
 			return err
 		}
 	}
-	if err := c.memRW(addr, p, false); err != nil {
-		return c.abort(err.(*Fault))
+	r, err := c.backing(addr, uint64(len(p)), false)
+	if err != nil {
+		return err
 	}
+	r.read(addr, p)
 	return c.poll()
 }
 
@@ -528,9 +522,11 @@ func (c *CPU) WriteBytesG(addr uint64, p []byte) error {
 			return err
 		}
 	}
-	if err := c.memRW(addr, p, true); err != nil {
-		return c.abort(err.(*Fault))
+	r, err := c.backing(addr, uint64(len(p)), true)
+	if err != nil {
+		return err
 	}
+	r.write(addr, p)
 	return c.poll()
 }
 

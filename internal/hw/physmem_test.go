@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -84,18 +86,17 @@ func TestPhysMemReadWrite(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("Read64(untouched) = %#x, %v; want 0", v, err)
 	}
-	// Cross-chunk write/read (the chunk granule is one 4 KiB page); the
-	// write spans three pages.
-	buf := make([]byte, regionChunk+100)
+	// Cross-page write/read; the write spans three 4 KiB pages.
+	buf := make([]byte, PageSize4K+100)
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	if err := pm.Write(0x10000+regionChunk-50, buf); err != nil {
-		t.Fatalf("cross-chunk Write: %v", err)
+	if err := pm.Write(0x10000+PageSize4K-50, buf); err != nil {
+		t.Fatalf("cross-page Write: %v", err)
 	}
 	got := make([]byte, len(buf))
-	if err := pm.Read(0x10000+regionChunk-50, got); err != nil {
-		t.Fatalf("cross-chunk Read: %v", err)
+	if err := pm.Read(0x10000+PageSize4K-50, got); err != nil {
+		t.Fatalf("cross-page Read: %v", err)
 	}
 	for i := range buf {
 		if got[i] != buf[i] {
@@ -110,9 +111,32 @@ func TestPhysMemReadWrite(t *testing.T) {
 	}
 }
 
+// backedPages counts the pages installed in r's radix.
+func backedPages(r *Region) int {
+	n := 0
+	for i := range r.root {
+		d1 := r.root[i].Load()
+		for j := 0; d1 != nil && j < len(d1); j++ {
+			d2 := d1[j].Load()
+			for k := 0; d2 != nil && k < len(d2); k++ {
+				d3 := d2[k].Load()
+				for l := 0; d3 != nil && l < len(d3); l++ {
+					if d3[l].Load() != nil {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
 // TestPhysMemZeroFillIsUnbacked: a read of a page nobody has written
 // returns zeros, allocates nothing and leaves the page unbacked; only a
-// write backs a page, and then exactly that one 4 KiB page.
+// write backs a page. A first-touch write allocates the 4 KiB page plus
+// the interior nodes above it that no earlier write installed: at most
+// three 512-byte nodes, when the write is the first in its 256 KiB
+// granule, and none otherwise.
 func TestPhysMemZeroFillIsUnbacked(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -134,31 +158,42 @@ func TestPhysMemZeroFillIsUnbacked(t *testing.T) {
 	if err := pm.Read(0x100000+PageSize4K-1, buf); err != nil || buf[0]|buf[1]|buf[2] != 0 {
 		t.Errorf("straddling Read of unwritten pages = %v, %v; want zeros", buf, err)
 	}
-	if n := len(r.chunks); n != 0 {
+	if n := backedPages(r); n != 0 {
 		t.Fatalf("reads backed %d pages, want 0", n)
 	}
 
-	// Each run writes a page nobody has written: the warm-up run sizes
-	// the chunk map, after which a first-touch write is one allocation.
-	next := uint64(0x100000 + 16*PageSize4K)
-	if a := testing.AllocsPerRun(1, func() {
-		if err := pm.Write64(next, 0xFEED); err != nil {
+	const dirBytes = 512
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+	firstTouch := func(addr uint64) (allocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := pm.Write64(addr, 0xFEED); err != nil {
 			t.Fatal(err)
 		}
-		next += PageSize4K
-	}); a != 1 {
-		t.Errorf("first-touch Write64 makes %v allocations, want 1", a)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	if n := len(r.chunks); n != 2 {
+	// The region's first write is the first in its 256 KiB granule.
+	if a, b := firstTouch(0x100000 + 16*PageSize4K); a > 4 || b > PageSize4K+3*dirBytes {
+		t.Errorf("first write in a granule: %d allocations, %d bytes; want at most 4 and %d",
+			a, b, PageSize4K+3*dirBytes)
+	}
+	if a, b := firstTouch(0x100000 + 17*PageSize4K); a != 1 || b != PageSize4K {
+		t.Errorf("first write to a page in a backed granule: %d allocations, %d bytes; want 1 and %d",
+			a, b, PageSize4K)
+	}
+	if n := backedPages(r); n != 2 {
 		t.Fatalf("two first-touch writes backed %d pages, want 2", n)
-	}
-	for idx, c := range r.chunks {
-		if len(c) != PageSize4K {
-			t.Errorf("page %d backed by %d bytes, want %d", idx, len(c), PageSize4K)
-		}
 	}
 	if v, err := pm.Read64(0x100000 + 16*PageSize4K); err != nil || v != 0xFEED {
 		t.Errorf("Read64 after first touch = %#x, %v; want 0xfeed", v, err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := pm.Write64(0x100000+17*PageSize4K+8, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Write64 to a backed page allocates %v per call", a)
 	}
 }
 
@@ -181,7 +216,7 @@ func TestPhysMemStraddlingWrite(t *testing.T) {
 	if v, err := pm.Read64(addr - 5); err != nil || v != 0xABCDEF<<40 {
 		t.Errorf("Read64 of the first page's last word = %#x, %v; want %#x", v, err, uint64(0xABCDEF)<<40)
 	}
-	if n := len(r.chunks); n != 2 {
+	if n := backedPages(r); n != 2 {
 		t.Errorf("straddling write backed %d pages, want 2", n)
 	}
 }
@@ -222,6 +257,64 @@ func TestPhysMemFirstTouchRace(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestPhysMemConcurrentPartialWrites: two goroutines repeatedly write
+// disjoint bytes of the same 8-byte span, and after every write each reads
+// the span back and checks its own bytes. A partial-word write must merge
+// into the word, not load it, patch it and store it back: that would
+// restore the other goroutine's stale bytes and lose its write. The span
+// is an aligned word, then a span straddling a page boundary, where the
+// inner writer's bytes cross into the second page. Run it under -race.
+func TestPhysMemConcurrentPartialWrites(t *testing.T) {
+	pm := NewPhysMem()
+	const base = 0x100000
+	if _, err := pm.AddRegion(base, 4*PageSize4K, 0, "partial"); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 20000
+	for _, span := range []uint64{base + PageSize4K + 64, base + 2*PageSize4K - 4} {
+		// The inner writer owns bytes [2,6) of the span, the outer writer
+		// bytes [0,2) and [6,8).
+		owners := [2][][2]uint64{{{2, 6}}, {{0, 2}, {6, 8}}}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g, own := range owners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got, p [8]byte
+				<-start
+				for i := range rounds {
+					v := byte(i*2 + g + 1)
+					for _, rg := range own {
+						for k := range p {
+							p[k] = v
+						}
+						if err := pm.Write(span+rg[0], p[:rg[1]-rg[0]]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if err := pm.Read(span, got[:]); err != nil {
+						t.Error(err)
+						return
+					}
+					for _, rg := range own {
+						for k := rg[0]; k < rg[1]; k++ {
+							if got[k] != v {
+								t.Errorf("span %#x byte %d = %#x after writing %#x: the write was lost",
+									span, k, got[k], v)
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
 }
 
 func TestPhysMemBusError(t *testing.T) {

@@ -92,8 +92,3 @@ func (t *transCache) insert(gpa uint64, res WalkResult, gen uint64) {
 	}
 	t.small[tcSmallSlot(gpa)] = e
 }
-
-// invalidate drops every cached translation.
-func (t *transCache) invalidate() {
-	*t = transCache{}
-}

@@ -17,8 +17,8 @@ type VCPU struct {
 
 	// transCache holds recently completed nested walks, validated against
 	// EPT.Gen() on every hit; see transcache.go. Owned by the execution
-	// goroutine (the shootdown path invalidates it from the NMI handler,
-	// which also runs there).
+	// goroutine. Nothing empties it: every EPT change bumps the
+	// generation, which retires every older entry at its next lookup.
 	transCache transCache
 
 	// nmiExit is the exit record OnNMI hands the handler. Every NMI exit
@@ -26,13 +26,6 @@ type VCPU struct {
 	// allocated per NMI. Owned by the execution goroutine, like transCache.
 	nmiExit ExitInfo
 }
-
-// InvalidateTransCache drops all cached nested walks. The hypervisor's
-// command-queue drain calls it alongside TLB shootdown so controller remaps
-// invalidate both hardware-modelled caches on the same doorbell; generation
-// validation would catch stale entries anyway, but the explicit hook keeps
-// the cache's lifetime aligned with the architectural TLB's.
-func (v *VCPU) InvalidateTransCache() { v.transCache.invalidate() }
 
 // Launch installs the VCPU as the CPU's virtualization layer and marks the
 // VMCS launched. It mirrors vmlaunch: after this, all guest operations on
