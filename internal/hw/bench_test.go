@@ -64,8 +64,10 @@ func BenchmarkPhysMemReadWriteParallel(b *testing.B) {
 	wg.Wait()
 }
 
-// BenchmarkTLBLookup measures the hit path of the simulated TLB — the
-// array-backed class scan every memory access performs before charging.
+// BenchmarkTLBLookup measures the hit path of the simulated TLB, which
+// every memory access takes before charging: per class probed, a filter
+// load and a tag compare (the hint slot, else a scan of the flat tag
+// array), then two slot-index relinks to refresh the hit's recency.
 func BenchmarkTLBLookup(b *testing.B) {
 	t := NewTLB()
 	base := uint64(1) << 30
@@ -87,4 +89,60 @@ func BenchmarkTLBLookup(b *testing.B) {
 			b.Fatal("unexpected TLB miss")
 		}
 	}
+}
+
+// gatherBenchCPU returns CPU 0 of a native two-node machine with 1 GiB of
+// memory per node.
+func gatherBenchCPU(b *testing.B) *CPU {
+	spec := DefaultSpec()
+	spec.MemPerNode = 1 << 30
+	m, err := NewMachine(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m.CPU(0)
+}
+
+// benchGather charges one AccessGather over addrs per op.
+func benchGather(b *testing.B, addrs []uint64, computePer uint64) {
+	c := gatherBenchCPU(b)
+	if err := c.AccessGather(addrs, computePer, true, AccessDRAM); err != nil {
+		b.Fatal(err) // warm-up pass: fills the TLB as the steady state has it
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.AccessGather(addrs, computePer, true, AccessDRAM); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAccessGatherGUPS measures a GUPS-shaped gather: one OpenMP
+// chunk (1536) of random words over 256 MiB of 2 MiB pages, 6 compute ops
+// per element. The 32-entry 2M class holds a quarter of the 128 pages, so
+// about 25 % of the elements hit and the rest walk and insert.
+func BenchmarkAccessGatherGUPS(b *testing.B) {
+	rng := NewRand(1)
+	addrs := make([]uint64, 1536)
+	for i := range addrs {
+		addrs[i] = PageSize2M + rng.Next()%(256<<20)&^7
+	}
+	benchGather(b, addrs, 6)
+}
+
+// BenchmarkAccessGatherHalo measures a halo-exchange-shaped gather: 1536
+// words alternating between a local and a remote 2 MiB page, so every
+// element hits the TLB and the region changes on every element.
+func BenchmarkAccessGatherHalo(b *testing.B) {
+	rng := NewRand(2)
+	addrs := make([]uint64, 1536)
+	for i := range addrs {
+		base := uint64(PageSize2M)
+		if i%2 == 1 {
+			base = nodeStride + PageSize2M // node 1's memory
+		}
+		addrs[i] = base + rng.Next()%PageSize2M&^7
+	}
+	benchGather(b, addrs, 0)
 }

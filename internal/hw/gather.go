@@ -25,9 +25,24 @@ const gatherShadowEvery = 64
 // from a management context mid-batch is observed at gatherShadowEvery
 // granularity, the same chunk-scale exposure MemStream accepts via
 // pollsUntilTimer.
+//
+// The data cost is worked out once per batch, not once per element: a hot
+// access costs MemHit anywhere, and any other kind costs MemDRAM,
+// remote-scaled on another node's memory. The target's region matters
+// only in that second case, and the loop keeps the last region's bounds
+// and cost as locals, re-checked against the layout generation on every
+// element, so an element in the same region as the one before it costs
+// one range compare.
 func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind AccessKind) error {
 	cs := c.Costs()
 	computeCost := computePer * cs.Compute
+	local, remote := cs.MemHit, cs.MemHit
+	if kind != AccessHot {
+		local, remote = cs.MemDRAM, cs.remoteScale(cs.MemDRAM)
+	}
+	mem := c.M.Mem
+	gen := mem.Gen()
+	var lo, hi, regionCost uint64 // memo: [lo, hi) costs regionCost; empty at first
 	apic := c.APIC
 	deadline := apic.timerDeadline.Load()
 	since := 0
@@ -49,7 +64,20 @@ func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind A
 				return err
 			}
 		}
-		c.dataCost(addr, kind)
+		cost := local
+		if local != remote {
+			if g := mem.Gen(); g != gen || addr < lo || addr >= hi {
+				gen, lo, hi, regionCost = g, 0, 0, local
+				if r := c.findRegion(addr); r != nil {
+					lo, hi = r.Start, r.End()
+					if r.Node != c.Node {
+						regionCost = remote
+					}
+				}
+			}
+			cost = regionCost
+		}
+		c.TSC += cost
 		if apic.pending.Load() != 0 || c.TSC >= deadline {
 			if err := c.poll(); err != nil {
 				return err

@@ -43,7 +43,7 @@ func TestTLBLargePages(t *testing.T) {
 
 func TestTLBEvictionRespectsCapacity(t *testing.T) {
 	tlb := NewTLB()
-	capacity := defaultTLBCaps[PageSize4K]
+	capacity := tlb.Capacity(PageSize4K)
 	for i := 0; i < capacity*3; i++ {
 		tlb.Insert(uint64(i)*PageSize4K, PageSize4K)
 	}
@@ -64,7 +64,7 @@ func TestTLBEvictionRespectsCapacity(t *testing.T) {
 
 func TestTLBLRUOrder(t *testing.T) {
 	tlb := NewTLB()
-	capacity := defaultTLBCaps[PageSize4K]
+	capacity := tlb.Capacity(PageSize4K)
 	for i := 0; i < capacity; i++ {
 		tlb.Insert(uint64(i)*PageSize4K, PageSize4K)
 	}
@@ -151,5 +151,180 @@ func TestTLBInsertLookupProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// lruModel is the reference TLB: one MRU-first slice of page bases per
+// class, probed in the TLB's class order (2M, 4K, 1G), with the same
+// capacities and counters.
+type lruModel struct {
+	sizes [3]uint64
+	caps  [3]int
+	ents  [3][]uint64
+	gen   uint64
+	stats TLBStats
+}
+
+func newLRUModel() *lruModel {
+	return &lruModel{
+		sizes: [3]uint64{PageSize2M, PageSize4K, PageSize1G},
+		caps:  [3]int{32, 64, 4},
+	}
+}
+
+// use moves entry j of class k to the front.
+func (m *lruModel) use(k, j int) {
+	e := m.ents[k]
+	b := e[j]
+	copy(e[1:j+1], e[:j])
+	e[0] = b
+}
+
+func (m *lruModel) cover(addr uint64) (uint64, uint64, bool) {
+	for k, ps := range m.sizes {
+		base := AlignDown(addr, ps)
+		for j, b := range m.ents[k] {
+			if b == base {
+				m.use(k, j)
+				m.stats.Hits++
+				return base, ps, true
+			}
+		}
+	}
+	m.stats.Misses++
+	return 0, 0, false
+}
+
+func (m *lruModel) insert(addr, ps uint64) {
+	for k := range m.sizes {
+		if m.sizes[k] != ps {
+			continue
+		}
+		base := AlignDown(addr, ps)
+		for j, b := range m.ents[k] {
+			if b == base {
+				m.use(k, j)
+				return
+			}
+		}
+		if len(m.ents[k]) == m.caps[k] {
+			m.ents[k] = m.ents[k][:m.caps[k]-1]
+		}
+		m.ents[k] = append([]uint64{base}, m.ents[k]...)
+	}
+}
+
+func (m *lruModel) flushRange(addr, size uint64) {
+	for k, ps := range m.sizes {
+		kept := m.ents[k][:0]
+		for _, b := range m.ents[k] {
+			if !(b < addr+size && b+ps > addr) {
+				kept = append(kept, b)
+			}
+		}
+		m.ents[k] = kept
+	}
+	m.stats.Flushes++
+}
+
+func (m *lruModel) flushAll() {
+	for k := range m.ents {
+		m.ents[k] = m.ents[k][:0]
+	}
+	m.gen++
+	m.stats.Flushes++
+}
+
+// TestTLBMatchesLRUModel drives the TLB and the reference model through
+// one seeded sequence of operations and compares every result and counter
+// after each one. The page pools (96 × 4K, 48 × 2M, 8 × 1G) outgrow every
+// class, the 4K pool sits inside the 2M pool's pages and both inside one
+// of the 1G pages, so evictions, cross-class probe order, and the recency
+// a hit refreshes all decide what later operations see. Over the run the
+// 2M, 4K and 1G classes are full for about 50 %, 30 % and 75 % of the
+// operations.
+func TestTLBMatchesLRUModel(t *testing.T) {
+	const ops = 120_000
+	const area = 4 * PageSize1G
+	rng := NewRand(0xC0FFEE)
+	pick := func() (addr, ps uint64) {
+		switch r := rng.Next() % 20; {
+		case r < 9:
+			return area + (rng.Next()%96)*7*PageSize4K + rng.Next()%PageSize4K, PageSize4K
+		case r < 17:
+			return area + (rng.Next()%48)*PageSize2M + rng.Next()%PageSize2M, PageSize2M
+		default:
+			return (3+rng.Next()%8)*PageSize1G + rng.Next()%PageSize1G, PageSize1G
+		}
+	}
+	tlb, ref := NewTLB(), newLRUModel()
+	for op := 0; op < ops; op++ {
+		addr, ps := pick()
+		var what string
+		switch r := rng.Next() % 1000; {
+		case r < 300:
+			what = "Cover"
+			gb, gs, gok := tlb.Cover(addr)
+			wb, ws, wok := ref.cover(addr)
+			if gb != wb || gs != ws || gok != wok {
+				t.Fatalf("op %d: Cover(%#x) = (%#x, %#x, %v), model (%#x, %#x, %v)", op, addr, gb, gs, gok, wb, ws, wok)
+			}
+		case r < 450:
+			what = "Lookup"
+			_, _, wok := ref.cover(addr)
+			if got := tlb.Lookup(addr); got != wok {
+				t.Fatalf("op %d: Lookup(%#x) = %v, model %v", op, addr, got, wok)
+			}
+		case r < 700:
+			what = "Insert"
+			tlb.Insert(addr, ps)
+			ref.insert(addr, ps)
+		case r < 970:
+			// The translate path: a miss, then InsertFresh at the size
+			// the walk found.
+			what = "InsertFresh"
+			_, _, wok := ref.cover(addr)
+			if got := tlb.Lookup(addr); got != wok {
+				t.Fatalf("op %d: Lookup(%#x) before InsertFresh = %v, model %v", op, addr, got, wok)
+			}
+			if !wok {
+				tlb.InsertFresh(addr, ps)
+				ref.insert(addr, ps)
+			}
+		case r < 999:
+			what = "FlushRange"
+			size := ps // one page of the picked size, or a 64 KiB span
+			if rng.Next()%4 == 0 {
+				size = 16 * PageSize4K
+			}
+			tlb.FlushRange(addr, size)
+			ref.flushRange(addr, size)
+		default:
+			what = "FlushAll"
+			tlb.FlushAll()
+			ref.flushAll()
+		}
+		if tlb.Stats() != ref.stats || tlb.Gen() != ref.gen {
+			t.Fatalf("op %d (%s): stats %+v gen %d, model %+v gen %d", op, what, tlb.Stats(), tlb.Gen(), ref.stats, ref.gen)
+		}
+		total := 0
+		for k, size := range ref.sizes {
+			total += len(ref.ents[k])
+			if got := tlb.Count(size); got != len(ref.ents[k]) {
+				t.Fatalf("op %d (%s): Count(%#x) = %d, model %d", op, what, size, got, len(ref.ents[k]))
+			}
+		}
+		if tlb.Len() != total {
+			t.Fatalf("op %d (%s): Len = %d, model %d", op, what, tlb.Len(), total)
+		}
+	}
+	s := tlb.Stats()
+	if s.Hits == 0 || s.Misses == 0 || tlb.Gen() == 0 {
+		t.Fatalf("sequence too tame: %+v, gen %d", s, tlb.Gen())
+	}
+	for k, size := range ref.sizes {
+		if tlb.Capacity(size) != ref.caps[k] {
+			t.Fatalf("Capacity(%#x) = %d, model %d", size, tlb.Capacity(size), ref.caps[k])
+		}
 	}
 }

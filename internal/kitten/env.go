@@ -114,14 +114,21 @@ func (e *Env) Access(addr uint64, write bool, kind hw.AccessKind) {
 // in one call. A segfault aborts the task at exactly the element a
 // per-element loop would have reached, including the faulting element's
 // compute charge, which the per-element loop retires before noticing the
-// bad address.
+// bad address. The prepass keeps the last resolved extent's bounds and
+// resolves only the elements that fall outside them.
 func (e *Env) AccessGather(addrs []uint64, computePer uint64, write bool, kind hw.AccessKind) {
 	mapped := len(addrs)
+	var lo, hi uint64 // the extent the last resolved element fell in
 	for i, a := range addrs {
-		if !e.contains(a, 1) {
+		if lo <= a && a < hi {
+			continue
+		}
+		ext, ok := e.resolve(a, 1)
+		if !ok {
 			mapped = i
 			break
 		}
+		lo, hi = ext.Start, ext.End()
 	}
 	e.check(e.CPU.AccessGather(addrs[:mapped], computePer, write, kind))
 	if mapped < len(addrs) {

@@ -66,19 +66,26 @@ func zeroVec(v []float64) {
 }
 
 // gupsTablePool recycles the RandomAccess real table (16 MiB per rank at
-// the default size) across repetitions.
+// the default size) across repetitions. Every table in it holds
+// table[i] == i: a new table is filled once, when it is allocated, and a
+// run puts its table back only after the self-inverse replay has restored
+// it and the verification passed. A run that fails or is killed drops its
+// table.
 var gupsTablePool sync.Pool
 
-// getGUPSTable returns a words-long table; contents are arbitrary (the
-// caller re-initializes every entry).
+// getGUPSTable returns a words-long table holding table[i] == i.
 func getGUPSTable(words uint64) []uint64 {
 	if t, _ := gupsTablePool.Get().([]uint64); uint64(len(t)) == words {
 		return t
 	}
-	return make([]uint64, words)
+	t := make([]uint64, words)
+	for i := range t {
+		t[i] = uint64(i)
+	}
+	return t
 }
 
-// putGUPSTable returns a table to the pool.
+// putGUPSTable returns a table to the pool; t must hold t[i] == i again.
 func putGUPSTable(t []uint64) { gupsTablePool.Put(t) }
 
 // streamBufs is one rank's three STREAM vectors (48 MiB at the default

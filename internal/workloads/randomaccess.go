@@ -75,11 +75,9 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 
 	ord := NewRankOrder(threads)
 	res, err := runParallel(k, r.Name(), threads, func(e *kitten.Env, rank int) error {
+		// A killed task unwinds past the putGUPSTable below, dropping a
+		// table its updates have left half applied.
 		table := getGUPSTable(realWords)
-		defer putGUPSTable(table)
-		for i := range table {
-			table[i] = uint64(i)
-		}
 		var ext hw.Extent
 		ord.Do(rank, func() { ext = allocSpread(e, logicalWords*8) })
 		defer e.Free(ext)
@@ -113,6 +111,7 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 				return fmt.Errorf("randomaccess: verification failed at %d", i)
 			}
 		}
+		putGUPSTable(table)
 		return nil
 	})
 	if err != nil {

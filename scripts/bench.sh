@@ -1,29 +1,37 @@
 #!/bin/sh
 # bench.sh — run the repository's benchmark suite and snapshot the results
-# as a committed JSON artifact (BENCH_10.json by default):
+# as a committed JSON artifact:
 #
-#   ./scripts/bench.sh [output.json]
-#   ./scripts/bench.sh --compare OLD.json [NEW.json]
+#   ./scripts/bench.sh OUT.json
+#   ./scripts/bench.sh --compare OLD.json NEW.json
 #
 # Three tiers run back to back: the hot-path microbenchmarks (TLB lookup,
-# EPT walks, PhysMem accessors, STREAM triad), the control-plane tier
-# (both ctl-saturation legs: per-event baseline and batched ingest with
-# epoch-coalesced shootdowns), and the paper-figure benchmarks in the root
-# package (fig5a/fig5b/fig7/GUPS, one full experiment pass each). All run
-# under -benchmem, so the snapshots carry B/op and allocs/op alongside
-# ns/op — the allocation columns are the regression teeth on the
-# zero-alloc workload discipline. The figure benchmarks dominate wall
-# clock, so a full run takes a couple of minutes on an idle machine;
-# benchmark on an otherwise-quiet host or the numbers are meaningless.
+# the GUPS- and halo-shaped gathers, EPT walks, PhysMem accessors, STREAM
+# triad), the control-plane tier (both ctl-saturation legs: per-event
+# baseline and batched ingest with epoch-coalesced shootdowns), and the
+# paper-figure benchmarks in the root package (fig3-fig8, IPC, GUPS, EPT
+# ablation, one full experiment per pass). All run under -benchmem, so
+# the snapshots carry B/op and allocs/op alongside ns/op — the allocation
+# columns are the regression teeth on the zero-alloc workload discipline.
 #
-# --compare prints per-benchmark deltas between two snapshots (e.g.
-# BENCH_7.json vs BENCH_10.json) without running anything.
+# One pass of a control-plane or figure benchmark is too noisy to resolve
+# a 20 % change, so those two tiers run each benchmark five times
+# (-count 5). The snapshot folds every benchmark's runs into one object:
+# the median of each column, "runs", and the fastest and slowest pass as
+# "ns/op_min" and "ns/op_max". The figure tier dominates wall clock, so a
+# full run takes several minutes on an idle machine; benchmark on an
+# otherwise-quiet host or the numbers are meaningless.
+#
+# --compare prints per-benchmark deltas of the (median) ns/op between two
+# snapshots without running anything.
 set -eu
 cd "$(dirname "$0")/.."
 
+usage="usage: bench.sh OUT.json | bench.sh --compare OLD.json NEW.json"
 if [ "${1:-}" = "--compare" ]; then
-    old="${2:?usage: bench.sh --compare OLD.json [NEW.json]}"
-    new="${3:-BENCH_10.json}"
+    [ $# -eq 3 ] || { echo "$usage" >&2; exit 2; }
+    old="$2"
+    new="$3"
     awk '
     function field(line, key,   s) {
         s = line
@@ -64,37 +72,75 @@ if [ "${1:-}" = "--compare" ]; then
     exit 0
 fi
 
-out="${1:-BENCH_10.json}"
+[ $# -eq 1 ] || { echo "$usage" >&2; exit 2; }
+out="$1"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 echo "==> microbenchmarks (internal/hw, internal/vmx, internal/workloads)"
-go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|StreamTriad|FillGatherAddrs' -benchmem \
+go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|AccessGather|StreamTriad|FillGatherAddrs' -benchmem \
     ./internal/hw ./internal/vmx ./internal/workloads | tee -a "$tmp"
 
-echo "==> control-plane tier (ctl-saturation legs: per-event vs batched)"
-go test -run '^$' -bench 'CtlSat' -benchtime 1x -benchmem . | tee -a "$tmp"
+echo "==> control-plane tier (ctl-saturation legs: per-event vs batched, 5 passes each)"
+go test -run '^$' -bench 'CtlSat' -benchtime 1x -count 5 -benchmem . | tee -a "$tmp"
 
-echo "==> figure benchmarks (root package, one pass each)"
-go test -run '^$' -bench 'Table1|Fig|IPC|GUPS|EPTAblation' -benchtime 1x -benchmem . | tee -a "$tmp"
+echo "==> figure benchmarks (root package, 5 passes each)"
+go test -run '^$' -bench 'Table1|Fig|IPC|GUPS|EPTAblation' -benchtime 1x -count 5 -benchmem . | tee -a "$tmp"
 
-# Fold the `go test -bench` text into a JSON array: one object per
-# benchmark line carrying the package, iteration count, and every
-# value/unit metric pair (ns/op and the -benchmem B/op and allocs/op
-# columns, plus any ReportMetric extras).
+# Fold the `go test -bench` text into a JSON array with one object per
+# benchmark, in first-seen order: its package, the number of runs, and the
+# median of every value/unit column (iterations, ns/op, the -benchmem B/op
+# and allocs/op, plus any ReportMetric extras), with the fastest and
+# slowest ns/op alongside. A median of an odd run count is one of the
+# printed values, copied verbatim.
 awk '
-BEGIN { print "["; first = 1 }
+# median sorts the runs of one column and returns the middle value; it
+# leaves the smallest and largest in lo and hi.
+function median(name, col,   k, m, v, s, i, j, tv, ts) {
+    m = 0
+    for (k = 1; k <= runs[name]; k++) {
+        if ((name, col, k) in vals) {
+            m++
+            s[m] = vals[name, col, k]
+            v[m] = s[m] + 0
+        }
+    }
+    for (i = 2; i <= m; i++) {
+        tv = v[i]; ts = s[i]
+        for (j = i - 1; j >= 1 && v[j] > tv; j--) { v[j + 1] = v[j]; s[j + 1] = s[j] }
+        v[j + 1] = tv; s[j + 1] = ts
+    }
+    lo = s[1]; hi = s[m]
+    if (m % 2) return s[(m + 1) / 2]
+    return sprintf("%.10g", (v[m / 2] + v[m / 2 + 1]) / 2)
+}
 /^pkg:/ { pkg = $2 }
 /^Benchmark/ {
-    if (!first) printf ",\n"
-    first = 0
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
-    printf "  {\"name\": \"%s\", \"pkg\": \"%s\", \"iters\": %s", name, pkg, $2
-    for (i = 3; i < NF; i += 2) printf ", \"%s\": %s", $(i+1), $i
-    printf "}"
+    if (!(name in runs)) { order[n++] = name; pkgOf[name] = pkg; ncols[name] = 0 }
+    r = ++runs[name]
+    vals[name, "iters", r] = $2
+    for (i = 3; i < NF; i += 2) {
+        col = $(i + 1)
+        if (!((name, col) in known)) { known[name, col] = 1; cols[name, ++ncols[name]] = col }
+        vals[name, col, r] = $i
+    }
 }
-END { print "\n]" }
+END {
+    print "["
+    for (b = 0; b < n; b++) {
+        name = order[b]
+        printf "  {\"name\": \"%s\", \"pkg\": \"%s\", \"runs\": %d, \"iters\": %s", name, pkgOf[name], runs[name], median(name, "iters")
+        for (c = 1; c <= ncols[name]; c++) {
+            col = cols[name, c]
+            printf ", \"%s\": %s", col, median(name, col)
+            if (col == "ns/op") printf ", \"ns/op_min\": %s, \"ns/op_max\": %s", lo, hi
+        }
+        printf "}%s\n", (b < n - 1 ? "," : "")
+    }
+    print "]"
+}
 ' "$tmp" > "$out"
 
 echo "bench.sh: wrote $out"
