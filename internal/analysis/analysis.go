@@ -10,7 +10,8 @@
 //   - physmem-errcheck: errors from internal/hw accessors must not be
 //     discarded — a dropped bus error silently corrupts the simulation.
 //   - lock-discipline: every mutex acquisition pairs with a deferred
-//     release in the same function, and sync.Cond.Wait sits in a for loop.
+//     release in the same function, and sync.Cond.Wait sits in a for loop
+//     inside the one wait primitive, hw.Handoff.
 //   - determinism: simulation packages must not consult wall-clock time or
 //     the global math/rand source; cycle accounting must be reproducible.
 //   - cost-accounting: every exported field of the hw.Costs cycle model is

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // lockDiscipline enforces the repository's locking idiom:
@@ -13,12 +14,19 @@ import (
 //     sections that must release early are extracted into small locked
 //     helpers instead;
 //  2. sync.Cond.Wait is always enclosed in a for loop re-checking its
-//     predicate (a bare Wait misses spurious and stolen wakeups).
+//     predicate (a bare Wait misses spurious and stolen wakeups);
+//  3. sync.NewCond and sync.Cond.Wait appear only in the wait primitive,
+//     internal/hw's handoff.go: every other wait goes through hw.Handoff,
+//     so node crash, enclave teardown and core kill end it.
 var lockDiscipline = &Analyzer{
 	Name: checkLock,
-	Doc:  "Lock pairs with defer Unlock in the same function; Cond.Wait sits in a for loop",
+	Doc:  "Lock pairs with defer Unlock in the same function; Cond.Wait sits in a for loop, only in hw.Handoff",
 	Run:  runLockDiscipline,
 }
+
+// condOwnerFile is the one file, in a package whose path ends in
+// internal/hw, allowed to make and wait on a sync.Cond.
+const condOwnerFile = "handoff.go"
 
 // unlockFor maps an acquire method to its release method.
 var unlockFor = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
@@ -58,14 +66,16 @@ func syncCall(p *Pass, call *ast.CallExpr) (recv, method, typ string, ok bool) {
 func runLockDiscipline(p *Pass) []Finding {
 	var out []Finding
 	for _, file := range p.Unit.Files {
+		condOwner := strings.HasSuffix(strings.TrimSuffix(p.Unit.Path, ".test"), "internal/hw") &&
+			fileBase(p.Mod, file) == condOwnerFile
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					lockCheckFunc(p, fn.Body, &out)
+					lockCheckFunc(p, fn.Body, condOwner, &out)
 				}
 			case *ast.FuncLit:
-				lockCheckFunc(p, fn.Body, &out)
+				lockCheckFunc(p, fn.Body, condOwner, &out)
 				return false // the literal's own Inspect found nested lits
 			}
 			return true
@@ -74,10 +84,20 @@ func runLockDiscipline(p *Pass) []Finding {
 	return out
 }
 
-// lockCheckFunc applies both rules to one function body, without
+// isNewCond reports whether call is sync.NewCond.
+func isNewCond(p *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := p.Unit.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "NewCond"
+}
+
+// lockCheckFunc applies the rules to one function body, without
 // descending into nested function literals (they are separate scopes with
-// their own defers).
-func lockCheckFunc(p *Pass, body *ast.BlockStmt, out *[]Finding) {
+// their own defers). condOwner marks the wait primitive's file.
+func lockCheckFunc(p *Pass, body *ast.BlockStmt, condOwner bool, out *[]Finding) {
 	type acquire struct {
 		call   *ast.CallExpr
 		recv   string
@@ -99,6 +119,11 @@ func lockCheckFunc(p *Pass, body *ast.BlockStmt, out *[]Finding) {
 		if !isCall {
 			return
 		}
+		if !condOwner && isNewCond(p, call) {
+			p.report(out, checkLock, call,
+				"sync.NewCond outside hw.Handoff; wait through hw.Handoff so crash, teardown and kill end the wait")
+			return
+		}
 		recv, method, typ, ok := syncCall(p, call)
 		if !ok {
 			return
@@ -109,6 +134,10 @@ func lockCheckFunc(p *Pass, body *ast.BlockStmt, out *[]Finding) {
 			if !enclosedInFor(stack, body) {
 				p.report(out, checkLock, call,
 					"%s.Wait() must run inside a for loop re-checking its predicate", recv)
+			}
+			if !condOwner {
+				p.report(out, checkLock, call,
+					"%s.Wait() outside hw.Handoff; wait through hw.Handoff so crash, teardown and kill end the wait", recv)
 			}
 		case (method == "Lock" || method == "RLock") && typ != "Cond" && !inDefer:
 			acquires = append(acquires, acquire{call, recv, method})

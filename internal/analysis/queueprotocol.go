@@ -12,7 +12,7 @@ import (
 // owner itself to the publish discipline the batched protocol depends on:
 //
 //  1. within the covirt package, the unexported fields of cmdQueue
-//     (mem, base, mu, cond, scratch) may only be touched from
+//     (mem, base, wait, scratch) may only be touched from
 //     cmdqueue.go — other files must go through its methods;
 //  2. no code outside cmdqueue.go may issue raw physical-memory accesses
 //     whose address expression is derived from the queue-area layout

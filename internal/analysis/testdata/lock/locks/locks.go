@@ -34,7 +34,7 @@ func condBad(b *box) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.done {
-		b.cond.Wait() // want: Wait outside for loop
+		b.cond.Wait() // want: Wait outside for loop, and outside hw.Handoff
 	}
 }
 
@@ -42,6 +42,12 @@ func condGood(b *box) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for !b.done {
-		b.cond.Wait()
+		b.cond.Wait() // want: Wait outside hw.Handoff
 	}
+}
+
+func newBox() *box {
+	b := &box{}
+	b.cond = sync.NewCond(&b.mu) // want: NewCond outside hw.Handoff
+	return b
 }

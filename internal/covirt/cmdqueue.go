@@ -3,7 +3,6 @@ package covirt
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"covirt/internal/hw"
 )
@@ -69,14 +68,17 @@ type cmdRec struct {
 
 // cmdQueue is the controller->hypervisor channel for one enclave CPU. The
 // queue contents live in shared physical memory (written natively by the
-// controller, read natively by the root-mode hypervisor); the Go-side
-// condition variable stands in for the hardware's NMI wait loop.
+// controller, read natively by the root-mode hypervisor). It has one
+// pusher (the controller, serialized by the enclave's ingest lock) and one
+// drainer (the core's NMI handler), and every backing word is atomic, so
+// header and slot I/O take no lock: the pusher's head store releases the
+// slots it wrote, and the drainer's tail and epoch stores retire them. The
+// hw.Handoff stands in for the hardware's NMI wait loop; its waits end
+// when the enclave is torn down or the node crashes.
 type cmdQueue struct {
 	mem  *hw.PhysMem
 	base uint64
-
-	mu   sync.Mutex
-	cond *sync.Cond
+	wait *hw.Handoff
 
 	// scratch is the drainer's snapshot buffer. The drain runs on the
 	// guest CPU's own execution goroutine, one drainer per queue, so the
@@ -84,13 +86,13 @@ type cmdQueue struct {
 	scratch []cmdRec
 }
 
-// newCmdQueue initializes a queue at base.
-func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
-	q := &cmdQueue{mem: mem, base: base}
-	q.cond = sync.NewCond(&q.mu)
+// newCmdQueue initializes a queue at base in m's memory whose waits end
+// when m crashes or teardown fires.
+func newCmdQueue(m *hw.Machine, base uint64, teardown *hw.Latch) (*cmdQueue, error) {
+	q := &cmdQueue{mem: m.Mem, base: base, wait: hw.NewHandoff(m, teardown)}
 	q.scratch = make([]cmdRec, cmdqSlots)
 	for off := uint64(0); off < cmdqHdrSize; off += 8 {
-		if err := mem.Write64(base+off, 0); err != nil {
+		if err := m.Mem.Write64(base+off, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -98,8 +100,9 @@ func newCmdQueue(mem *hw.PhysMem, base uint64) (*cmdQueue, error) {
 }
 
 // ends reads the queue's head and tail and checks them against each other.
-// It returns errCorruptHeader when they fail the check. Called with q.mu
-// held.
+// It returns errCorruptHeader when they fail the check. An endpoint's own
+// index does not move while it reads, and the other's moves only toward
+// the check's bounds, so an honest queue always passes.
 func (q *cmdQueue) ends() (head, tail uint64, err error) {
 	if head, err = q.mem.Read64(q.base + cmdqOffHead); err != nil {
 		return 0, 0, err
@@ -113,91 +116,83 @@ func (q *cmdQueue) ends() (head, tail uint64, err error) {
 	return head, tail, nil
 }
 
-// pushBatch enqueues all records under as few critical sections as
-// possible: every record that fits the ring is written and then made
-// visible with ONE head publish. When the ring is full the push applies
-// bounded backpressure instead of failing — it publishes what fits, rings
-// doorbell (so the drainer is guaranteed to be on its way), and parks on
-// the queue's condition variable until slots free up, charging
-// cmdqStallCycles per stall to the returned wait cost. A closed done
-// channel (enclave death) aborts the wait; the wake that follows enclave
-// death (see buildCPU) releases the parked pusher. A corrupt header fails
-// the push before any slot is written; the doorbell still rings, so the
-// drainer sees the header too and terminates the enclave.
+// pushBatch enqueues all records with as few head publishes as possible:
+// every record that fits the ring is written and then made visible with
+// ONE head publish. When the ring is full the push applies bounded
+// backpressure instead of failing — it rings the doorbell (so the drainer
+// is guaranteed to be on its way) and waits for the drainer to free slots,
+// charging cmdqStallCycles per stall to the returned wait cost. The wait
+// fails when the enclave is torn down or the node crashes. A corrupt
+// header fails the push before any slot is written; the doorbell still
+// rings, so the drainer sees the header too and terminates the enclave.
 //
 // It returns the cycles spent stalled on a full ring.
-func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func(), done <-chan struct{}) (uint64, error) {
+func (q *cmdQueue) pushBatch(recs []cmdRec, doorbell func()) (uint64, error) {
 	var waitCycles uint64
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for len(recs) > 0 {
-		head, tail, err := q.ends()
+		n, err := q.publish(recs)
 		if errors.Is(err, errCorruptHeader) {
-			q.ringDoorbell(doorbell)
-			return waitCycles, fmt.Errorf("covirt: queue at %#x: %w (head %d, tail %d)", q.base, err, head, tail)
+			doorbell()
 		}
 		if err != nil {
 			return waitCycles, err
 		}
-		free := cmdqSlots - (head - tail)
-		if free == 0 {
-			select {
-			case <-done:
-				return waitCycles, fmt.Errorf("covirt: enclave died with %d commands unpushed", len(recs))
-			default:
-			}
-			waitCycles += cmdqStallCycles
-			q.ringDoorbell(doorbell)
-			// The drainer may have freed slots (and broadcast) while the
-			// lock was dropped; re-checking occupancy before parking makes
-			// that wakeup impossible to lose — any later completion
-			// publish broadcasts under this lock.
-			if h, t, err := q.ends(); err != nil || h-t < cmdqSlots {
-				continue
-			}
-			// Wait with a wakeup guarantee: the drainer broadcasts after
-			// each completion publish, and enclave death broadcasts too.
-			q.cond.Wait()
+		recs = recs[n:]
+		if n > 0 {
 			continue
 		}
-		n := uint64(len(recs))
-		if n > free {
-			n = free
+		waitCycles += cmdqStallCycles
+		doorbell()
+		if err := q.wait.Wait(nil, q.hasRoom); err != nil {
+			return waitCycles, fmt.Errorf("covirt: %d commands unpushed: %w", len(recs), err)
 		}
-		for i := uint64(0); i < n; i++ {
-			slot := q.base + cmdqHdrSize + ((head+i)&(cmdqSlots-1))*cmdqSlotSize
-			for j, v := range [3]uint64{recs[i].Typ, recs[i].Arg0, recs[i].Arg1} {
-				if err := q.mem.Write64(slot+uint64(j)*8, v); err != nil {
-					return waitCycles, err
-				}
-			}
-		}
-		// Slot contents are fully written; one head store publishes the
-		// whole chunk (the hardware analogue is a release store the
-		// drainer's acquire load of head pairs with).
-		if err := q.mem.Write64(q.base+cmdqOffHead, head+n); err != nil {
-			return waitCycles, err
-		}
-		recs = recs[n:]
 	}
 	return waitCycles, nil
 }
 
-// ringDoorbell releases the queue lock around the doorbell and re-acquires
-// it before returning: the drainer needs the lock to fetch, and the NMI
-// raise may synchronously reach a core parked in its idle loop. Called with
-// q.mu held.
-func (q *cmdQueue) ringDoorbell(doorbell func()) {
-	q.mu.Unlock()
-	defer q.mu.Lock()
-	doorbell()
+// publish writes as many of recs as the ring has room for and publishes
+// them with one head store, returning how many it wrote (0 on a full
+// ring).
+func (q *cmdQueue) publish(recs []cmdRec) (uint64, error) {
+	head, tail, err := q.ends()
+	if errors.Is(err, errCorruptHeader) {
+		return 0, fmt.Errorf("covirt: queue at %#x: %w (head %d, tail %d)", q.base, err, head, tail)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n := min(uint64(len(recs)), cmdqSlots-(head-tail))
+	if n == 0 {
+		return 0, nil
+	}
+	for i := uint64(0); i < n; i++ {
+		slot := q.base + cmdqHdrSize + ((head+i)&(cmdqSlots-1))*cmdqSlotSize
+		for j, v := range [3]uint64{recs[i].Typ, recs[i].Arg0, recs[i].Arg1} {
+			if err := q.mem.Write64(slot+uint64(j)*8, v); err != nil {
+				return 0, err
+			}
+		}
+	}
+	// Slot contents are fully written; one head store publishes the
+	// whole chunk (the hardware analogue is a release store the
+	// drainer's acquire load of head pairs with).
+	if err := q.mem.Write64(q.base+cmdqOffHead, head+n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// hasRoom is the full-ring wait's predicate. An unreadable or corrupt
+// header also ends the wait, so the push reports it.
+func (q *cmdQueue) hasRoom() (bool, error) {
+	head, tail, err := q.ends()
+	return err != nil || head-tail < cmdqSlots, nil
 }
 
 // depth returns the number of pushed-but-undrained records, or 0 when the
-// header is unreadable or corrupt.
+// header is unreadable or corrupt. Under coresMu, which pushEpoch holds
+// across its pushes, the head does not move while depth reads.
 func (q *cmdQueue) depth() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	head, tail, err := q.ends()
 	if err != nil {
 		return 0
@@ -214,36 +209,27 @@ func (q *cmdQueue) epochApplied() uint64 {
 	return v
 }
 
-// waitEpoch blocks until the hypervisor reports epoch e applied, done
-// closes (enclave death), or the header turns out corrupt: a drain that
-// finds it so applies nothing and broadcasts, so no epoch would land.
-func (q *cmdQueue) waitEpoch(e uint64, done <-chan struct{}) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.epochApplied() < e {
-		select {
-		case <-done:
-			return fmt.Errorf("covirt: enclave died before epoch %d applied", e)
-		default:
+// waitEpoch blocks until the hypervisor reports epoch e applied, the
+// enclave is torn down or the node crashes, or the header turns out
+// corrupt: a drain that finds it so applies nothing and broadcasts, so no
+// epoch would land.
+func (q *cmdQueue) waitEpoch(e uint64) error {
+	var corrupt error
+	if err := q.wait.Wait(nil, func() (bool, error) {
+		if q.epochApplied() >= e {
+			return true, nil
 		}
 		if _, _, err := q.ends(); errors.Is(err, errCorruptHeader) {
-			return fmt.Errorf("covirt: epoch %d: queue at %#x: %w", e, q.base, err)
+			corrupt = err
 		}
-		// Wait with a wakeup guarantee: the hypervisor broadcasts after
-		// each drain pass, and enclave death broadcasts too.
-		q.cond.Wait()
+		return corrupt != nil, nil
+	}); err != nil {
+		return fmt.Errorf("covirt: epoch %d not applied: %w", e, err)
+	}
+	if corrupt != nil {
+		return fmt.Errorf("covirt: epoch %d: queue at %#x: %w", e, q.base, corrupt)
 	}
 	return nil
-}
-
-// wake unblocks waiters (enclave death, core removal). The broadcast runs
-// under the lock so it cannot land between a waiter's done-channel check
-// and its cond.Wait and be lost — the waiter would then sleep forever on a
-// dead queue.
-func (q *cmdQueue) wake() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.cond.Broadcast()
 }
 
 // flushRangeLeaves counts the 2 MiB translation leaves overlapping
@@ -260,10 +246,9 @@ func flushRangeLeaves(start, size uint64) uint64 {
 }
 
 // drain processes all pending commands on cpu (the hypervisor's NMI
-// handler body). Each pass snapshots the whole ring under one critical
-// section, applies every record, then retires them with one tail advance,
-// one epoch publish, and one broadcast — the NMI does not lock-roundtrip
-// per record. The TLB flushes are the only invalidation: the VCPU's
+// handler body). Each pass snapshots the whole ring, applies every record,
+// then retires them with one tail advance, one epoch publish, and one
+// broadcast. The TLB flushes are the only invalidation: the VCPU's
 // nested-walk cache checks every entry against EPT.Gen(), which the
 // controller's unmap bumped before pushing. It returns cycles spent, and
 // errCorruptHeader when the header fails its check.
@@ -297,20 +282,14 @@ func (q *cmdQueue) drain(cpu *hw.CPU) (uint64, error) {
 	}
 }
 
-// fetchAll snapshots every pending command record and the tail index under
-// one critical section. The locked read is the simulation's stand-in for
-// the hardware's acquire-ordered head load: the controller publishes slot
-// contents before advancing the head pointer inside pushBatch's critical
-// section. An empty queue, or a backing region that vanished mid-teardown
-// (waiters are then released by teardown's wake), yields no records. A
-// corrupt header yields errCorruptHeader, after a broadcast that lets
-// epoch waiters see it.
+// fetchAll snapshots every pending command record and the tail index. An
+// empty queue, or a backing region that vanished mid-teardown, yields no
+// records. A corrupt header yields errCorruptHeader, after a broadcast
+// that lets epoch waiters see it.
 func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	head, tail, err := q.ends()
 	if errors.Is(err, errCorruptHeader) {
-		q.cond.Broadcast()
+		q.wait.Broadcast()
 		return nil, 0, err
 	}
 	if err != nil {
@@ -335,19 +314,15 @@ func (q *cmdQueue) fetchAll() ([]cmdRec, uint64, error) {
 	return q.scratch[:n], tail, nil
 }
 
-// publishCompletion retires n drained records in one critical section: the
-// tail advances and — when the batch carried an epoch marker — the
-// applied-epoch word is raised. The epoch publish is guarded to be
-// monotonic: a stale marker (reordered relative to a newer epoch already
-// applied) must never move the counter backwards, or waiters would
-// unblock on invalidations that have not happened. The broadcast runs
-// under the lock so a controller thread between its check and cond.Wait
-// cannot miss the wakeup, and it fires even when the backing region
-// vanished mid-teardown so no waiter is left hanging on a dead queue.
+// publishCompletion retires n drained records: the tail advances and —
+// when the batch carried an epoch marker — the applied-epoch word is
+// raised. The epoch publish is guarded to be monotonic: a stale marker
+// (reordered relative to a newer epoch already applied) must never move
+// the counter backwards, or waiters would unblock on invalidations that
+// have not happened. The broadcast fires even when the backing region
+// vanished mid-teardown, so no waiter is left hanging on a dead queue.
 func (q *cmdQueue) publishCompletion(tail, n, epoch uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	defer q.cond.Broadcast()
+	defer q.wait.Broadcast()
 	if err := q.mem.Write64(q.base+cmdqOffTail, tail+n); err != nil {
 		return err
 	}

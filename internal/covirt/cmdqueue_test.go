@@ -2,6 +2,7 @@ package covirt
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,9 @@ import (
 	"covirt/internal/hw"
 )
 
-func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU) {
+// queueFixture builds a queue on a fresh machine. Firing the returned
+// latch stands in for the enclave's teardown.
+func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU, *hw.Latch) {
 	t.Helper()
 	spec := hw.DefaultSpec()
 	spec.MemPerNode = 1 << 30
@@ -20,11 +23,12 @@ func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU) {
 		t.Fatal(err)
 	}
 	base := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	q, err := newCmdQueue(m.Mem, base)
+	teardown := hw.NewLatch(errors.New("test: enclave torn down"))
+	q, err := newCmdQueue(m, base, teardown)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, q, m.CPU(0)
+	return m, q, m.CPU(0), teardown
 }
 
 // noDoorbell is the doorbell for pushes that cannot fill the ring, or
@@ -42,9 +46,9 @@ func drainOK(t *testing.T, q *cmdQueue, cpu *hw.CPU) uint64 {
 }
 
 func TestCmdQueuePushDrain(t *testing.T) {
-	_, q, cpu := queueFixture(t)
+	_, q, cpu, _ := queueFixture(t)
 	recs := []cmdRec{{Typ: CmdFlushRange, Arg0: 0x1000, Arg1: 0x2000}, {Typ: CmdEpoch, Arg0: 1}}
-	if _, err := q.pushBatch(recs, noDoorbell, nil); err != nil {
+	if _, err := q.pushBatch(recs, noDoorbell); err != nil {
 		t.Fatal(err)
 	}
 	if q.epochApplied() != 0 {
@@ -69,10 +73,10 @@ func TestCmdQueuePushDrain(t *testing.T) {
 }
 
 func TestCmdQueueFlushAll(t *testing.T) {
-	_, q, cpu := queueFixture(t)
+	_, q, cpu, _ := queueFixture(t)
 	cpu.TLB.Insert(0x1000, hw.PageSize4K)
 	cpu.TLB.Insert(hw.PageSize1G, hw.PageSize2M)
-	if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushAll}}, noDoorbell, nil); err != nil {
+	if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushAll}}, noDoorbell); err != nil {
 		t.Fatal(err)
 	}
 	drainOK(t, q, cpu)
@@ -95,8 +99,8 @@ func epochRecs(first uint64, n int) []cmdRec {
 // drainer frees slots) rather than fail. The doorbell here runs the drain
 // synchronously, exactly as the NMI handler does on a parked idle core.
 func TestCmdQueueFullBackpressure(t *testing.T) {
-	_, q, cpu := queueFixture(t)
-	if _, err := q.pushBatch(epochRecs(1, cmdqSlots), noDoorbell, nil); err != nil {
+	_, q, cpu, _ := queueFixture(t)
+	if _, err := q.pushBatch(epochRecs(1, cmdqSlots), noDoorbell); err != nil {
 		t.Fatal(err)
 	}
 	// The ring is now full: a batch twice its size cannot fit even an
@@ -104,7 +108,7 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 	// all records.
 	var doorbells int
 	var spent uint64
-	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += drainOK(t, q, cpu) }, nil)
+	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += drainOK(t, q, cpu) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +133,10 @@ func TestCmdQueueFullBackpressure(t *testing.T) {
 // A pushBatch stalled on a full ring must abort when the enclave dies
 // instead of parking forever.
 func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
-	_, q, _ := queueFixture(t)
-	done := make(chan struct{})
-	close(done) // enclave already dead; no drainer will ever run
+	_, q, _, teardown := queueFixture(t)
+	teardown.Fire() // enclave already dead; no drainer will ever run
 	// One more record than the ring holds.
-	if _, err := q.pushBatch(epochRecs(1, cmdqSlots+1), noDoorbell, done); err == nil {
+	if _, err := q.pushBatch(epochRecs(1, cmdqSlots+1), noDoorbell); err == nil {
 		t.Error("overflow push on dead enclave returned nil")
 	}
 }
@@ -141,40 +144,64 @@ func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
 // A waiter on an epoch is released once the drain has completed every
 // command pushed ahead of the epoch's marker.
 func TestCmdQueueWaitCompleted(t *testing.T) {
-	_, q, cpu := queueFixture(t)
-	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
+	_, q, cpu, _ := queueFixture(t)
+	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := q.waitEpoch(1, done); err != nil {
+		if err := q.waitEpoch(1); err != nil {
 			t.Errorf("waitEpoch: %v", err)
 		}
 	}()
 	drainOK(t, q, cpu)
 	wg.Wait()
 	// Waiting for an already-applied epoch returns immediately.
-	if err := q.waitEpoch(1, done); err != nil {
+	if err := q.waitEpoch(1); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// An epoch waiter wakes when the enclave is torn down or the node
+// crashes, whether the stop comes before the wait or while it sleeps.
 func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
-	_, q, _ := queueFixture(t)
-	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	close(done) // the enclave is already dead
-	errc := make(chan error, 1)
-	go func() { errc <- q.waitEpoch(1, done) }()
-	// Teardown wakes all waiters.
-	q.wake()
-	if err := <-errc; err == nil {
-		t.Error("wait on dead enclave returned nil")
+	for _, tc := range []struct {
+		name   string
+		before bool
+		stop   func(m *hw.Machine, teardown *hw.Latch)
+	}{
+		{"teardown-before", true, func(_ *hw.Machine, l *hw.Latch) { l.Fire() }},
+		{"teardown-while-parked", false, func(_ *hw.Machine, l *hw.Latch) { l.Fire() }},
+		{"crash-while-parked", false, func(m *hw.Machine, _ *hw.Latch) { m.Crash("test: node down") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, q, _, teardown := queueFixture(t)
+			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
+				t.Fatal(err)
+			}
+			if tc.before {
+				tc.stop(m, teardown)
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- q.waitEpoch(1) }()
+			if !tc.before {
+				//covirt:allow queue-protocol the test waits until the waiter is parked
+				for q.wait.Parked() == 0 {
+					runtime.Gosched()
+				}
+				tc.stop(m, teardown)
+			}
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Error("wait on a dead enclave returned nil")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("epoch waiter still parked 30 s after the stop")
+			}
+		})
 	}
 }
 
@@ -185,11 +212,10 @@ func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
 // marker overtakes the flushes of an earlier one. Run under -race
 // (scripts/check.sh does).
 func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
-	m, q, _ := queueFixture(t)
+	m, q, _, teardown := queueFixture(t)
 	// The drainer runs on its own core, as the real hypervisor NMI
 	// handler does, while controller threads push from elsewhere.
 	drainCPU := m.CPU(1)
-	done := make(chan struct{})
 	stop := make(chan struct{})
 
 	drained := make(chan struct{})
@@ -219,7 +245,7 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 		for i := range recs {
 			recs[i] = cmdRec{Typ: CmdFlushAll}
 		}
-		_, err := q.pushBatch(append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch}), noDoorbell, done)
+		_, err := q.pushBatch(append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch}), noDoorbell)
 		return epoch, err
 	}
 
@@ -236,7 +262,7 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 					t.Errorf("push: %v", err)
 					return
 				}
-				if err := q.waitEpoch(e, done); err != nil {
+				if err := q.waitEpoch(e); err != nil {
 					t.Errorf("waitEpoch(%d): %v", e, err)
 				}
 			}
@@ -250,15 +276,14 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	}
 
 	// Now the dying-enclave path: a waiter parked on an epoch that will
-	// never be applied must be released by teardown's wake.
+	// never be applied must be released by the teardown latch.
 	e, err := openEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- q.waitEpoch(e, done) }()
-	close(done) // enclave death
-	q.wake()    // teardown releases waiters
+	go func() { errc <- q.waitEpoch(e) }()
+	teardown.Fire() // enclave death releases waiters
 	if err := <-errc; err == nil {
 		t.Error("waiter survived enclave death")
 	}
@@ -280,12 +305,12 @@ func TestCmdQueueCorruptHeader(t *testing.T) {
 		{"tail", cmdqOffTail, 1 << 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, q, cpu := queueFixture(t)
-			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell, nil); err != nil {
+			m, q, cpu, _ := queueFixture(t)
+			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
 				t.Fatal(err)
 			}
 			waited := make(chan error, 1)
-			go func() { waited <- q.waitEpoch(1, nil) }()
+			go func() { waited <- q.waitEpoch(1) }()
 			//covirt:allow queue-protocol the test forges the header as a guest can
 			if err := m.Mem.Write64(q.base+tc.off, tc.val); err != nil {
 				t.Fatal(err)
@@ -302,7 +327,7 @@ func TestCmdQueueCorruptHeader(t *testing.T) {
 				t.Fatal("epoch waiter still parked 30 s after the drain found the header corrupt")
 			}
 			rang := false
-			if _, err := q.pushBatch(epochRecs(2, 1), func() { rang = true }, nil); !errors.Is(err, errCorruptHeader) {
+			if _, err := q.pushBatch(epochRecs(2, 1), func() { rang = true }); !errors.Is(err, errCorruptHeader) {
 				t.Errorf("push over a forged %s = %v, want %v", tc.name, err, errCorruptHeader)
 			}
 			if !rang {
@@ -325,7 +350,7 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := newCmdQueue(m.Mem, hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K))
+		q, err := newCmdQueue(m, hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K), nil)
 		if err != nil {
 			return false
 		}
@@ -336,7 +361,7 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		flushed := map[uint64]bool{}
 		for _, f := range flushes {
 			start := uint64(f%32) * hw.PageSize4K
-			if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushRange, Arg0: start, Arg1: 2 * hw.PageSize4K}}, noDoorbell, nil); err != nil {
+			if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushRange, Arg0: start, Arg1: 2 * hw.PageSize4K}}, noDoorbell); err != nil {
 				return false
 			}
 			flushed[start] = true

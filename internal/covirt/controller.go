@@ -638,23 +638,15 @@ func (c *Controller) linkCore(st *enclaveState, cc *coreCtl) error {
 		return fmt.Errorf("covirt: enclave %d exhausted its %d command-queue slots", st.enc.ID, pisces.MaxBootCores)
 	}
 	if cc.slot == len(st.slotQueues) {
-		q, err := newCmdQueue(c.mach.Mem, st.enc.Base()+pisces.OffCovirtCmdQ+uint64(cc.slot)*CmdQueueStride)
+		// The queue's waits end when the enclave dies, even when no drain
+		// follows: the longcall service can be parked in closeEpoch at that
+		// moment, and linuxhost's bus handler waits for the service before
+		// this controller's handler runs.
+		q, err := newCmdQueue(c.mach, st.enc.Base()+pisces.OffCovirtCmdQ+uint64(cc.slot)*CmdQueueStride, st.enc.Teardown())
 		if err != nil {
 			return err
 		}
 		st.slotQueues = append(st.slotQueues, q)
-		// A controller thread parked on the queue must see the enclave die
-		// even when no drain follows: the longcall service can be parked in
-		// closeEpoch at that moment, and linuxhost's bus handler waits for
-		// the service before this controller's handler runs. A node crash
-		// ends the watcher too, as it does the enclave's rings.
-		go func() {
-			select {
-			case <-st.enc.Done():
-			case <-c.mach.CrashedCh():
-			}
-			q.wake()
-		}()
 	}
 	cc.queue = st.slotQueues[cc.slot]
 	st.cores[cc.id] = cc
@@ -846,12 +838,12 @@ func (c *Controller) unmapAndFlush(ev *pisces.Event) error {
 		// Flush what already left the EPT before reporting: the failed
 		// extent is still mapped, but the unmapped ones must not linger
 		// in any TLB while the caller unwinds.
-		fcost, ferr := c.closeEpoch(st, ev.Enclave)
+		fcost, ferr := c.closeEpoch(st)
 		ev.Cost += fcost
 		return errors.Join(err, ferr)
 	}
 	if !ev.MoreInBatch {
-		fcost, err := c.closeEpoch(st, ev.Enclave)
+		fcost, err := c.closeEpoch(st)
 		ev.Cost += fcost
 		return err
 	}
@@ -890,7 +882,7 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	cost, err := c.closeEpoch(st, ev.Enclave)
+	cost, err := c.closeEpoch(st)
 	ev.Cost += cost
 	return err
 }
@@ -902,9 +894,9 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 // when every core reports the epoch applied. Returns the issue and stall
 // cycles charged to the triggering event, and an error when a core's queue
 // header is corrupt: that core never applies the epoch, so its ranges may
-// stay cached and must not be reclaimed. An enclave that dies mid-flush is
-// no error; nothing is left to synchronize.
-func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, error) {
+// stay cached and must not be reclaimed. An enclave or node that dies
+// mid-flush is no error; nothing is left to synchronize.
+func (c *Controller) closeEpoch(st *enclaveState) (uint64, error) {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	if st.dirtyEvents == 0 && len(st.dirty) == 0 {
@@ -930,11 +922,11 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 
 	// A core hot-removed from here on has its queue applied by
 	// unlinkCore, so each wait ends.
-	waits, cost, err := c.pushEpoch(st, recs, raw, enc.Done())
+	waits, cost, err := c.pushEpoch(st, recs, raw)
 	for _, q := range waits {
-		if werr := q.waitEpoch(st.epoch, enc.Done()); werr != nil {
+		if werr := q.waitEpoch(st.epoch); werr != nil {
 			if !errors.Is(werr, errCorruptHeader) {
-				break // the enclave died mid-flush
+				break // the enclave or the node died mid-flush
 			}
 			if err == nil {
 				err = werr
@@ -951,18 +943,18 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 // before opening the next, so every epoch starts on empty 64-slot rings,
 // and an epoch is at most flushAllThreshold+1 records. It returns the
 // queues to wait on (in st.epochWaits) and the cycles to charge; when the
-// enclave died under backpressure there is nothing to wait on. A core
-// whose queue header is corrupt is skipped and reported; the other cores
-// still get the epoch. Called with ingestMu held; raw is the epoch's
-// unmerged range count.
-func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done <-chan struct{}) (waits []*cmdQueue, cost uint64, corrupt error) {
+// enclave or the node died under backpressure there is nothing to wait
+// on. A core whose queue header is corrupt is skipped and reported; the
+// other cores still get the epoch. Called with ingestMu held; raw is the
+// epoch's unmerged range count.
+func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64) (waits []*cmdQueue, cost uint64, corrupt error) {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
 	flushRecs := uint64(len(recs) - 1) // all but the CmdEpoch marker
 	waits = st.epochWaits[:0]
 	for _, cc := range st.cores {
 		cpu := c.mach.CPU(cc.id)
-		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI, done)
+		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI)
 		if errors.Is(err, errCorruptHeader) {
 			if corrupt == nil {
 				corrupt = err
@@ -983,8 +975,9 @@ func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64, done
 	return waits, cost, corrupt
 }
 
-// teardown drops controller state for a dead enclave. Waiters on its
-// command queues were released when the enclave died (buildCPU).
+// teardown drops controller state for a dead enclave. Waits on its command
+// queues already ended: each queue's wait is bound to the enclave's
+// teardown latch (linkCore), which fired before this event.
 func (c *Controller) teardown(enc *pisces.Enclave) {
 	if enc == nil {
 		return

@@ -32,9 +32,8 @@ func (c *Controller) EPTMapped(enc *pisces.Enclave, addr uint64) bool {
 func (h *Hypervisor) StackDepth() int { return h.stackDepth }
 
 // PendingCommands reports the records queued for core but not yet drained.
-// It takes only the per-core lock and the queue's own lock, neither of
-// which a closing epoch holds while it waits, so it answers while that
-// epoch holds the ingest lock.
+// It takes only the per-core lock, which a closing epoch does not hold
+// while it waits, so it answers while that epoch holds the ingest lock.
 func (c *Controller) PendingCommands(enc *pisces.Enclave, core int) uint64 {
 	st := c.stateFor(enc)
 	if st == nil {

@@ -167,12 +167,14 @@ func (c *CPU) charge(n uint64) { c.TSC += n }
 func (c *CPU) TSCSnapshot() uint64 { return c.tscShadow.Load() }
 
 // Kill marks the CPU's current guest context as terminated. Every
-// subsequent operation returns a FaultEnclaveKilled error. Safe from any
-// goroutine; Covirt's hypervisor uses it to stop an enclave's cores.
+// subsequent operation returns a FaultEnclaveKilled error, and every
+// Handoff wait naming the CPU returns one. Safe from any goroutine;
+// Covirt's hypervisor uses it to stop an enclave's cores.
 func (c *CPU) Kill() {
 	c.killed.Store(true)
 	c.APIC.setKillPending()
 	c.APIC.signal()
+	c.M.wakeSleepers()
 }
 
 // Revive clears the killed and halted latches so a new guest context can

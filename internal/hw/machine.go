@@ -67,6 +67,12 @@ type Machine struct {
 	crashReason atomic.Value // string
 	crashCh     chan struct{}
 
+	// sleeping lists the Handoffs with a goroutine asleep in them; Crash
+	// and CPU.Kill wake each so its waiters re-check their stop
+	// conditions.
+	waitMu   sync.Mutex //covirt:guards sleeping
+	sleeping *Handoff
+
 	faultMu  sync.Mutex
 	faultLog []Fault
 }
@@ -131,8 +137,9 @@ func (m *Machine) RouteIPI(src, dest int, vector uint8) {
 }
 
 // Crash takes the whole node down: every CPU's next operation fails with
-// FaultMachineCrashed. This models the unprotected failure mode the paper
-// targets — one co-kernel's abort killing the machine.
+// FaultMachineCrashed, and every Handoff wait on the node returns. This
+// models the unprotected failure mode the paper targets — one co-kernel's
+// abort killing the machine.
 func (m *Machine) Crash(reason string) {
 	if m.crashed.CompareAndSwap(false, true) {
 		m.crashReason.Store(reason)
@@ -141,11 +148,12 @@ func (m *Machine) Crash(reason string) {
 			c.APIC.setCrashPending()
 			c.APIC.signal()
 		}
+		m.wakeSleepers()
 	}
 }
 
-// CrashedCh returns a channel closed when the node crashes; long waits on
-// shared-memory channels select on it so a dead machine releases them.
+// CrashedCh returns a channel closed when the node crashes; a core stalled
+// with interrupts off (StallNoIRQ) waits on it.
 func (m *Machine) CrashedCh() <-chan struct{} { return m.crashCh }
 
 // Crashed reports whether the node is down.

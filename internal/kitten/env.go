@@ -93,6 +93,13 @@ func (e *Env) Compute(n uint64) { e.check(e.CPU.Compute(n)) }
 // TSC samples the time-stamp counter.
 func (e *Env) TSC() uint64 { return e.CPU.ReadTSC() }
 
+// Await parks the task on h until ready reports true. The wait names the
+// task's own core, so the kill of that core or a node crash ends it, and
+// the task then fails as any kill fault fails it.
+func (e *Env) Await(h *hw.Handoff, ready func() bool) {
+	e.check(h.Wait(e.CPU, func() (bool, error) { return ready(), nil }))
+}
+
 // Access performs one data access at addr, enforcing the kernel memory
 // map (the simulation of Kitten's own page tables).
 func (e *Env) Access(addr uint64, write bool, kind hw.AccessKind) {
@@ -238,7 +245,7 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 	}
 	put64(m.Payload[:], pisces.LcReqCallerCore, uint64(e.CPU.ID))
 	io := pisces.CPUMemIO{CPU: e.CPU}
-	if err := k.enc.LcReq.Push(io, &m); err != nil {
+	if err := k.enc.LcReq.Push(io, &m, e.CPU); err != nil {
 		return 0, 0, err
 	}
 	// Doorbell to the host (modelled as an IPI's worth of cycles; the host
@@ -257,7 +264,7 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 	}
 	var resp pisces.Msg
 	for {
-		if empty {
+		if empty && k.lcRespEmpty() {
 			if ierr := e.CPU.Idle(k.done); ierr != nil {
 				return 0, 0, ierr
 			}
@@ -292,6 +299,17 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 		return val0, val1, fmt.Errorf("kitten: longcall %d failed with status %d", nr, status)
 	}
 	return val0, val1, nil
+}
+
+// lcRespEmpty reports whether the longcall response ring is still empty,
+// reading it from the host side: uncharged and without polling. A charged
+// look polls between and after its header reads, so the answer's doorbell
+// can be taken inside a look that read the header just before the host's
+// push. The look then reports empty, and the doorbell that should end the
+// idle wait is already spent; this second look sees the answer instead.
+func (k *Kernel) lcRespEmpty() bool {
+	empty, err := k.enc.LcResp.Empty(pisces.NativeMemIO{Mem: k.mach.Mem})
+	return empty && err == nil
 }
 
 // WriteConsole forwards a console write to the host.

@@ -1,6 +1,7 @@
 package kitten
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,9 @@ const (
 	VectorTLBFlush uint8 = 0xF1 // TLB shootdown request
 )
 
-// taskQueueDepth bounds queued tasks per core.
-const taskQueueDepth = 64
+// errKernelDown fails a task that the kernel will never run: one spawned
+// after its core's loop exited, or still queued when the loop exits.
+var errKernelDown = errors.New("kitten: kernel is down")
 
 // Kernel is one booted Kitten instance inside a Pisces enclave. It
 // implements pisces.Bootable. Each core's local APIC timer ticks at the
@@ -69,10 +71,15 @@ type Kernel struct {
 type coreCtx struct {
 	local  int // index within the enclave at creation time
 	cpu    *hw.CPU
-	tasks  chan *Task
 	stop   chan struct{} // closed on hot-remove
 	exited chan struct{} // closed when the core loop returns
 	busy   atomic.Bool   // a task is executing
+
+	// mu guards the run queue. down is set as the core loop exits: no task
+	// is queued after that, and the loop fails every task it leaves.
+	mu    sync.Mutex //covirt:guards queue,down
+	queue []*Task
+	down  bool
 }
 
 // Task is one run-to-completion unit of guest work.
@@ -89,7 +96,8 @@ type Task struct {
 	released chan struct{}
 }
 
-// Wait blocks until the task finishes and returns its error.
+// Wait blocks until the task finishes, or its core's loop exits without
+// running it, and returns its error.
 func (t *Task) Wait() error {
 	<-t.done
 	return t.err
@@ -217,7 +225,6 @@ func (k *Kernel) registerCore(cpu *hw.CPU) *coreCtx {
 	cc := &coreCtx{
 		local:  len(k.cores),
 		cpu:    cpu,
-		tasks:  make(chan *Task, taskQueueDepth),
 		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
 	}
@@ -227,7 +234,10 @@ func (k *Kernel) registerCore(cpu *hw.CPU) *coreCtx {
 }
 
 // Shutdown implements pisces.Bootable. It stops all core loops; safe to
-// call multiple times and from any goroutine.
+// call multiple times and from any goroutine. Closing done is the only
+// wakeup the loops need: an idle core waits on it, and a busy one checks
+// it when its task returns. An NMI raised to wake them would charge its
+// handler to whichever core polled first, which host timing decides.
 func (k *Kernel) Shutdown() {
 	k.stop.Do(func() {
 		close(k.done)
@@ -235,16 +245,12 @@ func (k *Kernel) Shutdown() {
 		defer k.coresMu.RUnlock()
 		for _, cc := range k.cores {
 			cc.cpu.APIC.DisarmTimer()
-			// Wake any idle loop so it notices the shutdown.
-			cc.cpu.APIC.RaiseNMI()
 		}
 	})
 }
 
-// Wait blocks until all core loops exit (after Shutdown or a crash).
-func (k *Kernel) Wait() { k.wg.Wait() }
-
-// Quiesce implements pisces.Quiescer.
+// Quiesce implements pisces.Quiescer: it blocks until all core loops exit
+// (after Shutdown or a crash).
 func (k *Kernel) Quiesce() { k.wg.Wait() }
 
 // NumCores returns the enclave's current core count.
@@ -288,35 +294,78 @@ func (k *Kernel) Nodes() []int {
 }
 
 // coreLoop is the per-core scheduler: run queued tasks to completion,
-// otherwise idle (servicing interrupts).
+// otherwise idle (servicing interrupts). Shutdown and hot-remove are
+// checked before each task, so a task queued behind one that killed the
+// enclave fails instead of racing the shutdown.
 func (k *Kernel) coreLoop(cc *coreCtx) {
 	defer k.wg.Done()
 	defer close(cc.exited)
+	defer cc.shutDown()
 	for {
 		select {
 		case <-k.done:
 			return
 		case <-cc.stop:
 			return
-		case t := <-cc.tasks:
-			k.runTask(cc, t)
 		default:
-			if err := cc.cpu.Idle(k.done); err != nil {
-				// Machine crashed or enclave killed: stop the core.
-				return
-			}
-			// Re-check the queue; Idle returns on any event.
-			select {
-			case <-k.done:
-				return
-			case <-cc.stop:
-				return
-			case t := <-cc.tasks:
-				k.runTask(cc, t)
-			default:
-			}
+		}
+		if t := cc.next(); t != nil {
+			k.runTask(cc, t)
+			continue
+		}
+		// Idle returns on any event; the loop then re-checks the queue.
+		if err := cc.cpu.Idle(k.done); err != nil {
+			// Machine crashed or enclave killed: stop the core.
+			return
 		}
 	}
+}
+
+// enqueue appends t to the run queue, reporting false once the core loop
+// has exited.
+func (cc *coreCtx) enqueue(t *Task) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.down {
+		return false
+	}
+	cc.queue = append(cc.queue, t)
+	return true
+}
+
+// next dequeues the oldest queued task, or returns nil. It shifts the rest
+// down in place, so the queue keeps its backing array and a spawn does not
+// allocate one.
+func (cc *coreCtx) next() *Task {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.queue) == 0 {
+		return nil
+	}
+	t := cc.queue[0]
+	n := copy(cc.queue, cc.queue[1:])
+	cc.queue[n] = nil
+	cc.queue = cc.queue[:n]
+	return t
+}
+
+// queued reports how many tasks wait in the run queue.
+func (cc *coreCtx) queued() int {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.queue)
+}
+
+// shutDown closes the run queue and fails every task still in it.
+func (cc *coreCtx) shutDown() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.down = true
+	for _, t := range cc.queue {
+		t.err = errKernelDown
+		close(t.done)
+	}
+	cc.queue = nil
 }
 
 // runTask executes one task on the core, converting guest panics raised by
@@ -353,10 +402,8 @@ func (k *Kernel) Spawn(name string, core int, fn func(*Env) error) (*Task, error
 		return nil, fmt.Errorf("kitten: no local core %d", core)
 	}
 	t := &Task{Name: name, fn: fn, done: make(chan struct{}), released: make(chan struct{})}
-	select {
-	case cc.tasks <- t:
-	case <-k.done:
-		return nil, fmt.Errorf("kitten: kernel is down")
+	if !cc.enqueue(t) {
+		return nil, errKernelDown
 	}
 	// Reschedule doorbell so an idle core picks the task up, released only
 	// after the doorbell is raised so the task cannot observe a half-spawned
@@ -427,7 +474,7 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 		k.flushLocal(cpu)
 	case pisces.VectorCtl:
 		accept := func(m *pisces.Msg) bool { return k.ctlCommand(cpu, m) }
-		if k.ctl.Serve(pisces.CPUMemIO{CPU: cpu}, k.enc.CtlReq, k.enc.CtlResp, accept) {
+		if k.ctl.Serve(cpu, k.enc.CtlReq, k.enc.CtlResp, accept) {
 			go k.Shutdown() // async: let this IRQ return first
 		}
 	default:
@@ -565,7 +612,7 @@ func (k *Kernel) detachCore(cpuID int) (*coreCtx, error) {
 	if cc == nil {
 		return nil, fmt.Errorf("kitten: core %d not offline-able", cpuID)
 	}
-	if cc.busy.Load() || len(cc.tasks) > 0 {
+	if cc.busy.Load() || cc.queued() > 0 {
 		return nil, fmt.Errorf("kitten: core %d is busy", cpuID)
 	}
 	k.cores = append(k.cores[:idx], k.cores[idx+1:]...)

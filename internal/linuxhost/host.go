@@ -7,6 +7,7 @@ package linuxhost
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -82,15 +83,22 @@ func New(m *hw.Machine) (*Host, error) {
 	h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
 		switch ev.Kind {
 		case pisces.EvEnclaveBooted:
+			enc := ev.Enclave
 			svcDone := make(chan struct{})
-			h.setService(ev.Enclave.ID, svcDone)
+			h.setService(enc.ID, svcDone)
 			go func() {
-				defer close(svcDone)
-				h.longcallService(ev.Enclave)
+				err := h.longcallService(enc)
+				close(svcDone)
+				// A guest that rewrote its own ring header crashes; the
+				// report comes after close, since the crash handler
+				// below waits for this service.
+				if errors.Is(err, pisces.ErrCorruptRing) {
+					h.Pisces.ReportCrash(enc, "corrupt longcall-ring header")
+				}
 			}()
 		case pisces.EvEnclaveCrashed, pisces.EvEnclaveDestroyed:
-			// The rings are closed by teardown; wait for the service to
-			// stop touching the enclave's (about to be recycled) memory.
+			// Teardown ends the service's ring waits; wait for the service
+			// to stop touching the enclave's (about to be recycled) memory.
 			if svcDone := h.takeService(ev.Enclave.ID); svcDone != nil {
 				<-svcDone
 			}
@@ -245,14 +253,16 @@ func (h *Host) takeService(encID int) chan struct{} {
 }
 
 // longcallService processes forwarded system calls for one enclave until
-// the enclave goes away. The request and response messages escape into the
-// handler's function value, so the service reuses one pair for every call
-// instead of allocating a pair per call; handlers do not retain them.
-func (h *Host) longcallService(enc *pisces.Enclave) {
+// a ring access fails: the enclave stopped or crashed, the node crashed,
+// or the guest corrupted a ring header. The request and response messages
+// escape into the handler's function value, so the service reuses one
+// pair for every call instead of allocating a pair per call; handlers do
+// not retain them.
+func (h *Host) longcallService(enc *pisces.Enclave) error {
 	var m, resp pisces.Msg
 	for {
-		if err := enc.LcReq.Pop(h.io, &m); err != nil {
-			return // enclave stopped or crashed
+		if err := enc.LcReq.Pop(h.io, &m, nil); err != nil {
+			return err
 		}
 		resp = pisces.Msg{Type: m.Type, Seq: m.Seq}
 		fn := h.handlerFor(m.Type)
@@ -263,8 +273,8 @@ func (h *Host) longcallService(enc *pisces.Enclave) {
 			cycles += fn(h, enc, &m, &resp)
 		}
 		put64(resp.Payload[:], pisces.LcRespCycles, cycles)
-		if err := enc.LcResp.Push(h.io, &resp); err != nil {
-			return
+		if err := enc.LcResp.Push(h.io, &resp, nil); err != nil {
+			return err
 		}
 		// Response doorbell: kick the calling core so its idle wait wakes.
 		caller := int(get64(m.Payload[:], pisces.LcReqCallerCore))

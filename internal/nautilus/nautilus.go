@@ -182,7 +182,7 @@ func (k *Kernel) handleIRQ(cpu *hw.CPU, vector uint8, external bool) {
 		// Nautilus accepts ping and shutdown and, being a static runtime
 		// kernel, rejects memory reconfiguration.
 		ping := func(m *pisces.Msg) bool { return m.Type == pisces.CmdPing }
-		if k.ctl.Serve(pisces.CPUMemIO{CPU: cpu}, k.enc.CtlReq, k.enc.CtlResp, ping) {
+		if k.ctl.Serve(cpu, k.enc.CtlReq, k.enc.CtlResp, ping) {
 			go k.Shutdown()
 		}
 	default:
@@ -208,13 +208,14 @@ func (k *Kernel) beat(cpu *hw.CPU) {
 // OnIPI registers a runtime interrupt handler.
 func (k *Kernel) OnIPI(vector uint8, h func(*Env)) { k.handlers.Store(vector, h) }
 
-// Shutdown implements pisces.Bootable.
+// Shutdown implements pisces.Bootable. Closing done wakes every idle
+// thread loop; no NMI is raised, whose handler would be charged to
+// whichever core polled first.
 func (k *Kernel) Shutdown() {
 	k.stop.Do(func() {
 		close(k.done)
 		for _, c := range k.cores {
 			c.APIC.DisarmTimer() // only armed when supervised
-			c.APIC.RaiseNMI()    // wake idle loops
 		}
 	})
 }
@@ -234,8 +235,8 @@ func (k *Kernel) Wait() error {
 	return nil
 }
 
-// JoinThreads blocks until every thread body has returned (they may still
-// be idling) and reports the first error so far.
+// Errors returns the thread-body errors recorded so far, without waiting
+// for any thread.
 func (k *Kernel) Errors() []error {
 	k.errMu.Lock()
 	defer k.errMu.Unlock()

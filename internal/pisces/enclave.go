@@ -57,8 +57,9 @@ type Enclave struct {
 	LcReq   *Ring // enclave -> host longcalls
 	LcResp  *Ring // host -> enclave longcall results
 
-	// done closes when the enclave stops or crashes; rings unblock on it.
-	done chan struct{}
+	// teardown fires when the enclave stops or crashes. Every wait on its
+	// rings and command queues is bound to it.
+	teardown *hw.Latch
 	// reclaimed closes once every resource (cores included) has returned
 	// to the pool and no stale execution context remains.
 	reclaimed chan struct{}
@@ -102,22 +103,16 @@ func (e *Enclave) CrashReason() string {
 }
 
 // Done returns a channel closed when the enclave stops or crashes.
-func (e *Enclave) Done() <-chan struct{} { return e.done }
+func (e *Enclave) Done() <-chan struct{} { return e.teardown.Done() }
+
+// Teardown returns the latch that fires when the enclave stops or crashes.
+// Host-side waits on state in the enclave's memory bind to it, so its
+// teardown ends them.
+func (e *Enclave) Teardown() *hw.Latch { return e.teardown }
 
 // Reclaimed returns a channel closed when teardown has fully completed:
 // the kernel quiesced and all hardware returned to the resource pool.
 func (e *Enclave) Reclaimed() <-chan struct{} { return e.reclaimed }
-
-// CloseRings shuts down the enclave's control and longcall channels,
-// releasing any endpoint blocked on them. Called during teardown before
-// the backing memory can be reused.
-func (e *Enclave) CloseRings() {
-	for _, r := range []*Ring{e.CtlReq, e.CtlResp, e.LcReq, e.LcResp} {
-		if r != nil {
-			r.Close()
-		}
-	}
-}
 
 // Kernel returns the booted co-kernel, or nil before boot.
 func (e *Enclave) Kernel() Bootable {

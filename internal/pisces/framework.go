@@ -1,6 +1,7 @@
 package pisces
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -236,26 +237,18 @@ func (fw *Framework) CreateEnclave(spec EnclaveSpec) (*Enclave, error) {
 		mem:       mem,
 		memCaps:   memCaps,
 		state:     StateCreated,
-		done:      make(chan struct{}),
+		teardown:  hw.NewLatch(fmt.Errorf("pisces: enclave %d torn down", id)),
 		reclaimed: make(chan struct{}),
 		fw:        fw,
 	}
 
 	// Lay out control channels in the reserved head of the first extent.
-	// Rings shut down when the enclave stops OR the whole node crashes.
-	ringDone := make(chan struct{})
-	go func() {
-		select {
-		case <-enc.done:
-		case <-fw.Machine.CrashedCh():
-		}
-		close(ringDone)
-	}()
+	// Their waits end when the enclave is torn down or the node crashes.
 	base := mem[0].Start
-	enc.CtlReq = NewRing(base+OffCtlReqRing, ringDone)
-	enc.CtlResp = NewRing(base+OffCtlRespRing, ringDone)
-	enc.LcReq = NewRing(base+OffLcReqRing, ringDone)
-	enc.LcResp = NewRing(base+OffLcRespRing, ringDone)
+	enc.CtlReq = NewRing(base+OffCtlReqRing, fw.Machine, enc.teardown)
+	enc.CtlResp = NewRing(base+OffCtlRespRing, fw.Machine, enc.teardown)
+	enc.LcReq = NewRing(base+OffLcReqRing, fw.Machine, enc.teardown)
+	enc.LcResp = NewRing(base+OffLcRespRing, fw.Machine, enc.teardown)
 	for _, r := range []*Ring{enc.CtlReq, enc.CtlResp, enc.LcReq, enc.LcResp} {
 		if err := r.Init(fw.hostIO); err != nil {
 			return nil, fmt.Errorf("pisces: ring init: %w", err)
@@ -342,22 +335,34 @@ func (fw *Framework) Boot(enc *Enclave, kernel Bootable) error {
 	return fw.Bus.Emit(&Event{Kind: EvEnclaveBooted, Enclave: enc})
 }
 
-// sendCtl issues one control command and waits for the enclave's ack.
+// sendCtl issues one control command and waits for the enclave's ack. It
+// fails instead of waiting once the enclave is torn down, its boot core
+// (the core that serves the ring) is killed, or the node crashes. A
+// corrupt ring header means the guest rewrote it: the enclave is reported
+// crashed.
 func (fw *Framework) sendCtl(enc *Enclave, m *Msg) (*Msg, error) {
-	if fw.Machine.Crashed() {
-		return nil, fmt.Errorf("pisces: node is down")
+	resp, err := fw.ctlRoundTrip(enc, m)
+	if errors.Is(err, ErrCorruptRing) {
+		fw.ReportCrash(enc, "corrupt control-ring header")
 	}
+	return resp, err
+}
+
+// ctlRoundTrip pushes m on the control ring, rings the doorbell and pops
+// the ack, one command at a time.
+func (fw *Framework) ctlRoundTrip(enc *Enclave, m *Msg) (*Msg, error) {
 	enc.ctlMu.Lock()
 	defer enc.ctlMu.Unlock()
+	boot := enc.BootCPU()
 	enc.ctlSeq++
 	m.Seq = enc.ctlSeq
-	if err := enc.CtlReq.Push(fw.hostIO, m); err != nil {
+	if err := enc.CtlReq.Push(fw.hostIO, m, boot); err != nil {
 		return nil, err
 	}
 	// Doorbell: kick the enclave's boot core.
-	fw.Machine.RouteIPI(-1, enc.BootCPU().ID, VectorCtl)
+	fw.Machine.RouteIPI(-1, boot.ID, VectorCtl)
 	var resp Msg
-	if err := enc.CtlResp.Pop(fw.hostIO, &resp); err != nil {
+	if err := enc.CtlResp.Pop(fw.hostIO, &resp, boot); err != nil {
 		return nil, err
 	}
 	if resp.Seq != m.Seq {
@@ -578,8 +583,7 @@ func (fw *Framework) ReportCrash(enc *Enclave, reason string) {
 		return
 	}
 
-	close(enc.done)
-	enc.CloseRings()
+	enc.teardown.Fire()
 	for _, cpu := range enc.CPUs() {
 		cpu.Kill()
 	}
@@ -609,8 +613,10 @@ func (fw *Framework) ReportCrash(enc *Enclave, reason string) {
 }
 
 // Destroy gracefully stops a running enclave and reclaims its resources.
+// The shutdown command is best effort: when it fails (the node is down,
+// the boot core dead), the enclave is torn down all the same.
 func (fw *Framework) Destroy(enc *Enclave) error {
-	if enc.State() == StateRunning && !fw.Machine.Crashed() {
+	if enc.State() == StateRunning {
 		_, _ = fw.sendCtl(enc, &Msg{Type: CmdShutdown})
 	}
 	mem, ok := enc.beginTeardown(StateStopped, "")
@@ -618,8 +624,7 @@ func (fw *Framework) Destroy(enc *Enclave) error {
 		return nil
 	}
 
-	close(enc.done)
-	enc.CloseRings()
+	enc.teardown.Fire()
 	kernel := enc.Kernel()
 	if kernel != nil {
 		kernel.Shutdown()

@@ -40,7 +40,7 @@ func (s *stubKernel) Boot(bc *pisces.BootContext) error {
 		cpu := bc.Machine.CPU(id)
 		cpu.SetIRQHandler(func(c *hw.CPU, vector uint8, external bool) {
 			enc := s.bc.Enclave
-			if vector == pisces.VectorCtl && s.ctl.Serve(pisces.CPUMemIO{CPU: c}, enc.CtlReq, enc.CtlResp, s.accept) {
+			if vector == pisces.VectorCtl && s.ctl.Serve(c, enc.CtlReq, enc.CtlResp, s.accept) {
 				go s.Shutdown()
 			}
 		})

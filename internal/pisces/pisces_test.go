@@ -1,7 +1,9 @@
 package pisces
 
 import (
+	"errors"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,9 +222,7 @@ func TestRingPushPop(t *testing.T) {
 		t.Fatal(err)
 	}
 	io := NativeMemIO{Mem: pm}
-	done := make(chan struct{})
-	defer close(done)
-	r := NewRing(0x1000, done)
+	r := NewRing(0x1000, nil, nil)
 	if err := r.Init(io); err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,11 @@ func TestRingPushPop(t *testing.T) {
 	m.Type = 42
 	m.Seq = 7
 	copy(m.Payload[:], "payload bytes")
-	if err := r.Push(io, &m); err != nil {
+	if err := r.Push(io, &m, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out Msg
-	if err := r.Pop(io, &out); err != nil {
+	if err := r.Pop(io, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out.Type != 42 || out.Seq != 7 || string(out.Payload[:13]) != "payload bytes" {
@@ -253,11 +253,11 @@ func TestRingOrderAndCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	io := NativeMemIO{Mem: pm}
-	r := NewRing(0, nil)
+	r := NewRing(0, nil, nil)
 	_ = r.Init(io)
 	for i := 0; i < RingSlots; i++ {
 		m := Msg{Type: uint32(i)}
-		if err := r.Push(io, &m); err != nil {
+		if err := r.Push(io, &m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,11 +265,11 @@ func TestRingOrderAndCapacity(t *testing.T) {
 	donePush := make(chan error, 1)
 	go func() {
 		m := Msg{Type: 999}
-		donePush <- r.Push(io, &m)
+		donePush <- r.Push(io, &m, nil)
 	}()
 	var out Msg
 	for i := 0; i < RingSlots; i++ {
-		if err := r.Pop(io, &out); err != nil {
+		if err := r.Pop(io, &out, nil); err != nil {
 			t.Fatal(err)
 		}
 		if out.Type != uint32(i) {
@@ -279,31 +279,40 @@ func TestRingOrderAndCapacity(t *testing.T) {
 	if err := <-donePush; err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Pop(io, &out); err != nil || out.Type != 999 {
+	if err := r.Pop(io, &out, nil); err != nil || out.Type != 999 {
 		t.Errorf("blocked push message = %+v, %v", out, err)
 	}
 }
 
+// TestRingCloseUnblocks: firing the teardown latch a ring is bound to
+// releases an endpoint parked on it, and every later access fails.
 func TestRingCloseUnblocks(t *testing.T) {
 	pm := hw.NewPhysMem()
 	if _, err := pm.AddRegion(0, 1<<20, 0, "ring"); err != nil {
 		t.Fatal(err)
 	}
 	io := NativeMemIO{Mem: pm}
-	r := NewRing(0, nil)
+	teardown := hw.NewLatch(errors.New("test: enclave torn down"))
+	r := NewRing(0, nil, teardown)
 	_ = r.Init(io)
 	errc := make(chan error, 1)
 	go func() {
 		var m Msg
-		errc <- r.Pop(io, &m)
+		errc <- r.Pop(io, &m, nil)
 	}()
-	r.Close()
+	for r.wait.Parked() == 0 {
+		runtime.Gosched()
+	}
+	teardown.Fire()
 	if err := <-errc; err == nil {
 		t.Error("Pop on closed ring returned nil")
 	}
 	var m Msg
-	if err := r.Push(io, &m); err == nil {
+	if err := r.Push(io, &m, nil); err == nil {
 		t.Error("Push on closed ring succeeded")
+	}
+	if _, err := r.TryPop(io, &m); err == nil {
+		t.Error("TryPop on closed ring succeeded")
 	}
 }
 
@@ -315,7 +324,7 @@ func TestRingFIFOProperty(t *testing.T) {
 	}
 	io := NativeMemIO{Mem: pm}
 	f := func(types []uint32) bool {
-		r := NewRing(0x2000, nil)
+		r := NewRing(0x2000, nil, nil)
 		if r.Init(io) != nil {
 			return false
 		}
@@ -323,13 +332,13 @@ func TestRingFIFOProperty(t *testing.T) {
 			types = types[:RingSlots]
 		}
 		for _, ty := range types {
-			if r.Push(io, &Msg{Type: ty}) != nil {
+			if r.Push(io, &Msg{Type: ty}, nil) != nil {
 				return false
 			}
 		}
 		for _, ty := range types {
 			var out Msg
-			if r.Pop(io, &out) != nil || out.Type != ty {
+			if r.Pop(io, &out, nil) != nil || out.Type != ty {
 				return false
 			}
 		}
@@ -396,7 +405,7 @@ func TestRingConcurrentPushPopIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	io := NativeMemIO{Mem: pm}
-	r := NewRing(0x1000, nil)
+	r := NewRing(0x1000, nil, nil)
 	if err := r.Init(io); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +421,7 @@ func TestRingConcurrentPushPopIntact(t *testing.T) {
 	go func() {
 		for i := 0; i < msgs; i++ {
 			m := fill(i)
-			if err := r.Push(io, &m); err != nil {
+			if err := r.Push(io, &m, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -422,7 +431,7 @@ func TestRingConcurrentPushPopIntact(t *testing.T) {
 	for i := 0; i < msgs; i++ {
 		var out Msg
 		if i%2 == 0 {
-			if err := r.Pop(io, &out); err != nil {
+			if err := r.Pop(io, &out, nil); err != nil {
 				t.Fatal(err)
 			}
 		} else {

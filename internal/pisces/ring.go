@@ -1,9 +1,11 @@
 package pisces
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"covirt/internal/hw"
 )
 
 // Msg is one fixed-size command-ring message. Fixed-size messages mirror
@@ -25,50 +27,44 @@ const (
 // RingSlots is the capacity of each command ring.
 const RingSlots = 32
 
+// ErrCorruptRing reports a ring header no honest producer and consumer can
+// produce: the tail past the head, or more messages pending than the ring
+// holds. The header lies in the enclave's reserved area, which the
+// co-kernel can write, so a host endpoint that finds it so reports the
+// enclave crashed.
+var ErrCorruptRing = errors.New("corrupt ring header")
+
 // Ring is a single-producer single-consumer command ring living in shared
 // physical memory. Head and tail indices and all message bytes are stored
 // in guest-visible memory and accessed through a MemIO, so an enclave-side
 // endpoint pays simulated access costs and is subject to protection.
 //
-// Go-level blocking (cond + done channel) stands in for the interrupt-based
-// wakeups of the real system; the IPI "doorbell" side effects are modelled
-// by the callers, which send IPIs around Push as the real stack does.
+// An endpoint that must wait (a full ring for the producer, an empty one
+// for the consumer) sleeps on the ring's hw.Handoff, which stands in for
+// the interrupt-based wakeups of the real system: each push and pop
+// broadcasts, and the wait ends early with an error once the enclave is
+// torn down, the node crashes or the core the caller names is killed. The
+// IPI "doorbell" side effects are modelled by the callers, which send
+// IPIs around Push as the real stack does.
+//
+// Header and slot I/O run outside any lock: every backing word is atomic,
+// and each index has one writer. So a guest endpoint may take an
+// interrupt, and terminate its own enclave, in the middle of an access.
 type Ring struct {
 	base uint64
+	wait *hw.Handoff
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	done <-chan struct{}
-
-	closed bool
-	// buf stages one message between the caller's Msg and shared memory.
-	// It is guarded by mu: a stack array would escape through the MemIO
-	// interface and cost an allocation per message.
-	buf [msgSize]byte
+	// pushBuf and popBuf stage one message between a Msg and shared
+	// memory, one buffer per endpoint: a stack array would escape through
+	// the MemIO interface and cost an allocation per message.
+	pushBuf, popBuf [msgSize]byte
 }
 
-// NewRing creates the Go-side handle for a ring at base. The memory is not
+// NewRing creates the Go-side handle for a ring at base. Its waits end when
+// m crashes or teardown fires; either may be nil. The memory is not
 // initialized; call Init from the owning (host) side first.
-func NewRing(base uint64, done <-chan struct{}) *Ring {
-	r := &Ring{base: base, done: done}
-	r.cond = sync.NewCond(&r.mu)
-	if done != nil {
-		go func() {
-			<-done
-			r.markClosed()
-		}()
-	}
-	return r
-}
-
-// markClosed latches the closed flag and releases all blocked endpoints.
-// The broadcast runs under the lock so a racing Pop between its closed
-// check and cond.Wait cannot miss it.
-func (r *Ring) markClosed() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	r.cond.Broadcast()
+func NewRing(base uint64, m *hw.Machine, teardown *hw.Latch) *Ring {
+	return &Ring{base: base, wait: hw.NewHandoff(m, teardown)}
 }
 
 // Init zeroes the ring header through io.
@@ -84,121 +80,109 @@ func (r *Ring) slotAddr(i uint64) uint64 {
 	return r.base + ringHdrSize + (i%RingSlots)*msgSize
 }
 
-// Push appends m, blocking while the ring is full. It returns an error if
-// the ring is shut down or the memory access faults.
-func (r *Ring) Push(io MemIO, m *Msg) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		head, tail, err := r.ends(io)
-		if err != nil {
-			return err
-		}
-		if head-tail < RingSlots {
-			put32(r.buf[:], 0, m.Type)
-			put32(r.buf[:], 4, m.Seq)
-			copy(r.buf[8:], m.Payload[:])
-			if err := io.WriteBytes(r.slotAddr(head), r.buf[:]); err != nil {
-				return err
-			}
-			if err := io.Write64(r.base, head+1); err != nil {
-				return err
-			}
-			r.cond.Broadcast()
-			return nil
-		}
-		r.cond.Wait()
+// Push appends m, waiting while the ring is full. It fails if the memory
+// access faults, the header is corrupt, or a stop condition of the ring's
+// wait holds (cpu names the core whose kill ends the wait, or nil).
+func (r *Ring) Push(io MemIO, m *Msg, cpu *hw.CPU) error {
+	var head uint64
+	if err := r.wait.Wait(cpu, func() (bool, error) {
+		h, t, err := r.ends(io)
+		head = h
+		return h-t < RingSlots, err
+	}); err != nil {
+		return err
 	}
+	put32(r.pushBuf[:], 0, m.Type)
+	put32(r.pushBuf[:], 4, m.Seq)
+	copy(r.pushBuf[8:], m.Payload[:])
+	if err := io.WriteBytes(r.slotAddr(head), r.pushBuf[:]); err != nil {
+		return err
+	}
+	if err := io.Write64(r.base, head+1); err != nil {
+		return err
+	}
+	r.wait.Broadcast()
+	return nil
 }
 
-// Pop removes the oldest message, blocking while the ring is empty.
-func (r *Ring) Pop(io MemIO, m *Msg) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		head, tail, err := r.ends(io)
-		if err != nil {
-			return err
-		}
-		if head > tail {
-			if err := r.load(io, tail, m); err != nil {
-				return err
-			}
-			if err := io.Write64(r.base+8, tail+1); err != nil {
-				return err
-			}
-			r.cond.Broadcast()
-			return nil
-		}
-		r.cond.Wait()
+// Pop removes the oldest message, waiting while the ring is empty. It
+// fails as Push does.
+func (r *Ring) Pop(io MemIO, m *Msg, cpu *hw.CPU) error {
+	var tail uint64
+	if err := r.wait.Wait(cpu, func() (bool, error) {
+		h, t, err := r.ends(io)
+		tail = t
+		return h > t, err
+	}); err != nil {
+		return err
 	}
+	return r.take(io, tail, m)
 }
 
-// TryPop is Pop without blocking; ok reports whether a message was taken.
+// TryPop is Pop without waiting; ok reports whether a message was taken.
 func (r *Ring) TryPop(io MemIO, m *Msg) (ok bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if err := r.wait.Stopped(nil); err != nil {
+		return false, err
+	}
 	head, tail, err := r.ends(io)
 	if err != nil || head == tail {
 		return false, err
 	}
-	if err := r.load(io, tail, m); err != nil {
-		return false, err
-	}
-	if err := io.Write64(r.base+8, tail+1); err != nil {
-		return false, err
-	}
-	r.cond.Broadcast()
-	return true, nil
+	return true, r.take(io, tail, m)
 }
 
-// load copies the message in slot tail into m through the ring's staging
-// buffer. Caller holds r.mu.
-func (r *Ring) load(io MemIO, tail uint64, m *Msg) error {
-	if err := io.ReadBytes(r.slotAddr(tail), r.buf[:]); err != nil {
+// take copies the message in slot tail into m through the consumer's
+// staging buffer, then retires the slot.
+func (r *Ring) take(io MemIO, tail uint64, m *Msg) error {
+	if err := io.ReadBytes(r.slotAddr(tail), r.popBuf[:]); err != nil {
 		return err
 	}
-	m.Type = get32(r.buf[:], 0)
-	m.Seq = get32(r.buf[:], 4)
-	copy(m.Payload[:], r.buf[8:])
+	m.Type = get32(r.popBuf[:], 0)
+	m.Seq = get32(r.popBuf[:], 4)
+	copy(m.Payload[:], r.popBuf[8:])
+	if err := io.Write64(r.base+8, tail+1); err != nil {
+		return err
+	}
+	r.wait.Broadcast()
 	return nil
 }
 
 // Empty reports whether the ring holds no message, reading the header
 // through io as TryPop does.
 func (r *Ring) Empty(io MemIO) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if err := r.wait.Stopped(nil); err != nil {
+		return false, err
+	}
 	head, tail, err := r.ends(io)
 	return head == tail, err
 }
 
-// ends reads the head and tail words through io, failing once the ring is
-// shut down. Caller holds r.mu.
+// ends reads the head and tail words through io and checks them against
+// each other, failing with ErrCorruptRing when they could not have come
+// from an honest producer and consumer.
 func (r *Ring) ends(io MemIO) (head, tail uint64, err error) {
-	if r.closed {
-		return 0, 0, fmt.Errorf("pisces: ring shut down")
-	}
 	if head, err = io.Read64(r.base); err != nil {
 		return 0, 0, err
 	}
-	tail, err = io.Read64(r.base + 8)
-	return head, tail, err
-}
-
-// Close shuts the ring down, releasing all blocked endpoints.
-func (r *Ring) Close() {
-	r.markClosed()
+	if tail, err = io.Read64(r.base + 8); err != nil {
+		return 0, 0, err
+	}
+	if tail > head || head-tail > RingSlots {
+		return head, tail, fmt.Errorf("pisces: ring at %#x: %w (head %d, tail %d)", r.base, ErrCorruptRing, head, tail)
+	}
+	return head, tail, nil
 }
 
 // CtlDrain is the enclave side of the control ring, shared by the
 // co-kernels. It makes their drain non-reentrant: the drain runs in
 // interrupt context on the receiving core, and its ring accesses poll for
 // interrupts, so a doorbell for a command the drain is already serving can
-// re-enter it from inside TryPop, which holds the ring lock. A call that
-// finds a drain in progress only marks a re-drain and returns; the active
-// drain makes one more pass before it exits, so no command is lost. The
-// guard charges no simulated cycles. The zero value is ready to use.
+// re-enter it from inside TryPop, before that TryPop has retired its slot.
+// A nested drain would read the same tail and serve the command twice. A
+// call that finds a drain in progress only marks a re-drain and returns;
+// the active drain makes one more pass before it exits, so no command is
+// lost. The guard charges no simulated cycles. The zero value is ready to
+// use.
 type CtlDrain struct {
 	// calls is 0 when idle, 1 while a drain runs, and above 1 once a
 	// doorbell has asked that drain for another pass.
@@ -222,12 +206,13 @@ func (d *CtlDrain) Run(drain func()) {
 	}
 }
 
-// Serve drains req, acknowledging each command on resp with AckOK when
-// accept applies it and AckErr when it refuses, until req is empty. A
+// Serve drains req on cpu, acknowledging each command on resp with AckOK
+// when accept applies it and AckErr when it refuses, until req is empty. A
 // CmdShutdown is acknowledged without consulting accept and ends the
 // drain; Serve then reports it, and the kernel shuts down asynchronously
 // so the interrupt returns first.
-func (d *CtlDrain) Serve(io MemIO, req, resp *Ring, accept func(*Msg) bool) (shutdown bool) {
+func (d *CtlDrain) Serve(cpu *hw.CPU, req, resp *Ring, accept func(*Msg) bool) (shutdown bool) {
+	io := CPUMemIO{CPU: cpu}
 	d.Run(func() {
 		for !shutdown {
 			var m Msg
@@ -238,7 +223,7 @@ func (d *CtlDrain) Serve(io MemIO, req, resp *Ring, accept func(*Msg) bool) (shu
 			if shutdown = m.Type == CmdShutdown; shutdown || accept(&m) {
 				ack.Type = AckOK
 			}
-			if err := resp.Push(io, &ack); err != nil {
+			if err := resp.Push(io, &ack, cpu); err != nil {
 				return
 			}
 		}

@@ -6,3 +6,6 @@ var (
 	GetGUPSTable = getGUPSTable
 	PutGUPSTable = putGUPSTable
 )
+
+// Parked reports how many ranks are asleep at the barrier.
+func (b *Barrier) Parked() int { return b.wait.Parked() }

@@ -132,7 +132,7 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		defer putLJBox(md)
 		var posExt, neighExt, lookupExt hw.Extent
 		hasLookup := prof.lookupBytes > 0
-		ord.Do(rank, func() {
+		ord.Do(e, rank, func() {
 			posExt = allocSpread(e, hw.AlignUp(uint64(atoms)*48, hw.PageSize4K))     // x,v per atom
 			neighExt = allocSpread(e, hw.AlignUp(uint64(atoms)*40*8, hw.PageSize4K)) // neighbor lists
 			if hasLookup {

@@ -57,7 +57,7 @@ func (m *MiniFE) Run(k *kitten.Kernel, threads int) (*Result, error) {
 
 		t0 := e.CPU.TSC
 		var matrix hw.Extent
-		ord.Do(rank, func() {
+		ord.Do(e, rank, func() {
 			matrix = allocSpread(e, hw.AlignUp(rows*matrixBytesPerRow, hw.PageSize4K))
 		})
 		// Element loop: ~1 element per row; 8x8 stiffness, ~500 flops each.
@@ -84,7 +84,7 @@ func (m *MiniFE) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		// The assembly matrix is freed mid-run, while slower ranks may
 		// still be allocating theirs: rank-order the free too so the
 		// ledger sees one deterministic mutation sequence.
-		ord.Do(rank, func() { e.Free(matrix) })
+		ord.Do(e, rank, func() { e.Free(matrix) })
 		assembleCycles[rank].v = e.CPU.TSC - t0
 		bar.Wait(e)
 

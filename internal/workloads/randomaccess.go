@@ -79,7 +79,7 @@ func (r *RandomAccess) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		// table its updates have left half applied.
 		table := getGUPSTable(realWords)
 		var ext hw.Extent
-		ord.Do(rank, func() { ext = allocSpread(e, logicalWords*8) })
+		ord.Do(e, rank, func() { ext = allocSpread(e, logicalWords*8) })
 		defer e.Free(ext)
 
 		rng := hw.NewRand(0x243F6A8885A308D3 ^ r.Seed ^ uint64(rank+1))

@@ -2,7 +2,6 @@ package workloads_test
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,35 +11,35 @@ import (
 	"covirt/internal/workloads"
 )
 
-// TestRankOrderRounds drives the collective from goroutines released in
+// TestRankOrderRounds drives the collective from ranks released in
 // reverse rank order and checks that sections still execute strictly
 // rank-major, round by round.
 func TestRankOrderRounds(t *testing.T) {
 	const n, rounds = 4, 3
+	nd := node(t, harness.CfgNative, harness.Layouts[1]) // 4 cores
 	ord := workloads.NewRankOrder(n)
 	gates := make([]chan struct{}, n)
 	for i := range gates {
 		gates[i] = make(chan struct{})
 	}
 	var seq []int
-	done := make(chan struct{})
-	for r := 0; r < n; r++ {
-		go func(rank int) {
-			<-gates[rank]
-			for round := 0; round < rounds; round++ {
-				ord.Do(rank, func() { seq = append(seq, rank) })
-			}
-			done <- struct{}{}
-		}(r)
-	}
 	// Adversarial arrival: the highest rank is released first and gets a
 	// head start toward the collective.
-	for r := n - 1; r >= 0; r-- {
-		close(gates[r])
-		time.Sleep(time.Millisecond)
-	}
-	for r := 0; r < n; r++ {
-		<-done
+	go func() {
+		for r := n - 1; r >= 0; r-- {
+			close(gates[r])
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	err := nd.K.RunParallel("rounds", n, func(e *kitten.Env, rank int) error {
+		<-gates[rank]
+		for round := 0; round < rounds; round++ {
+			ord.Do(e, rank, func() { seq = append(seq, rank) })
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(seq) != n*rounds {
 		t.Fatalf("got %d sections, want %d", len(seq), n*rounds)
@@ -60,25 +59,24 @@ func TestRankOrderRounds(t *testing.T) {
 // strictly rank-major no matter how far ahead a rank's goroutine gets.
 func TestRankOrderLapping(t *testing.T) {
 	const n, rounds = 4, 16
+	nd := node(t, harness.CfgNative, harness.Layouts[1]) // 4 cores
 	ord := workloads.NewRankOrder(n)
 	var seq []int // appended under the collective's own serialization
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				ord.Do(rank, func() { seq = append(seq, rank) })
-				// Rank 0 sprints straight back to the collective; higher
-				// ranks burn rank-proportional time between sections so
-				// rank 0 is perpetually trying to lap them.
-				for spin := 0; spin < rank*200; spin++ {
-					runtime.Gosched()
-				}
+	err := nd.K.RunParallel("lapping", n, func(e *kitten.Env, rank int) error {
+		for round := 0; round < rounds; round++ {
+			ord.Do(e, rank, func() { seq = append(seq, rank) })
+			// Rank 0 sprints straight back to the collective; higher
+			// ranks burn rank-proportional time between sections so
+			// rank 0 is perpetually trying to lap them.
+			for spin := 0; spin < rank*200; spin++ {
+				runtime.Gosched()
 			}
-		}(r)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if len(seq) != n*rounds {
 		t.Fatalf("got %d sections, want %d", len(seq), n*rounds)
 	}
@@ -121,7 +119,7 @@ func TestLedgerLayoutIndependentOfArrival(t *testing.T) {
 		var got [threads]hw.Extent
 		err := nd.K.RunParallel("layout", threads, func(e *kitten.Env, rank int) error {
 			<-gates[rank]
-			ord.Do(rank, func() {
+			ord.Do(e, rank, func() {
 				got[rank] = e.Alloc(e.CPU.Node, uint64(rank+1)<<20)
 			})
 			return nil
@@ -149,5 +147,33 @@ func TestWorkloadCyclesStableAcrossRepeats(t *testing.T) {
 	b := run(t, mk(), harness.CfgNative, harness.Layouts[1])
 	if a.Cycles != b.Cycles {
 		t.Errorf("multi-rank cycles differ across identical runs: %d vs %d", a.Cycles, b.Cycles)
+	}
+}
+
+// TestRankOrderFailedSectionPassesTurn: a section that fails its task
+// (here an allocation no node can satisfy) must still pass the turn on.
+// Kept, the turn left every later rank waiting for good.
+func TestRankOrderFailedSectionPassesTurn(t *testing.T) {
+	const n = 4
+	nd := node(t, harness.CfgNative, harness.Layouts[1]) // 4 cores
+	ord := workloads.NewRankOrder(n)
+	ran := make(chan error, 1)
+	go func() {
+		ran <- nd.K.RunParallel("fail", n, func(e *kitten.Env, rank int) error {
+			ord.Do(e, rank, func() {
+				if rank == 0 {
+					e.Alloc(e.CPU.Node, 1<<50)
+				}
+			})
+			return nil
+		})
+	}()
+	select {
+	case err := <-ran:
+		if err == nil {
+			t.Error("RunParallel = nil, want rank 0's allocation failure")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("ranks still waiting 30 s after rank 0's section failed")
 	}
 }

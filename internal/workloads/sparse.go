@@ -338,7 +338,7 @@ func newSparseCharger(e *kitten.Env, ord *RankOrder, rank, rows, totalRows int, 
 		scatterBytes:   scatterBytes,
 	}
 	c.gatherBuf = make([]uint64, uint64(float64(c.rows*27)*c.gatherMissFrac))
-	ord.Do(rank, func() {
+	ord.Do(e, rank, func() {
 		c.matrix = allocSpread(e, hw.AlignUp(uint64(rows)*matrixBytesPerRow, hw.PageSize4K))
 		c.vec = allocSpread(e, hw.AlignUp(uint64(totalRows)*8, hw.PageSize4K))
 		if scatterBytes > 0 {

@@ -58,7 +58,7 @@ func (s *Stream) Run(k *kitten.Kernel, threads int) (*Result, error) {
 		// Simulated placement: three arrays on the rank's NUMA node,
 		// carved in rank order so the layout is scheduling-independent.
 		var aX, bX, cX hw.Extent
-		ord.Do(rank, func() {
+		ord.Do(e, rank, func() {
 			aX = allocSpread(e, bytesPer)
 			bX = allocSpread(e, bytesPer)
 			cX = allocSpread(e, bytesPer)

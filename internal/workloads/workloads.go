@@ -14,6 +14,7 @@ package workloads
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
@@ -73,11 +74,10 @@ type Seeder interface{ SetSeed(uint64) }
 // paper's multi-core results show IPI protection adding no cost to the
 // mini-apps.
 type Barrier struct {
-	n     int
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	gen   int
+	n     int64
+	count atomic.Int64
+	gen   atomic.Uint64
+	wait  *hw.Handoff
 }
 
 // barrierSpinCost is the charged cost of one barrier arrival: an atomic
@@ -86,29 +86,25 @@ const barrierSpinCost = 260
 
 // NewBarrier returns a barrier for n ranks.
 func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &Barrier{n: int64(n), wait: hw.NewHandoff(nil, nil)}
 }
 
-// Wait blocks the calling rank until all n ranks arrive.
+// Wait blocks the calling rank until all n ranks arrive. A parked rank
+// whose core is killed, or whose node crashes, fails as any kill fault
+// fails it. The last arrival resets the count before it opens the next
+// generation, so no rank can arrive at the next barrier early.
 func (b *Barrier) Wait(e *kitten.Env) {
 	if b.n > 1 {
 		e.Compute(barrierSpinCost)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
+	gen := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		b.count.Store(0)
+		b.gen.Add(1)
+		b.wait.Broadcast()
+		return
 	}
+	e.Await(b.wait, func() bool { return b.gen.Load() != gen })
 }
 
 // RankOrder serializes ledger-mutating sections (Alloc/Free) in rank
@@ -126,33 +122,28 @@ func (b *Barrier) Wait(e *kitten.Env) {
 // arrival order; sections run strictly rank 0..n-1 within a round, and
 // rounds do not overlap.
 type RankOrder struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-	turn int // monotonically increasing; rank = turn mod n
+	n    uint64
+	turn atomic.Uint64 // monotonically increasing; rank = turn mod n
+	wait *hw.Handoff
 }
 
 // NewRankOrder returns an ordering collective for n ranks.
 func NewRankOrder(n int) *RankOrder {
-	r := &RankOrder{n: n}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	return &RankOrder{n: uint64(n), wait: hw.NewHandoff(nil, nil)}
 }
 
-// Do runs fn when it becomes rank's turn in the current round.
-func (r *RankOrder) Do(rank int, fn func()) {
+// Do runs fn when it becomes rank's turn in the current round. A rank
+// waiting for its turn fails as Barrier.Wait does. The turn passes on even
+// when fn fails the task, so the ranks after it are not left waiting.
+func (r *RankOrder) Do(e *kitten.Env, rank int, fn func()) {
 	if r == nil || r.n <= 1 {
 		fn()
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.turn%r.n != rank {
-		r.cond.Wait()
-	}
+	e.Await(r.wait, func() bool { return r.turn.Load()%r.n == uint64(rank) })
+	defer r.wait.Broadcast()
+	defer r.turn.Add(1)
 	fn()
-	r.turn++
-	r.cond.Broadcast()
 }
 
 // Allreduce sums per-rank values across all ranks (two barriers plus the
