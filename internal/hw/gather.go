@@ -32,7 +32,11 @@ const gatherShadowEvery = 64
 // only in that second case, and the loop keeps the last region's bounds
 // and cost as locals, re-checked against the layout generation on every
 // element, so an element in the same region as the one before it costs
-// one range compare.
+// one range compare. One way, not two: the sparse chargers' halo batches
+// alternate nodes every element and so miss it each time, falling through
+// to findRegion's two-way cache, while a second way here made GUPS-shaped
+// batches, which stay in one region and miss the TLB on most elements,
+// slower (DESIGN.md §10).
 func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind AccessKind) error {
 	cs := c.Costs()
 	computeCost := computePer * cs.Compute

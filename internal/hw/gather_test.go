@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // referenceGather is the element-at-a-time loop AccessGather batches: an
 // optional compute charge, then one MemAccess, with a full poll after each
@@ -121,5 +124,90 @@ func TestAccessGatherPublishesTSCShadow(t *testing.T) {
 	}
 	if got := b.TSCSnapshot(); got != b.TSC {
 		t.Errorf("final shadow %d != TSC %d", got, b.TSC)
+	}
+}
+
+// threeRegionAddrs alternates elements between node 0's memory and node 1's,
+// the sparse chargers' halo shape, and sends every 16th element to a third
+// region instead.
+func threeRegionAddrs(n int, third uint64) []uint64 {
+	addrs := gatherAddrs(n, 1<<21, 64<<20, nodeStride+4<<20, 64<<20)
+	for i := 5; i < n; i += 16 {
+		addrs[i] = third + uint64(i)*PageSize4K%(16<<20)
+	}
+	return addrs
+}
+
+// TestAccessGatherRegionMemoAcrossRegions drives the batched gather and the
+// per-element loop over three regions on two nodes and requires the same
+// TSC, Instret and IRQ count. The unmapped cases put a bus error at the
+// first, second, middle and last element: both paths must crash the node at
+// the same element, naming the same address. The layout case gathers from
+// one region while the timer handler moves it to the other node, many
+// times mid-batch: the region never leaves the memo, so the memo must
+// drop it at each generation change or charge a stale node's cost.
+func TestAccessGatherRegionMemoAcrossRegions(t *testing.T) {
+	const n = 4096
+	const third = uint64(1) << 37 // between node 0's and node 1's memory
+	const unmapped = uint64(1) << 36
+	addThird := func(t *testing.T, c *CPU, node int) {
+		t.Helper()
+		if _, err := c.M.Mem.AddRegion(third, 16<<20, node, "third"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, computePer := range []uint64{0, 6} {
+		t.Run(fmt.Sprintf("compute%d", computePer), func(t *testing.T) {
+			for _, bad := range []int{-1, 0, 1, n / 2, n - 1} {
+				b, r := twinCPUs(t)
+				addThird(t, b, 0)
+				addThird(t, r, 0)
+				addrs := threeRegionAddrs(n, third)
+				if bad >= 0 {
+					addrs[bad] = unmapped + uint64(bad)*PageSize4K
+				}
+				berr := b.AccessGather(addrs, computePer, false, AccessDRAM)
+				rerr := referenceGather(r, addrs, computePer, false, AccessDRAM)
+				what := fmt.Sprintf("unmapped at %d", bad)
+				if bad < 0 {
+					what = "all mapped"
+					if berr != nil || rerr != nil {
+						t.Fatalf("%s: errs = %v, %v", what, berr, rerr)
+					}
+				} else if berr == nil || rerr == nil || berr.Error() != rerr.Error() {
+					t.Errorf("%s: batched err %v, reference err %v", what, berr, rerr)
+				}
+				assertSameState(t, what, b, r)
+			}
+
+			b, r := twinCPUs(t)
+			moves := 0
+			for _, c := range []*CPU{b, r} {
+				addThird(t, c, 0)
+				node := 0
+				c.SetIRQHandler(func(c *CPU, vector uint8, external bool) {
+					node ^= 1
+					c.M.Mem.RemoveRegion(third)
+					if _, err := c.M.Mem.AddRegion(third, 16<<20, node, "third"); err != nil {
+						t.Error(err)
+					}
+					if c == b {
+						moves++
+					}
+				})
+				c.APIC.ArmTimer(c.TSC, 9_973, 0x42)
+			}
+			addrs := gatherAddrs(n, third, 16<<20, 0, 0)
+			if err := b.AccessGather(addrs, computePer, false, AccessDRAM); err != nil {
+				t.Fatalf("batched: %v", err)
+			}
+			if err := referenceGather(r, addrs, computePer, false, AccessDRAM); err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			assertSameState(t, "layout change", b, r)
+			if moves < 2 {
+				t.Fatalf("the third region moved %d times; want several mid-batch", moves)
+			}
+		})
 	}
 }

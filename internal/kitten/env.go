@@ -121,13 +121,17 @@ func (e *Env) Access(addr uint64, write bool, kind hw.AccessKind) {
 // in one call. A segfault aborts the task at exactly the element a
 // per-element loop would have reached, including the faulting element's
 // compute charge, which the per-element loop retires before noticing the
-// bad address. The prepass keeps the last resolved extent's bounds and
-// resolves only the elements that fall outside them.
+// bad address. The prepass keeps the bounds of the last two extents it
+// resolved and resolves only the elements that fall outside both. Two
+// ways, not one: the sparse chargers alternate local and remote targets
+// every element, which a single memo misses on every time.
 func (e *Env) AccessGather(addrs []uint64, computePer uint64, write bool, kind hw.AccessKind) {
 	mapped := len(addrs)
-	var lo, hi uint64 // the extent the last resolved element fell in
+	// The memo's two ways, most recent first: [lo0, lo0+n0) and
+	// [lo1, lo1+n1). An empty way has n == 0.
+	var lo0, n0, lo1, n1 uint64
 	for i, a := range addrs {
-		if lo <= a && a < hi {
+		if a-lo0 < n0 || a-lo1 < n1 {
 			continue
 		}
 		ext, ok := e.resolve(a, 1)
@@ -135,7 +139,8 @@ func (e *Env) AccessGather(addrs []uint64, computePer uint64, write bool, kind h
 			mapped = i
 			break
 		}
-		lo, hi = ext.Start, ext.End()
+		lo1, n1 = lo0, n0
+		lo0, n0 = ext.Start, ext.Size
 	}
 	e.check(e.CPU.AccessGather(addrs[:mapped], computePer, write, kind))
 	if mapped < len(addrs) {

@@ -2,6 +2,7 @@ package kitten
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"covirt/internal/hw"
@@ -117,5 +118,94 @@ func TestEnvAccessGatherSteadyStateAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("AccessGather allocates %v per call in steady state", allocs)
+	}
+}
+
+// TestEnvAccessGatherAlternatingExtents drives the batched gather and the
+// per-element loop over three memory-map extents: the enclave's node-0 and
+// node-1 memory, alternating every element as the sparse chargers do, and a
+// third extent that every 16th element hits instead, so the prepass's two
+// ways keep evicting each other. The unmapped cases put a segfault at the
+// first, second, middle and last element. Both paths must charge the same
+// TSC and Instret, so fault at the same element.
+func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
+	const n = 4000
+	// run executes body as a task on a one-core enclave over nodes 0 and
+	// 1, with a third node-0 extent added to the memory map (as a memory
+	// hot-add adds one) and passed to body. It reports the TSC and Instret
+	// that body charged, read on the task's goroutine. The spawn doorbell
+	// lands before the task starts or at its first poll, as host timing
+	// has it, so the task takes it before reading its baseline; and once
+	// the task is done, the idle core goes on taking timer ticks.
+	run := func(body func(e *Env, third hw.Extent)) (tsc, instret uint64, err error) {
+		_, fw, _, k := testStack(t, 1, []int{0, 1}, 256<<20)
+		third, aerr := fw.Ledger.AllocMemory(0, 16<<20)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		k.mm.Add(third)
+		task, serr := k.Spawn("gather", 0, func(e *Env) error {
+			e.Compute(0) // polls: takes the doorbell if it is still pending
+			tsc0, instret0 := e.CPU.TSC, e.CPU.Instret
+			defer func() { tsc, instret = e.CPU.TSC-tsc0, e.CPU.Instret-instret0 }()
+			body(e, third)
+			return nil
+		})
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		err = task.Wait()
+		return tsc, instret, err
+	}
+	// Each case runs with either node's extent leading the alternation,
+	// so the unmapped element finds node 1's extent in either way.
+	for _, c := range []struct {
+		computePer uint64
+		lead       int
+	}{{0, 0}, {0, 1}, {5, 0}, {5, 1}} {
+		computePer := c.computePer
+		for _, bad := range []int{-1, 0, 1, n / 2, n - 1} {
+			mkAddrs := func(e *Env, third hw.Extent) []uint64 {
+				local := [2]hw.Extent{e.Alloc(0, 4<<20), e.Alloc(1, 4<<20)}
+				addrs := gatherPattern(n, local[c.lead], local[1-c.lead])
+				for i := 5; i < n; i += 16 {
+					addrs[i] = third.Start + uint64(i)*4096%third.Size
+				}
+				if bad >= 0 {
+					// The first byte above the highest extent, node 1's:
+					// a memo way that overreaches its extent's end by even
+					// one byte takes it for mapped.
+					var top uint64
+					for _, x := range e.K.MemMap().Extents() {
+						top = max(top, x.End())
+					}
+					addrs[bad] = top
+				}
+				return addrs
+			}
+			tscA, insA, errA := run(func(e *Env, third hw.Extent) {
+				for _, addr := range mkAddrs(e, third) {
+					if computePer != 0 {
+						e.Compute(computePer)
+					}
+					e.Access(addr, false, hw.AccessDRAM)
+				}
+			})
+			tscB, insB, errB := run(func(e *Env, third hw.Extent) {
+				e.AccessGather(mkAddrs(e, third), computePer, false, hw.AccessDRAM)
+			})
+			what := fmt.Sprintf("computePer=%d, node %d first, unmapped at %d", computePer, c.lead, bad)
+			if bad < 0 {
+				if errA != nil || errB != nil {
+					t.Fatalf("%s: errs = %v, %v", what, errA, errB)
+				}
+			} else if !errors.Is(errA, ErrSegfault) || !errors.Is(errB, ErrSegfault) || errA.Error() != errB.Error() {
+				t.Errorf("%s: per-element err %v, batched err %v", what, errA, errB)
+			}
+			if tscA != tscB || insA != insB {
+				t.Errorf("%s: batched gather diverged: TSC %d vs %d, Instret %d vs %d",
+					what, tscA, tscB, insA, insB)
+			}
+		}
 	}
 }

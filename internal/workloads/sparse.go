@@ -15,38 +15,76 @@ import (
 // the charge helpers below.
 type stencil27 struct {
 	nx, ny, nz int
-	// offs holds the 26 linear offsets of the stencil neighbours in
-	// dk/dj/di order, computed once at construction so the sweep kernels
-	// never allocate.
-	offs [26]int
-	// inmask[row] caches interior(row): the sweep dispatch loops consult it
-	// per boundary-band row, and the three divisions of the coordinate
-	// derivation dominate that check. One setup pass trades them for a load.
-	inmask []bool
+	// cls[row] is the row's boundary class: one bit per grid face the row
+	// lies on (the clsXLo..clsZHi bits), 0 for an interior row. A row on
+	// both faces of an axis (a grid one point wide) has both bits set.
+	cls []uint8
+	// nbr[class] lists the linear offsets of the neighbours a row of that
+	// class has, in dk/dj/di order: the boundary kernels walk it instead
+	// of re-deriving (i, j, k) with three divisions and testing every
+	// neighbour. nbr[0] is all 26 offsets, ascending on any grid with an
+	// interior row. The lists share one backing array, filled once at
+	// construction, so the kernels never allocate.
+	nbr [64][]int
 }
 
-// newStencil27 builds the stencil with its neighbour-offset table and
-// interior mask filled.
+// Boundary-class bits: a row at i == 0 has clsXLo, at i == nx-1 clsXHi,
+// and likewise for j and k.
+const (
+	clsXLo = 1 << iota
+	clsXHi
+	clsYLo
+	clsYHi
+	clsZLo
+	clsZHi
+)
+
+// newStencil27 builds the stencil with its per-row boundary classes and
+// per-class neighbour lists filled.
 func newStencil27(nx, ny, nz int) stencil27 {
 	s := stencil27{nx: nx, ny: ny, nz: nz}
-	i := 0
+	backing := make([]int, 26*len(s.nbr))
+	for c := range s.nbr {
+		s.nbr[c] = backing[26*c : 26*c : 26*(c+1)]
+	}
+	// has reports whether a row of class c has a neighbour d steps along
+	// the axis whose low-face bit is lo.
+	has := func(c, d, lo int) bool {
+		return d < 0 && c&lo == 0 || d == 0 || d > 0 && c&(lo<<1) == 0
+	}
 	for dk := -1; dk <= 1; dk++ {
 		for dj := -1; dj <= 1; dj++ {
 			for di := -1; di <= 1; di++ {
 				if di == 0 && dj == 0 && dk == 0 {
 					continue
 				}
-				s.offs[i] = (dk*ny+dj)*nx + di
-				i++
+				o := (dk*ny+dj)*nx + di
+				for c := range s.nbr {
+					if has(c, di, clsXLo) && has(c, dj, clsYLo) && has(c, dk, clsZLo) {
+						s.nbr[c] = append(s.nbr[c], o)
+					}
+				}
 			}
 		}
 	}
-	s.inmask = make([]bool, nx*ny*nz)
-	for k := 1; k < nz-1; k++ {
-		for j := 1; j < ny-1; j++ {
-			row := (k*ny+j)*nx + 1
-			for i := 1; i < nx-1; i++ {
-				s.inmask[row] = true
+	// edge returns the class bits of coordinate v on an axis of n points.
+	edge := func(v, n int, lo uint8) uint8 {
+		var c uint8
+		if v == 0 {
+			c |= lo
+		}
+		if v == n-1 {
+			c |= lo << 1
+		}
+		return c
+	}
+	s.cls = make([]uint8, nx*ny*nz)
+	row := 0
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			kj := edge(k, nz, clsZLo) | edge(j, ny, clsYLo)
+			for i := 0; i < nx; i++ {
+				s.cls[row] = kj | edge(i, nx, clsXLo)
 				row++
 			}
 		}
@@ -56,102 +94,83 @@ func newStencil27(nx, ny, nz int) stencil27 {
 
 func (s *stencil27) rows() int { return s.nx * s.ny * s.nz }
 
-// interior reports whether the row is away from every grid boundary, so
-// all 26 neighbours exist and linear offsets are valid.
-func (s *stencil27) interior(row int) bool { return s.inmask[row] }
-
 // spmv computes dst = A*src for rows in [lo, hi) — real arithmetic. On an
 // interior row, every row until the end of its x-line is also interior
-// (only i advances), so the kernel runs the offset-only body across the
-// whole line without re-deriving (i,j,k) per row.
-//
-// The body writes the 26 subtractions out in offset-table order instead of
-// looping over the table: the summation order, and so every result bit, is
-// the loop's, but the speed of a 26-trip inner loop swung with where the
-// linker happened to place the function.
+// (only i advances), so the kernel hands the whole run to spmvLine without
+// looking at the rows' classes again.
 //
 //covirt:hot
 func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
-	o := &s.offs
+	nx := s.nx
 	for row := lo; row < hi; {
-		if !s.interior(row) {
+		if s.cls[row] != 0 {
 			s.spmvSlow(dst, src, row)
 			row++
 			continue
 		}
-		end := row - row%s.nx + s.nx - 1 // last interior i in this x-line, exclusive
+		end := row - row%nx + nx - 1 // last interior i in this x-line, exclusive
 		if end > hi {
 			end = hi
 		}
-		for ; row < end; row++ {
-			sum := 26.0 * src[row]
-			sum -= src[row+o[0]]
-			sum -= src[row+o[1]]
-			sum -= src[row+o[2]]
-			sum -= src[row+o[3]]
-			sum -= src[row+o[4]]
-			sum -= src[row+o[5]]
-			sum -= src[row+o[6]]
-			sum -= src[row+o[7]]
-			sum -= src[row+o[8]]
-			sum -= src[row+o[9]]
-			sum -= src[row+o[10]]
-			sum -= src[row+o[11]]
-			sum -= src[row+o[12]]
-			sum -= src[row+o[13]]
-			sum -= src[row+o[14]]
-			sum -= src[row+o[15]]
-			sum -= src[row+o[16]]
-			sum -= src[row+o[17]]
-			sum -= src[row+o[18]]
-			sum -= src[row+o[19]]
-			sum -= src[row+o[20]]
-			sum -= src[row+o[21]]
-			sum -= src[row+o[22]]
-			sum -= src[row+o[23]]
-			sum -= src[row+o[24]]
-			sum -= src[row+o[25]]
-			dst[row] = sum
-		}
+		s.spmvLine(dst[row:end], src, row)
+		row = end
 	}
 }
 
-// spmvSlow handles one boundary row with explicit neighbour-existence
-// checks, in the same dk/dj/di enumeration order as the offset table.
+// spmvLine computes d = (A*src)[row:row+len(d)], a run of interior rows in
+// one x-line. The 26 neighbours of those rows lie on nine neighbour lines,
+// one per (dk, dj), each len(d)+2 long starting one point before the run:
+// neighbour (dk, dj, di) of row+t is that line's element t+1+di. The body
+// subtracts them in dk/dj/di order, nbr[0]'s order, so the summation order,
+// and every result bit, is the boundary kernels'. With each line sliced to
+// one common length, the compiler keeps 3 of the 26 per-row bounds checks
+// that indexing src by row+offset costs.
+func (s *stencil27) spmvLine(d, src []float64, row int) {
+	nx, plane, n := s.nx, s.nx*s.ny, len(d)+2
+	base := row - plane - nx - 1 // neighbour (-1, -1, -1) of row
+	lmm, lm0, lmp := src[base:][:n], src[base+nx:][:n], src[base+2*nx:][:n]
+	base += plane
+	l0m, l00, l0p := src[base:][:n], src[base+nx:][:n], src[base+2*nx:][:n]
+	base += plane
+	lpm, lp0, lpp := src[base:][:n], src[base+nx:][:n], src[base+2*nx:][:n]
+	for t := range d {
+		sum := 26.0 * l00[t+1]
+		sum -= lmm[t]
+		sum -= lmm[t+1]
+		sum -= lmm[t+2]
+		sum -= lm0[t]
+		sum -= lm0[t+1]
+		sum -= lm0[t+2]
+		sum -= lmp[t]
+		sum -= lmp[t+1]
+		sum -= lmp[t+2]
+		sum -= l0m[t]
+		sum -= l0m[t+1]
+		sum -= l0m[t+2]
+		sum -= l00[t]
+		sum -= l00[t+2]
+		sum -= l0p[t]
+		sum -= l0p[t+1]
+		sum -= l0p[t+2]
+		sum -= lpm[t]
+		sum -= lpm[t+1]
+		sum -= lpm[t+2]
+		sum -= lp0[t]
+		sum -= lp0[t+1]
+		sum -= lp0[t+2]
+		sum -= lpp[t]
+		sum -= lpp[t+1]
+		sum -= lpp[t+2]
+		d[t] = sum
+	}
+}
+
+// spmvSlow computes one boundary row from its class's neighbour list, in
+// dk/dj/di order.
 func (s *stencil27) spmvSlow(dst, src []float64, row int) {
 	sum := 26.0 * src[row]
-	i := row % s.nx
-	j := (row / s.nx) % s.ny
-	k := row / (s.nx * s.ny)
-	// Hoist the per-axis bounds: di's range depends only on i, and the
-	// nj/nk checks move out of the innermost loop. Neighbour visit order
-	// (dk, dj, di ascending) matches the naive triple loop exactly, so the
-	// floating-point summation order — and the result bits — are unchanged.
-	diLo, diHi := -1, 1
-	if i == 0 {
-		diLo = 0
-	}
-	if i == s.nx-1 {
-		diHi = 0
-	}
-	for dk := -1; dk <= 1; dk++ {
-		nk := k + dk
-		if nk < 0 || nk >= s.nz {
-			continue
-		}
-		for dj := -1; dj <= 1; dj++ {
-			nj := j + dj
-			if nj < 0 || nj >= s.ny {
-				continue
-			}
-			base := (nk*s.ny+nj)*s.nx + i
-			for di := diLo; di <= diHi; di++ {
-				if di == 0 && dj == 0 && dk == 0 {
-					continue
-				}
-				sum -= src[base+di]
-			}
-		}
+	for _, o := range s.nbr[s.cls[row]] {
+		sum -= src[row+o]
 	}
 	dst[row] = sum
 }
@@ -162,23 +181,19 @@ func (s *stencil27) spmvSlow(dst, src []float64, row int) {
 // in-flight values (block-Jacobi across ranks, Gauss-Seidel within — the
 // standard race-free parallel formulation). Rows that are grid-interior
 // AND whose whole neighbourhood lies inside the block take the
-// offset-only path, batched per x-line like spmv.
+// offset-only path, batched per x-line like spmv; every other row takes
+// sweepSlow.
 //
 //covirt:hot
 func (s *stencil27) symgs(z, r []float64, lo, hi int) {
-	offs := &s.offs
-	// The fast path needs row+offs[0] >= lo and row+offs[25] < hi (offs is
-	// sorted by construction: offs[0] most negative, offs[25] most
-	// positive).
-	fastLo := lo - s.offs[0]
-	fastHi := hi - s.offs[25]
+	// The fast path needs row+offs[0] >= lo and row+offs[25] < hi: the
+	// offsets ascend wherever the path runs.
+	offs := s.nbr[0]
+	fastLo := lo - offs[0]
+	fastHi := hi - offs[len(offs)-1]
 	for row := lo; row < hi; {
-		if row < fastLo || row >= fastHi || !s.interior(row) {
-			if s.interior(row) {
-				s.sweepEdge(z, r, row, lo, hi)
-			} else {
-				s.sweepSlow(z, r, row, lo, hi)
-			}
+		if row < fastLo || row >= fastHi || s.cls[row] != 0 {
+			s.sweepSlow(z, r, row, lo, hi)
 			row++
 			continue
 		}
@@ -198,12 +213,8 @@ func (s *stencil27) symgs(z, r []float64, lo, hi int) {
 		}
 	}
 	for row := hi - 1; row >= lo; {
-		if row < fastLo || row >= fastHi || !s.interior(row) {
-			if s.interior(row) {
-				s.sweepEdge(z, r, row, lo, hi)
-			} else {
-				s.sweepSlow(z, r, row, lo, hi)
-			}
+		if row < fastLo || row >= fastHi || s.cls[row] != 0 {
+			s.sweepSlow(z, r, row, lo, hi)
 			row--
 			continue
 		}
@@ -224,60 +235,17 @@ func (s *stencil27) symgs(z, r []float64, lo, hi int) {
 	}
 }
 
-// sweepEdge relaxes one grid-interior row whose neighbourhood crosses the
-// block boundary [lo, hi): every offset lands inside the grid, so only
-// the block clamp applies (out-of-block neighbours are treated as zero).
-// The offset table is built in dk/dj/di order, so the summation order —
-// and the result bits — match sweepSlow exactly. Block-edge bands are a
-// large share of small per-rank blocks, which is why this avoids
-// sweepSlow's per-row coordinate derivation.
-func (s *stencil27) sweepEdge(z, r []float64, row, lo, hi int) {
-	sum := r[row]
-	for _, o := range s.offs {
-		if nrow := row + o; nrow >= lo && nrow < hi {
-			sum += z[nrow]
-		}
-	}
-	z[row] = sum / 26.0
-}
-
-// sweepSlow relaxes one row with explicit bounds and block checks
-// (out-of-block neighbours are treated as zero).
+// sweepSlow relaxes one row from its class's neighbour list, treating a
+// neighbour outside the block [lo, hi) as zero. It serves both grid-
+// boundary rows and interior rows (class 0, all 26 offsets) whose
+// neighbourhood crosses the block edge, a large share of a small per-rank
+// block. The list is in dk/dj/di order, as the fast path sums, so the
+// summation order, and the result bits, are the fast path's.
 func (s *stencil27) sweepSlow(z, r []float64, row, lo, hi int) {
 	sum := r[row]
-	i := row % s.nx
-	j := (row / s.nx) % s.ny
-	k := row / (s.nx * s.ny)
-	// Same bounds hoisting as spmvSlow; visit order and hence summation
-	// order is identical to the naive triple loop.
-	diLo, diHi := -1, 1
-	if i == 0 {
-		diLo = 0
-	}
-	if i == s.nx-1 {
-		diHi = 0
-	}
-	for dk := -1; dk <= 1; dk++ {
-		nk := k + dk
-		if nk < 0 || nk >= s.nz {
-			continue
-		}
-		for dj := -1; dj <= 1; dj++ {
-			nj := j + dj
-			if nj < 0 || nj >= s.ny {
-				continue
-			}
-			base := (nk*s.ny+nj)*s.nx + i
-			for di := diLo; di <= diHi; di++ {
-				if di == 0 && dj == 0 && dk == 0 {
-					continue
-				}
-				nrow := base + di
-				if nrow < lo || nrow >= hi {
-					continue // out-of-block: treated as zero
-				}
-				sum += z[nrow]
-			}
+	for _, o := range s.nbr[s.cls[row]] {
+		if nrow := row + o; nrow >= lo && nrow < hi {
+			sum += z[nrow]
 		}
 	}
 	z[row] = sum / 26.0
@@ -504,21 +472,29 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 		ch := newSparseCharger(e, ord, rank, hi-lo, n, gf, cg.scatterBytes, cg.seed)
 		defer ch.free()
 
-		// r = b (x = 0), z = precond(r) or r, p = z.
-		local := 0.0
-		for i := lo; i < hi; i++ {
-			r[i] = b[i]
+		// The rank's rows of each vector, resliced to one common length so
+		// the dot and axpy loops below index them without bounds checks.
+		// Without a preconditioner z = r exactly, so zs reads r's rows.
+		xs := x[lo:hi]
+		bs, rs, ps, aps := b[lo:][:len(xs)], r[lo:][:len(xs)], p[lo:][:len(xs)], ap[lo:][:len(xs)]
+		zs := rs
+		if cg.precond {
+			zs = z[lo:]
 		}
+		zs = zs[:len(xs)]
+
+		// r = b (x = 0), z = precond(r) or r, p = z.
+		copy(rs, bs)
 		if cg.precond {
 			cg.s.symgs(z, r, lo, hi)
 			ch.chargeSymGS()
 		} else {
-			copy(z[lo:hi], r[lo:hi])
-			ch.chargeAXPY()
+			ch.chargeAXPY() // the model still charges the z = r copy
 		}
-		for i := lo; i < hi; i++ {
-			p[i] = z[i]
-			local += r[i] * z[i]
+		local := 0.0
+		for i := range ps {
+			ps[i] = zs[i]
+			local += rs[i] * zs[i]
 		}
 		ch.chargeDot()
 		rr0 := redRR.Sum(e, rank, local)
@@ -532,8 +508,8 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 			ch.chargeSpMV()
 			bar.Wait(e) // halo: neighbours read our p rows
 			local = 0
-			for i := lo; i < hi; i++ {
-				local += p[i] * ap[i]
+			for i := range ps {
+				local += ps[i] * aps[i]
 			}
 			ch.chargeDot()
 			pap := redPAp.Sum(e, rank, local)
@@ -541,24 +517,21 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 				alpha = rr / pap
 			}
 			bar.Wait(e)
-			for i := lo; i < hi; i++ {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
+			a := alpha
+			for i := range xs {
+				xs[i] += a * ps[i]
+				rs[i] -= a * aps[i]
 			}
 			ch.chargeAXPY()
 			ch.chargeAXPY()
 			if cg.precond {
-				for i := lo; i < hi; i++ {
-					z[i] = 0
-				}
+				clear(zs)
 				cg.s.symgs(z, r, lo, hi)
 				ch.chargeSymGS()
-			} else {
-				copy(z[lo:hi], r[lo:hi])
 			}
 			local = 0
-			for i := lo; i < hi; i++ {
-				local += r[i] * z[i]
+			for i := range rs {
+				local += rs[i] * zs[i]
 			}
 			ch.chargeDot()
 			rrNew := redRR.Sum(e, rank, local)
@@ -567,8 +540,9 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 				rr = rrNew
 			}
 			bar.Wait(e)
-			for i := lo; i < hi; i++ {
-				p[i] = z[i] + beta*p[i]
+			bt := beta
+			for i := range ps {
+				ps[i] = zs[i] + bt*ps[i]
 			}
 			ch.chargeAXPY()
 			bar.Wait(e)

@@ -7,10 +7,11 @@
 #
 # Three tiers run back to back: the hot-path microbenchmarks (TLB lookup,
 # the GUPS- and halo-shaped gathers, EPT walks, PhysMem accessors, STREAM
-# triad), the control-plane tier (both ctl-saturation legs: per-event
-# baseline and batched ingest with epoch-coalesced shootdowns), and the
-# paper-figure benchmarks in the root package (fig3-fig8, IPC, GUPS, EPT
-# ablation, one full experiment per pass). All run under -benchmem, so
+# triad, the stencil SpMV and SymGS kernels), the control-plane tier (both
+# ctl-saturation legs: per-event baseline and batched ingest with
+# epoch-coalesced shootdowns), and the paper-figure benchmarks in the root
+# package (fig3-fig8, IPC, GUPS, EPT ablation, one full experiment per
+# pass). All run under -benchmem, so
 # the snapshots carry B/op and allocs/op alongside ns/op — the allocation
 # columns are the regression teeth on the zero-alloc workload discipline.
 #
@@ -78,7 +79,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 echo "==> microbenchmarks (internal/hw, internal/vmx, internal/workloads)"
-go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|AccessGather|StreamTriad|FillGatherAddrs' -benchmem \
+go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|AccessGather|StreamTriad|FillGatherAddrs|SpMV|SymGS' -benchmem \
     ./internal/hw ./internal/vmx ./internal/workloads | tee -a "$tmp"
 
 echo "==> control-plane tier (ctl-saturation legs: per-event vs batched, 5 passes each)"
