@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // referenceStream is the element-at-a-time streaming loop MemStream batches:
 // one translation lookup, one per-page cost, one poll per 4K page. Kept as
@@ -56,7 +59,35 @@ func twinCPUs(t *testing.T) (batched, reference *CPU) {
 	return mk(), mk()
 }
 
+// tlbRecency returns each TLB class's page bases in probe order (2M, 4K,
+// 1G), most recently used first, read off the class's recency list.
+func tlbRecency(t *TLB) [3][]uint64 {
+	var out [3][]uint64
+	for k := range t.cls {
+		c := &t.cls[k]
+		for i := c.next[tlbMaxEntries]; i != tlbMaxEntries; i = c.next[i] {
+			out[k] = append(out[k], c.tags[i])
+		}
+	}
+	return out
+}
+
+// assertSameState fails the test unless the batched and the reference CPU
+// agree on TSC, Instret, IRQsTaken, the TLB's counters, and every TLB
+// class's entries in recency order, which decide what later accesses
+// evict and so what they cost.
 func assertSameState(t *testing.T, what string, batched, reference *CPU) {
+	t.Helper()
+	assertSameCharge(t, what, batched, reference)
+	if bs, rs := batched.TLB.Stats(), reference.TLB.Stats(); bs != rs {
+		t.Errorf("%s: TLB stats diverged: batched %+v reference %+v", what, bs, rs)
+	}
+}
+
+// assertSameCharge is assertSameState without the TLB's counters. The
+// stream tests use it: MemStream counts one TLB hit per translation span,
+// plus one after each miss, where the per-page loop counts one per page.
+func assertSameCharge(t *testing.T, what string, batched, reference *CPU) {
 	t.Helper()
 	if batched.TSC != reference.TSC {
 		t.Errorf("%s: TSC diverged: batched %d reference %d", what, batched.TSC, reference.TSC)
@@ -66,6 +97,12 @@ func assertSameState(t *testing.T, what string, batched, reference *CPU) {
 	}
 	if batched.IRQsTaken != reference.IRQsTaken {
 		t.Errorf("%s: IRQsTaken diverged: batched %d reference %d", what, batched.IRQsTaken, reference.IRQsTaken)
+	}
+	bo, ro := tlbRecency(batched.TLB), tlbRecency(reference.TLB)
+	for k := range bo {
+		if !slices.Equal(bo[k], ro[k]) {
+			t.Errorf("%s: TLB class %d recency diverged: batched %#x reference %#x", what, k, bo[k], ro[k])
+		}
 	}
 }
 
@@ -96,7 +133,7 @@ func TestMemStreamMatchesReference(t *testing.T) {
 			if err := referenceStream(r, tc.addr, tc.length, true); err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			assertSameState(t, tc.name, b, r)
+			assertSameCharge(t, tc.name, b, r)
 		})
 	}
 }
@@ -114,7 +151,7 @@ func TestMemStreamTimerTickLandsOnSamePage(t *testing.T) {
 	if err := referenceStream(r, 1<<21, 16<<20, false); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	assertSameState(t, "timer", b, r)
+	assertSameCharge(t, "timer", b, r)
 	if b.IRQsTaken == 0 {
 		t.Fatalf("timer never fired; interval too large for the stream")
 	}

@@ -146,3 +146,20 @@ func BenchmarkAccessGatherHalo(b *testing.B) {
 	}
 	benchGather(b, addrs, 0)
 }
+
+// BenchmarkAccessGatherFourPages measures MiniFE's halo shape: 1536 words
+// alternating between a local and a remote 512 KiB extent, each straddling
+// a 2 MiB boundary, so every element hits one of four TLB-resident pages
+// and one resident run charges the whole batch.
+func BenchmarkAccessGatherFourPages(b *testing.B) {
+	rng := NewRand(3)
+	addrs := make([]uint64, 1536)
+	for i := range addrs {
+		base := uint64(2*PageSize2M - 256<<10)
+		if i%2 == 1 {
+			base = nodeStride + 3*PageSize2M - 128<<10 // node 1's memory
+		}
+		addrs[i] = base + rng.Next()%(512<<10)&^7
+	}
+	benchGather(b, addrs, 0)
+}

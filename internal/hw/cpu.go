@@ -112,8 +112,10 @@ type CPU struct {
 
 	// regionCache memoizes the last two PhysMem regions this core touched
 	// (single-goroutine owned; revalidated against the layout generation).
-	// Two ways, not one: halo-exchange patterns alternate local/remote
-	// targets every access, which a single slot thrashes on.
+	// Two ways, not one: AccessGather's per-element loop alternates local
+	// and remote targets every element on the halo batches a resident run
+	// leaves to it (a rank's batches that begin on a cold TLB), which a
+	// single slot thrashes on.
 	regionCache    [2]*Region
 	regionCacheGen uint64
 

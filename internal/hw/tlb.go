@@ -185,6 +185,29 @@ func (t *TLB) Cover(addr uint64) (base, pageSize uint64, ok bool) {
 	return 0, 0, false
 }
 
+// resident finds the entry Cover would hit for addr without refreshing its
+// recency or counting the hit, and returns its class and slot with the
+// page [base, base+size) of addresses that hit that same entry for as long
+// as no entry is inserted or removed: the entry's own page for a 2M or 4K
+// entry, but only addr's 4 KiB page for a 1G entry, since the 2M and 4K
+// classes are probed first and may hold other parts of a 1G page.
+func (t *TLB) resident(addr uint64) (c *tlbClass, slot int, base, size uint64, ok bool) {
+	for k := range t.cls {
+		c = &t.cls[k]
+		if c.n == 0 {
+			continue
+		}
+		if slot = c.find(addr &^ (c.pageSize - 1)); slot >= 0 {
+			size = c.pageSize
+			if size == PageSize1G {
+				size = PageSize4K
+			}
+			return c, slot, addr &^ (size - 1), size, true
+		}
+	}
+	return nil, 0, 0, 0, false
+}
+
 // Lookup reports whether addr's translation is cached. On a hit the entry's
 // recency is refreshed.
 func (t *TLB) Lookup(addr uint64) bool {

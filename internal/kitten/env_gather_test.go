@@ -25,36 +25,45 @@ func gatherPattern(n int, a, b hw.Extent) []uint64 {
 
 // TestEnvAccessGatherMatchesAccessLoop drives the same extent-hopping
 // address streams through a per-element Compute+Access loop and through
-// Env.AccessGather and requires identical simulated cycles and instruction
-// counts.
+// Env.AccessGather and requires identical simulated cycles, instruction
+// counts and TLBs. Each stream runs twice, so the second pass starts on
+// TLB-resident pages: 8 MiB extents, more pages than a resident run's set
+// holds, and 512 KiB ones, MiniFE's vector size, which it can hold.
+// Between the passes one access to a page of a third extent makes that
+// page the most recently used, so the second pass must refresh its own.
 func TestEnvAccessGatherMatchesAccessLoop(t *testing.T) {
-	for _, computePer := range []uint64{0, 6} {
-		body := func(batched bool) func(e *Env) error {
-			return func(e *Env) error {
-				a := e.Alloc(0, 8<<20)
-				b := e.Alloc(0, 8<<20)
-				addrs := gatherPattern(20_000, a, b)
-				if batched {
-					e.AccessGather(addrs, computePer, false, hw.AccessDRAM)
-				} else {
-					for _, addr := range addrs {
-						if computePer != 0 {
-							e.Compute(computePer)
+	for _, size := range []uint64{8 << 20, 512 << 10} {
+		for _, computePer := range []uint64{0, 6} {
+			body := func(batched bool) func(e *Env) error {
+				return func(e *Env) error {
+					a := e.Alloc(0, size)
+					b := e.Alloc(0, size)
+					c := e.Alloc(0, 4<<20)
+					addrs := gatherPattern(20_000, a, b)
+					for pass := range 2 {
+						if pass == 1 {
+							e.Access(c.End()-8, false, hw.AccessDRAM)
 						}
-						e.Access(addr, false, hw.AccessDRAM)
+						if batched {
+							e.AccessGather(addrs, computePer, false, hw.AccessDRAM)
+							continue
+						}
+						for _, addr := range addrs {
+							if computePer != 0 {
+								e.Compute(computePer)
+							}
+							e.Access(addr, false, hw.AccessDRAM)
+						}
 					}
+					return nil
 				}
-				return nil
 			}
-		}
-		tscA, insA, errA := runEnvTask(t, body(false))
-		tscB, insB, errB := runEnvTask(t, body(true))
-		if errA != nil || errB != nil {
-			t.Fatalf("errs = %v, %v", errA, errB)
-		}
-		if tscA != tscB || insA != insB {
-			t.Errorf("computePer=%d: batched gather diverged: TSC %d vs %d, Instret %d vs %d",
-				computePer, tscA, tscB, insA, insB)
+			perElement, errA := runEnvTask(t, body(false))
+			batched, errB := runEnvTask(t, body(true))
+			if errA != nil || errB != nil {
+				t.Fatalf("errs = %v, %v", errA, errB)
+			}
+			assertSameCore(t, fmt.Sprintf("%d KiB extents, computePer=%d", size>>10, computePer), batched, perElement)
 		}
 	}
 }
@@ -72,23 +81,21 @@ func TestEnvAccessGatherSegfaultsAtSameElement(t *testing.T) {
 		addrs[637] = exts[len(exts)-1].End() + 4096 // unmapped
 		return addrs
 	}
-	tscA, insA, errA := runEnvTask(t, func(e *Env) error {
+	perElement, errA := runEnvTask(t, func(e *Env) error {
 		for _, addr := range mkAddrs(e) {
 			e.Compute(computePer)
 			e.Access(addr, true, hw.AccessDRAM)
 		}
 		return nil
 	})
-	tscB, insB, errB := runEnvTask(t, func(e *Env) error {
+	batched, errB := runEnvTask(t, func(e *Env) error {
 		e.AccessGather(mkAddrs(e), computePer, true, hw.AccessDRAM)
 		return nil
 	})
 	if !errors.Is(errA, ErrSegfault) || !errors.Is(errB, ErrSegfault) {
 		t.Fatalf("errs = %v, %v; want segfaults", errA, errB)
 	}
-	if tscA != tscB || insA != insB {
-		t.Errorf("fault prefix diverged: TSC %d vs %d, Instret %d vs %d", tscA, tscB, insA, insB)
-	}
+	assertSameCore(t, "fault prefix", batched, perElement)
 }
 
 // TestEnvAccessGatherSteadyStateAllocFree pins the batched gather path at
@@ -127,7 +134,7 @@ func TestEnvAccessGatherSteadyStateAllocFree(t *testing.T) {
 // third extent that every 16th element hits instead, so the prepass's two
 // ways keep evicting each other. The unmapped cases put a segfault at the
 // first, second, middle and last element. Both paths must charge the same
-// TSC and Instret, so fault at the same element.
+// TSC and Instret, leave the same TLB, and fault at the same element.
 func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 	const n = 4000
 	// run executes body as a task on a one-core enclave over nodes 0 and
@@ -136,8 +143,9 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 	// that body charged, read on the task's goroutine. The spawn doorbell
 	// lands before the task starts or at its first poll, as host timing
 	// has it, so the task takes it before reading its baseline; and once
-	// the task is done, the idle core goes on taking timer ticks.
-	run := func(body func(e *Env, third hw.Extent)) (tsc, instret uint64, err error) {
+	// the task is done, the idle core goes on taking timer ticks. It also
+	// copies the core's TLB when body ends.
+	run := func(body func(e *Env, third hw.Extent)) (st coreState, err error) {
 		_, fw, _, k := testStack(t, 1, []int{0, 1}, 256<<20)
 		third, aerr := fw.Ledger.AllocMemory(0, 16<<20)
 		if aerr != nil {
@@ -147,7 +155,11 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 		task, serr := k.Spawn("gather", 0, func(e *Env) error {
 			e.Compute(0) // polls: takes the doorbell if it is still pending
 			tsc0, instret0 := e.CPU.TSC, e.CPU.Instret
-			defer func() { tsc, instret = e.CPU.TSC-tsc0, e.CPU.Instret-instret0 }()
+			defer func() {
+				st = snapshotCore(e.CPU)
+				st.tsc -= tsc0
+				st.instret -= instret0
+			}()
 			body(e, third)
 			return nil
 		})
@@ -155,7 +167,7 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 			t.Fatal(serr)
 		}
 		err = task.Wait()
-		return tsc, instret, err
+		return st, err
 	}
 	// Each case runs with either node's extent leading the alternation,
 	// so the unmapped element finds node 1's extent in either way.
@@ -183,7 +195,7 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 				}
 				return addrs
 			}
-			tscA, insA, errA := run(func(e *Env, third hw.Extent) {
+			perElement, errA := run(func(e *Env, third hw.Extent) {
 				for _, addr := range mkAddrs(e, third) {
 					if computePer != 0 {
 						e.Compute(computePer)
@@ -191,7 +203,7 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 					e.Access(addr, false, hw.AccessDRAM)
 				}
 			})
-			tscB, insB, errB := run(func(e *Env, third hw.Extent) {
+			batched, errB := run(func(e *Env, third hw.Extent) {
 				e.AccessGather(mkAddrs(e, third), computePer, false, hw.AccessDRAM)
 			})
 			what := fmt.Sprintf("computePer=%d, node %d first, unmapped at %d", computePer, c.lead, bad)
@@ -202,10 +214,7 @@ func TestEnvAccessGatherAlternatingExtents(t *testing.T) {
 			} else if !errors.Is(errA, ErrSegfault) || !errors.Is(errB, ErrSegfault) || errA.Error() != errB.Error() {
 				t.Errorf("%s: per-element err %v, batched err %v", what, errA, errB)
 			}
-			if tscA != tscB || insA != insB {
-				t.Errorf("%s: batched gather diverged: TSC %d vs %d, Instret %d vs %d",
-					what, tscA, tscB, insA, insB)
-			}
+			assertSameCore(t, what, batched, perElement)
 		}
 	}
 }

@@ -94,17 +94,20 @@ func newStencil27(nx, ny, nz int) stencil27 {
 
 func (s *stencil27) rows() int { return s.nx * s.ny * s.nz }
 
-// spmv computes dst = A*src for rows in [lo, hi) — real arithmetic. On an
-// interior row, every row until the end of its x-line is also interior
-// (only i advances), so the kernel hands the whole run to spmvLine without
-// looking at the rows' classes again.
+// spmv computes dst = A*src for rows in [lo, hi) — real arithmetic — and
+// returns the dot product of src and dst over those rows, added in row
+// order as each row is written: the CG solver's p·Ap, with no second pass
+// over the vectors. On an interior row, every row until the end of its
+// x-line is also interior (only i advances), so the kernel hands the whole
+// run to spmvLine without looking at the rows' classes again.
 //
 //covirt:hot
-func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
+func (s *stencil27) spmv(dst, src []float64, lo, hi int) float64 {
 	nx := s.nx
+	dot := 0.0
 	for row := lo; row < hi; {
 		if s.cls[row] != 0 {
-			s.spmvSlow(dst, src, row)
+			dot += src[row] * s.spmvSlow(dst, src, row)
 			row++
 			continue
 		}
@@ -112,9 +115,10 @@ func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
 		if end > hi {
 			end = hi
 		}
-		s.spmvLine(dst[row:end], src, row)
+		dot = s.spmvLine(dst[row:end], src, row, dot)
 		row = end
 	}
+	return dot
 }
 
 // spmvLine computes d = (A*src)[row:row+len(d)], a run of interior rows in
@@ -124,8 +128,9 @@ func (s *stencil27) spmv(dst, src []float64, lo, hi int) {
 // subtracts them in dk/dj/di order, nbr[0]'s order, so the summation order,
 // and every result bit, is the boundary kernels'. With each line sliced to
 // one common length, the compiler keeps 3 of the 26 per-row bounds checks
-// that indexing src by row+offset costs.
-func (s *stencil27) spmvLine(d, src []float64, row int) {
+// that indexing src by row+offset costs. It returns dot plus each row's
+// src·d term, added in row order.
+func (s *stencil27) spmvLine(d, src []float64, row int, dot float64) float64 {
 	nx, plane, n := s.nx, s.nx*s.ny, len(d)+2
 	base := row - plane - nx - 1 // neighbour (-1, -1, -1) of row
 	lmm, lm0, lmp := src[base:][:n], src[base+nx:][:n], src[base+2*nx:][:n]
@@ -162,17 +167,20 @@ func (s *stencil27) spmvLine(d, src []float64, row int) {
 		sum -= lpp[t+1]
 		sum -= lpp[t+2]
 		d[t] = sum
+		dot += l00[t+1] * sum
 	}
+	return dot
 }
 
 // spmvSlow computes one boundary row from its class's neighbour list, in
-// dk/dj/di order.
-func (s *stencil27) spmvSlow(dst, src []float64, row int) {
+// dk/dj/di order, and returns it.
+func (s *stencil27) spmvSlow(dst, src []float64, row int) float64 {
 	sum := 26.0 * src[row]
 	for _, o := range s.nbr[s.cls[row]] {
 		sum -= src[row+o]
 	}
 	dst[row] = sum
+	return sum
 }
 
 // symgs performs one block-local symmetric Gauss-Seidel sweep (forward
@@ -503,14 +511,16 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 		}
 		bar.Wait(e)
 
+		// Each dot product below is summed in the loop that writes its
+		// last operand: p·Ap by spmv, and r·r, when z is r, by the r update
+		// (with a preconditioner that sum is dropped and r·z summed after
+		// symgs). The products are the same and are added in the same row
+		// order as a separate pass would add them, so every result bit is
+		// too.
 		for it := 0; it < cg.iters; it++ {
-			cg.s.spmv(ap, p, lo, hi)
+			local = cg.s.spmv(ap, p, lo, hi)
 			ch.chargeSpMV()
 			bar.Wait(e) // halo: neighbours read our p rows
-			local = 0
-			for i := range ps {
-				local += ps[i] * aps[i]
-			}
 			ch.chargeDot()
 			pap := redPAp.Sum(e, rank, local)
 			if rank == 0 {
@@ -518,9 +528,12 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 			}
 			bar.Wait(e)
 			a := alpha
+			local = 0
 			for i := range xs {
 				xs[i] += a * ps[i]
-				rs[i] -= a * aps[i]
+				ri := rs[i] - a*aps[i]
+				rs[i] = ri
+				local += ri * ri
 			}
 			ch.chargeAXPY()
 			ch.chargeAXPY()
@@ -528,10 +541,10 @@ func (cg *cgSolver) makeRankFn(threads int, finalRes *float64) func(e *kitten.En
 				clear(zs)
 				cg.s.symgs(z, r, lo, hi)
 				ch.chargeSymGS()
-			}
-			local = 0
-			for i := range rs {
-				local += rs[i] * zs[i]
+				local = 0
+				for i := range rs {
+					local += rs[i] * zs[i]
+				}
 			}
 			ch.chargeDot()
 			rrNew := redRR.Sum(e, rank, local)

@@ -105,7 +105,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 
 // TestSpmvMatchesReference holds spmv to refSpmvRow bit for bit, on every
 // grid and range of the oracle set; rows outside the range must stay
-// untouched.
+// untouched, and the dot product spmv returns must be the one a second
+// pass over the range adds, src[row]·dst[row] in row order.
 func TestSpmvMatchesReference(t *testing.T) {
 	for _, g := range stencilGrids {
 		s := newStencil27(g[0], g[1], g[2])
@@ -122,8 +123,16 @@ func TestSpmvMatchesReference(t *testing.T) {
 				got[row], want[row] = -1, -1
 			}
 			copy(want[r[0]:r[1]], full[r[0]:r[1]])
-			s.spmv(got, src, r[0], r[1])
-			sameBits(t, fmt.Sprintf("%v grid, spmv[%d,%d)", g, r[0], r[1]), got, want)
+			what := fmt.Sprintf("%v grid, spmv[%d,%d)", g, r[0], r[1])
+			dot := s.spmv(got, src, r[0], r[1])
+			sameBits(t, what, got, want)
+			wantDot := 0.0
+			for row := r[0]; row < r[1]; row++ {
+				wantDot += src[row] * full[row]
+			}
+			if math.Float64bits(dot) != math.Float64bits(wantDot) {
+				t.Errorf("%s: dot %#x, second pass %#x", what, math.Float64bits(dot), math.Float64bits(wantDot))
+			}
 		}
 	}
 }

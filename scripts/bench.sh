@@ -6,12 +6,12 @@
 #   ./scripts/bench.sh --compare OLD.json NEW.json
 #
 # Three tiers run back to back: the hot-path microbenchmarks (TLB lookup,
-# the GUPS- and halo-shaped gathers, EPT walks, PhysMem accessors, STREAM
-# triad, the stencil SpMV and SymGS kernels), the control-plane tier (both
-# ctl-saturation legs: per-event baseline and batched ingest with
-# epoch-coalesced shootdowns), and the paper-figure benchmarks in the root
-# package (fig3-fig8, IPC, GUPS, EPT ablation, one full experiment per
-# pass). All run under -benchmem, so
+# the GUPS- and halo-shaped gathers and MiniFE's four-page one, EPT walks,
+# PhysMem accessors, STREAM triad, the stencil SpMV and SymGS kernels), the
+# control-plane tier (both ctl-saturation legs: per-event baseline and
+# batched ingest with epoch-coalesced shootdowns), and the paper-figure
+# benchmarks in the root package (fig3-fig8, IPC, GUPS, EPT ablation, one
+# full experiment per pass). All run under -benchmem, so
 # the snapshots carry B/op and allocs/op alongside ns/op — the allocation
 # columns are the regression teeth on the zero-alloc workload discipline.
 #
