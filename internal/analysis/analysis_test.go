@@ -35,13 +35,15 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			fixture: "lock",
 			checks:  []string{checkLock},
 			want: []string{
-				"locks/locks.go:15",      // Lock without defer Unlock
-				"locks/locks.go:21",      // RLock without defer RUnlock
-				"locks/locks.go:37",      // Cond.Wait outside for loop
-				"locks/locks.go:37",      // ... and outside hw.Handoff
-				"locks/locks.go:45",      // Cond.Wait outside hw.Handoff
-				"locks/locks.go:51",      // sync.NewCond outside hw.Handoff
-				"internal/hw/other.go:8", // Cond.Wait in hw, outside handoff.go
+				"locks/locks.go:15",       // Lock without defer Unlock
+				"locks/locks.go:21",       // RLock without defer RUnlock
+				"locks/locks.go:37",       // Cond.Wait outside for loop
+				"locks/locks.go:37",       // ... and outside hw.Handoff
+				"locks/locks.go:45",       // Cond.Wait outside hw.Handoff
+				"locks/locks.go:51",       // sync.NewCond outside hw.Handoff
+				"internal/hw/other.go:8",  // Cond.Wait in hw, outside handoff.go
+				"internal/hw/other.go:14", // channel receive in hw, outside handoff.go
+				"internal/hw/other.go:19", // select in hw, outside handoff.go
 				// internal/hw/handoff.go is the primitive: its NewCond
 				// and looped Wait are allowed
 			},

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -17,10 +18,13 @@ import (
 //     predicate (a bare Wait misses spurious and stolen wakeups);
 //  3. sync.NewCond and sync.Cond.Wait appear only in the wait primitive,
 //     internal/hw's handoff.go: every other wait goes through hw.Handoff,
-//     so node crash, enclave teardown and core kill end it.
+//     so node crash, enclave teardown and core kill end it. In the rest
+//     of internal/hw's non-test files a channel receive or a select
+//     statement is a finding too: the package waits only through
+//     hw.Handoff, and its tests coordinate goroutines as they like.
 var lockDiscipline = &Analyzer{
 	Name: checkLock,
-	Doc:  "Lock pairs with defer Unlock in the same function; Cond.Wait sits in a for loop, only in hw.Handoff",
+	Doc:  "Lock pairs with defer Unlock in the same function; Cond.Wait sits in a for loop, only in hw.Handoff, and internal/hw waits on no channel",
 	Run:  runLockDiscipline,
 }
 
@@ -65,9 +69,12 @@ func syncCall(p *Pass, call *ast.CallExpr) (recv, method, typ string, ok bool) {
 
 func runLockDiscipline(p *Pass) []Finding {
 	var out []Finding
+	inHW := strings.HasSuffix(strings.TrimSuffix(p.Unit.Path, ".test"), "internal/hw")
 	for _, file := range p.Unit.Files {
-		condOwner := strings.HasSuffix(strings.TrimSuffix(p.Unit.Path, ".test"), "internal/hw") &&
-			fileBase(p.Mod, file) == condOwnerFile
+		condOwner := inHW && fileBase(p.Mod, file) == condOwnerFile
+		if inHW && !condOwner && !isTestFile(p.Mod, file) {
+			hwChannelWaits(p, file, &out)
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
@@ -82,6 +89,24 @@ func runLockDiscipline(p *Pass) []Finding {
 		})
 	}
 	return out
+}
+
+// hwChannelWaits reports each channel receive and select statement in
+// file, an internal/hw file other than the wait primitive's. A select is
+// one finding, whatever its cases receive.
+func hwChannelWaits(p *Pass, file *ast.File, out *[]Finding) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectStmt:
+			p.report(out, checkLock, n, "select in internal/hw outside handoff.go; wait through hw.Handoff")
+			return false
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				p.report(out, checkLock, n, "channel receive in internal/hw outside handoff.go; wait through hw.Handoff")
+			}
+		}
+		return true
+	})
 }
 
 // isNewCond reports whether call is sync.NewCond.

@@ -51,6 +51,25 @@ func (r *rig) boot(t *testing.T, name string, cores int, nodes []int, mem uint64
 	return be.Enc, be.Kitten
 }
 
+// cached reports whether local core's TLB holds a translation for addr.
+// A TLB belongs to its core's goroutine, so the probe runs in a task on
+// that core, and the answer is read once the task has ended.
+func cached(t *testing.T, k *kitten.Kernel, core int, addr uint64) bool {
+	t.Helper()
+	var hit bool
+	task, err := k.Spawn("tlb-probe", core, func(e *kitten.Env) error {
+		hit = e.CPU.TLB.Lookup(addr)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := task.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return hit
+}
+
 func TestBootTransparencyUnderCovirt(t *testing.T) {
 	r := newRig(t, covirt.FeaturesMem)
 	enc, k := r.boot(t, "lwk", 2, []int{0}, 128<<20)

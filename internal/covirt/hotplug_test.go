@@ -86,7 +86,7 @@ func TestCPUHotAddJoinsFlushProtocol(t *testing.T) {
 	if st := r.ctrl.StatusFor(enc.ID); st.FlushCmds != 2 {
 		t.Errorf("flush cmds = %d, want 2", st.FlushCmds)
 	}
-	if k.CPU(1).TLB.Lookup(ext.Start + 4096) {
+	if cached(t, k, 1, ext.Start+4096) {
 		t.Error("hot-added core kept a stale translation")
 	}
 }
@@ -249,7 +249,7 @@ func TestCPUHotplugReusesQueueSlots(t *testing.T) {
 	if got := r.ctrl.StatusFor(enc.ID).FlushCmds - pre; got != 2 {
 		t.Errorf("flush cmds = %d, want 2 (boot core and core %d)", got, core)
 	}
-	if k.CPU(1).TLB.Lookup(ext.Start + 4096) {
+	if cached(t, k, 1, ext.Start+4096) {
 		t.Error("the core added last kept a stale translation")
 	}
 }

@@ -68,7 +68,7 @@ func TestUnmapFlushBeforeReclaim(t *testing.T) {
 		t.Errorf("flush commands = %d, want one per core", st.FlushCmds)
 	}
 	for core := 0; core < 2; core++ {
-		if k.CPU(core).TLB.Lookup(ext.Start + 8192) {
+		if cached(t, k, core, ext.Start+8192) {
 			t.Errorf("core %d holds a stale translation after RemoveMemory returned", core)
 		}
 	}

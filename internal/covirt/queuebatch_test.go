@@ -55,7 +55,7 @@ func TestEpochCoalescingEquivalence(t *testing.T) {
 	}
 	for core := 0; core < cores; core++ {
 		for _, ext := range exts {
-			if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+			if cached(t, k, core, ext.Start+4096) {
 				t.Errorf("core %d holds a stale translation for %v", core, ext)
 			}
 		}
@@ -117,7 +117,7 @@ func TestBatchedRemoveFlushAllThreshold(t *testing.T) {
 	}
 	for core := 0; core < cores; core++ {
 		for _, ext := range remove {
-			if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+			if cached(t, k, core, ext.Start+4096) {
 				t.Errorf("core %d holds a stale translation for %v", core, ext)
 			}
 		}
@@ -274,7 +274,7 @@ func TestEpochRecordBound(t *testing.T) {
 			}
 			for core := 0; core < cores; core++ {
 				for _, ext := range remove {
-					if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+					if cached(t, k, core, ext.Start+4096) {
 						t.Errorf("core %d holds a stale translation for %v", core, ext)
 					}
 				}

@@ -32,7 +32,7 @@ const timerDisarmed = ^uint64(0)
 // interrupt request register (IRR) fed by IPIs and device interrupts, an NMI
 // line, and a one-shot-rearming local timer. Incoming interrupts may be
 // raised from any goroutine; delivery happens on the owning CPU's execution
-// context via CPU.poll.
+// context via CPU.poll, and a halted CPU waits for them in CPU.Idle.
 type APIC struct {
 	cpuID int
 
@@ -42,7 +42,7 @@ type APIC struct {
 	nmi    int32                   // pending NMI count
 
 	pending atomic.Uint32 // fast-path event flags
-	notify  chan struct{} // wakes idle waiters
+	idle    *Handoff      // CPU.Idle parks here; every raise broadcasts
 
 	// Timer state. The owning CPU advances the deadline; ArmTimer and
 	// DisarmTimer may be called from management contexts, so the fields
@@ -58,17 +58,9 @@ type APIC struct {
 
 // newAPIC returns an APIC for the given CPU id.
 func newAPIC(cpuID int) *APIC {
-	a := &APIC{cpuID: cpuID, notify: make(chan struct{}, 1)}
+	a := &APIC{cpuID: cpuID, idle: NewHandoff(nil, nil)}
 	a.timerDeadline.Store(timerDisarmed)
 	return a
-}
-
-// signal wakes anything blocked in WaitEvent.
-func (a *APIC) signal() {
-	select {
-	case a.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Raise queues vector for delivery. external marks device-originated
@@ -77,7 +69,7 @@ func (a *APIC) signal() {
 func (a *APIC) Raise(vector uint8, external bool) {
 	a.post(vector, external)
 	a.pending.Or(pendingIntr)
-	a.signal()
+	a.idle.Broadcast()
 }
 
 // post sets the IRR bits for vector under the lock.
@@ -94,7 +86,7 @@ func (a *APIC) post(vector uint8, external bool) {
 func (a *APIC) RaiseNMI() {
 	atomic.AddInt32(&a.nmi, 1)
 	a.pending.Or(pendingNMI)
-	a.signal()
+	a.idle.Broadcast()
 }
 
 // takeNMI consumes one pending NMI, reporting whether one was pending.
@@ -160,33 +152,6 @@ func (a *APIC) clearKillPending() { a.pending.And(^pendingKill) }
 
 // setCrashPending mirrors the machine crash flag; it is never cleared.
 func (a *APIC) setCrashPending() { a.pending.Or(pendingCrash) }
-
-// WaitEvent blocks until an event is pending (an interrupt, an NMI, or the
-// kill/crash latches) or done is closed. It is used by idle loops so halted
-// CPUs still notice NMI doorbells. A wake token left behind by an event a
-// poll already took does not end the wait: otherwise a halted core would
-// wake with nothing to do, at a point set by host scheduling, and whatever
-// it charges on waking would make simulated time nondeterministic.
-func (a *APIC) WaitEvent(done <-chan struct{}) {
-	for a.pending.Load() == 0 {
-		select {
-		case <-a.notify:
-		case <-done:
-			return
-		}
-	}
-}
-
-// WaitSignal blocks until the next wakeup signal or done closes, ignoring
-// already-pending events. Lockup modeling (StallNoIRQ) uses it: with
-// interrupts disabled, pending vectors must not wake the core, but a Kill
-// (which signals) must still be noticed.
-func (a *APIC) WaitSignal(done <-chan struct{}) {
-	select {
-	case <-a.notify:
-	case <-done:
-	}
-}
 
 // ArmTimer programs the local timer to fire vector every interval cycles,
 // starting from now (the caller's current TSC). A zero interval disarms.

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestAPICRaiseTake(t *testing.T) {
 	a := newAPIC(0)
@@ -67,13 +64,6 @@ func TestAPICNMICounting(t *testing.T) {
 	if a.HasPending() {
 		t.Fatal("pending after NMIs drained")
 	}
-}
-
-func TestAPICWaitEventReturnsOnDone(t *testing.T) {
-	a := newAPIC(0)
-	done := make(chan struct{})
-	close(done)
-	a.WaitEvent(done) // must not block
 }
 
 func TestAPICHighestVectorFirst(t *testing.T) {
@@ -158,26 +148,4 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// TestWaitEventIgnoresStaleWakeup: an interrupt a poll takes without the
-// core having waited leaves its wake token behind. A later WaitEvent must
-// not return on that token with nothing pending; it returns on the next
-// real event.
-func TestWaitEventIgnoresStaleWakeup(t *testing.T) {
-	a := newAPIC(0)
-	a.Raise(0x41, false)
-	a.takeIntr()
-	woke := make(chan struct{})
-	go func() {
-		a.WaitEvent(nil)
-		close(woke)
-	}()
-	select {
-	case <-woke:
-		t.Fatal("WaitEvent returned with nothing pending")
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.Raise(0x42, false)
-	<-woke
 }

@@ -78,17 +78,9 @@ func tlbRecency(t *TLB) [3][]uint64 {
 // evict and so what they cost.
 func assertSameState(t *testing.T, what string, batched, reference *CPU) {
 	t.Helper()
-	assertSameCharge(t, what, batched, reference)
 	if bs, rs := batched.TLB.Stats(), reference.TLB.Stats(); bs != rs {
 		t.Errorf("%s: TLB stats diverged: batched %+v reference %+v", what, bs, rs)
 	}
-}
-
-// assertSameCharge is assertSameState without the TLB's counters. The
-// stream tests use it: MemStream counts one TLB hit per translation span,
-// plus one after each miss, where the per-page loop counts one per page.
-func assertSameCharge(t *testing.T, what string, batched, reference *CPU) {
-	t.Helper()
 	if batched.TSC != reference.TSC {
 		t.Errorf("%s: TSC diverged: batched %d reference %d", what, batched.TSC, reference.TSC)
 	}
@@ -133,7 +125,7 @@ func TestMemStreamMatchesReference(t *testing.T) {
 			if err := referenceStream(r, tc.addr, tc.length, true); err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			assertSameCharge(t, tc.name, b, r)
+			assertSameState(t, tc.name, b, r)
 		})
 	}
 }
@@ -151,7 +143,7 @@ func TestMemStreamTimerTickLandsOnSamePage(t *testing.T) {
 	if err := referenceStream(r, 1<<21, 16<<20, false); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	assertSameCharge(t, "timer", b, r)
+	assertSameState(t, "timer", b, r)
 	if b.IRQsTaken == 0 {
 		t.Fatalf("timer never fired; interval too large for the stream")
 	}

@@ -103,7 +103,6 @@ type CPU struct {
 	GuestPageSize uint64
 
 	killed atomic.Bool
-	halted atomic.Bool
 
 	irqHandler func(c *CPU, vector uint8, external bool)
 	nmiHandler func(c *CPU)
@@ -175,15 +174,13 @@ func (c *CPU) TSCSnapshot() uint64 { return c.tscShadow.Load() }
 func (c *CPU) Kill() {
 	c.killed.Store(true)
 	c.APIC.setKillPending()
-	c.APIC.signal()
 	c.M.wakeSleepers()
 }
 
-// Revive clears the killed and halted latches so a new guest context can
-// boot on the core (enclave teardown + reboot path).
+// Revive clears the killed latch so a new guest context can boot on the
+// core (enclave teardown + reboot path).
 func (c *CPU) Revive() {
 	c.killed.Store(false)
-	c.halted.Store(false)
 	c.APIC.clearKillPending()
 }
 
@@ -362,13 +359,18 @@ func (c *CPU) streamPageCost(lo, hi uint64, remote bool) (lines, cost uint64) {
 // streamSpan resolves the translation and region span covering page,
 // translating on a TLB miss. It returns the first page-start past which the
 // (translation, region) pair may change, and whether the region is remote.
+// It counts one TLB hit or miss, for page, as the per-page loop does.
 func (c *CPU) streamSpan(page, end uint64, write bool) (limit uint64, remote bool, err error) {
 	base, span, ok := c.TLB.Cover(page)
 	if !ok {
 		if err := c.translate(page, write); err != nil {
 			return 0, false, err
 		}
-		if base, span, ok = c.TLB.Cover(page); !ok {
+		// Find the entry translate inserted. This re-probe is no access
+		// of its own, so its hit is taken back.
+		if base, span, ok = c.TLB.Cover(page); ok {
+			c.TLB.stats.Hits--
+		} else {
 			base, span = page, PageSize4K // unreachable: translate inserts
 		}
 	}
@@ -390,7 +392,8 @@ func (c *CPU) streamSpan(page, end uint64, write bool) (limit uint64, remote boo
 // once and multiplied by the page count, which is byte-identical to the
 // per-page loop because the cost is constant within one (TLB entry, region)
 // span. Timer interrupts still land on the exact page boundary the per-page
-// loop would have delivered them on (see pollsUntilTimer).
+// loop would have delivered them on (see pollsUntilTimer), and the TLB
+// counts one hit or miss per 4 KiB page, as that loop's lookups do.
 func (c *CPU) MemStream(addr, length uint64, write bool) error {
 	if length == 0 {
 		return c.poll()
@@ -436,6 +439,7 @@ func (c *CPU) MemStream(addr, length uint64, write bool) error {
 		}
 		c.Instret += full * lines
 		c.charge(full * cost)
+		c.TLB.stats.Hits += full - 1 // streamSpan counted the first page
 		if err := c.poll(); err != nil {
 			return err
 		}
@@ -651,12 +655,26 @@ func (c *CPU) RaiseDoubleFault(msg string) error {
 	return c.abort(f)
 }
 
-// Idle blocks the execution context until an event is pending or done
-// closes, then delivers pending events. It returns poll's verdict.
-func (c *CPU) Idle(done <-chan struct{}) error {
-	c.APIC.WaitEvent(done)
+// Idle halts the core until an interrupt or NMI is pending or stop
+// reports true, then delivers pending events and returns poll's verdict.
+// A nil stop never holds. A halted core charges nothing, and an event a
+// poll already took does not wake it: a core waiting on a longcall
+// response re-probes the ring only when a simulated event arrives. A kill
+// or node crash ends the halt with the fault poll would return.
+func (c *CPU) Idle(stop func() bool) error {
+	err := c.APIC.idle.Wait(c, func() (bool, error) {
+		return c.APIC.HasPending() || stop != nil && stop(), nil
+	})
+	if err != nil {
+		c.tscShadow.Store(c.TSC) // as poll publishes before reporting it
+		return err
+	}
 	return c.poll()
 }
+
+// Wake makes a halted core re-check its Idle stop without posting an
+// event, so waking it charges nothing. Safe from any goroutine.
+func (c *CPU) Wake() { c.APIC.idle.Broadcast() }
 
 // StallNoIRQ models a core locking up with interrupts disabled — the
 // soft-hang failure mode a watchdog must catch, since the core still owns
@@ -670,15 +688,7 @@ func (c *CPU) StallNoIRQ(cycles uint64) error {
 	c.Instret++
 	c.charge(cycles)
 	c.tscShadow.Store(c.TSC)
-	for {
-		if c.M.Crashed() {
-			return &Fault{Kind: FaultMachineCrashed, CPU: c.ID, Msg: c.M.CrashReason()}
-		}
-		if c.killed.Load() {
-			return &Fault{Kind: FaultEnclaveKilled, CPU: c.ID}
-		}
-		c.APIC.WaitSignal(c.M.CrashedCh())
-	}
+	return c.APIC.idle.Wait(c, func() (bool, error) { return false, nil })
 }
 
 // ReadTSC samples the simulated time-stamp counter (rdtsc).

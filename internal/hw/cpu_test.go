@@ -1,8 +1,11 @@
 package hw
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testMachine(t *testing.T) *Machine {
@@ -342,16 +345,15 @@ func TestFaultLog(t *testing.T) {
 func TestIdleWakesOnEvent(t *testing.T) {
 	m := testMachine(t)
 	c := m.CPU(0)
-	done := make(chan struct{})
 	seen := make(chan uint8, 1)
 	c.SetIRQHandler(func(_ *CPU, v uint8, _ bool) { seen <- v })
 	go func() {
 		//covirt:allow physmem-errcheck delivery is observed via the seen channel
 		m.CPU(1).SendIPI(0, 0x55)
 	}()
-	// Idle until the IPI arrives (WaitEvent returns once signalled).
+	// Idle until the IPI arrives (Idle returns once it is pending).
 	for {
-		if err := c.Idle(done); err != nil {
+		if err := c.Idle(nil); err != nil {
 			t.Errorf("Idle: %v", err)
 			return
 		}
@@ -363,6 +365,129 @@ func TestIdleWakesOnEvent(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestIdleReturnsWhenStopHolds: a stop that already holds ends Idle at
+// once, and the halt charges nothing.
+func TestIdleReturnsWhenStopHolds(t *testing.T) {
+	c := testMachine(t).CPU(0)
+	if err := c.Idle(func() bool { return true }); err != nil {
+		t.Fatalf("Idle: %v", err)
+	}
+	if c.TSC != 0 || c.IRQsTaken != 0 || c.APIC.NMICount != 0 {
+		t.Errorf("halt charged: TSC %d, IRQs %d, NMIs %d", c.TSC, c.IRQsTaken, c.APIC.NMICount)
+	}
+}
+
+// TestIdleIgnoresTakenEvent: an interrupt a poll already took does not
+// end a later Idle. The halted core wakes on the next real event, not at
+// a point host scheduling picks.
+func TestIdleIgnoresTakenEvent(t *testing.T) {
+	m := testMachine(t)
+	c := m.CPU(0)
+	c.APIC.Raise(0x41, false)
+	if err := c.Compute(0); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- c.Idle(nil) }()
+	waitParked(t, c.APIC.idle, 1)
+	select {
+	case err := <-errc:
+		t.Fatalf("Idle returned with nothing pending: %v", err)
+	default:
+	}
+	c.APIC.Raise(0x42, false)
+	if err := waitResult(t, errc); err != nil {
+		t.Fatalf("Idle: %v", err)
+	}
+	if c.IRQsTaken != 2 {
+		t.Errorf("IRQs taken = %d, want 2", c.IRQsTaken)
+	}
+}
+
+// TestIdleEndsOnKillAndCrash: a kill of the halted core, or its node's
+// crash, ends Idle with the fault poll returns for it: same kind, CPU
+// and message.
+func TestIdleEndsOnKillAndCrash(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(m *Machine)
+	}{
+		{"kill", func(m *Machine) { m.CPU(0).Kill() }},
+		{"crash", func(m *Machine) { m.Crash("test: node down") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine(t)
+			c := m.CPU(0)
+			errc := make(chan error, 1)
+			go func() { errc <- c.Idle(nil) }()
+			waitParked(t, c.APIC.idle, 1)
+			tc.stop(m)
+			got := waitResult(t, errc)
+			want := c.poll()
+			var gf, wf *Fault
+			if !errors.As(got, &gf) || !errors.As(want, &wf) || *gf != *wf {
+				t.Errorf("Idle = %v, poll = %v", got, want)
+			}
+		})
+	}
+}
+
+// TestStallNoIRQ: a core stalled with interrupts off leaves a raised
+// vector pending and wakes only for a kill or a crash, which it reports.
+func TestStallNoIRQ(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(m *Machine)
+		kind FaultKind
+	}{
+		{"kill", func(m *Machine) { m.CPU(0).Kill() }, FaultEnclaveKilled},
+		{"crash", func(m *Machine) { m.Crash("test: node down") }, FaultMachineCrashed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine(t)
+			c := m.CPU(0)
+			errc := make(chan error, 1)
+			go func() { errc <- c.StallNoIRQ(1000) }()
+			waitParked(t, c.APIC.idle, 1)
+			c.APIC.Raise(0x41, false)
+			c.Wake()
+			select {
+			case err := <-errc:
+				t.Fatalf("stall ended on a raise or a wake: %v", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			tc.stop(m)
+			if err := waitResult(t, errc); !IsFault(err, tc.kind) {
+				t.Errorf("StallNoIRQ = %v, want %v", err, tc.kind)
+			}
+			if !c.APIC.HasPending() || c.IRQsTaken != 0 {
+				t.Errorf("stall serviced the raise: pending %v, IRQs %d", c.APIC.HasPending(), c.IRQsTaken)
+			}
+			if c.TSC != 1000 {
+				t.Errorf("TSC = %d, want the stall's 1000", c.TSC)
+			}
+		})
+	}
+}
+
+// TestWakeEndsIdleWhoseStopHolds: Wake makes a halted core re-check its
+// stop, and posts no event: the core returns with its TSC unchanged.
+func TestWakeEndsIdleWhoseStopHolds(t *testing.T) {
+	c := testMachine(t).CPU(0)
+	var stop atomic.Bool
+	errc := make(chan error, 1)
+	go func() { errc <- c.Idle(stop.Load) }()
+	waitParked(t, c.APIC.idle, 1)
+	stop.Store(true)
+	c.Wake()
+	if err := waitResult(t, errc); err != nil {
+		t.Fatalf("Idle: %v", err)
+	}
+	if c.TSC != 0 || c.IRQsTaken != 0 || c.APIC.NMICount != 0 {
+		t.Errorf("wake charged: TSC %d, IRQs %d, NMIs %d", c.TSC, c.IRQsTaken, c.APIC.NMICount)
 	}
 }
 

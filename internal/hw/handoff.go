@@ -6,7 +6,8 @@ import (
 )
 
 // Handoff is the one wait primitive for host–guest hand-offs: a ring's
-// producer waiting for room, an epoch waiter, a rank parked at a barrier.
+// producer waiting for room, an epoch waiter, a rank parked at a barrier,
+// a halted core waiting for an interrupt (CPU.Idle).
 // A waiter re-checks its own predicate; it sleeps only while the
 // predicate is false and no stop condition holds, and it returns an error
 // instead of sleeping once one does. The stop conditions are:

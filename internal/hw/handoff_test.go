@@ -203,3 +203,28 @@ func TestHandoffNoAllocs(t *testing.T) {
 	stop.Fire()
 	<-echoed
 }
+
+// TestIdleNoAllocs pins the idle wait's cost beside the primitive's: a
+// raise, an Idle that finds an event pending, and a wake allocate nothing.
+func TestIdleNoAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := handoffMachine(t).CPU(0)
+	raise := func() { c.APIC.Raise(0x41, false) }
+	if a := testing.AllocsPerRun(100, raise); a != 0 {
+		t.Errorf("Raise: %v allocs, want 0", a)
+	}
+	idle := func() {
+		raise()
+		if err := c.Idle(nil); err != nil {
+			t.Error(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, idle); a != 0 {
+		t.Errorf("Idle with an event pending: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, c.Wake); a != 0 {
+		t.Errorf("Wake: %v allocs, want 0", a)
+	}
+}

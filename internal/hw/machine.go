@@ -65,7 +65,6 @@ type Machine struct {
 
 	crashed     atomic.Bool
 	crashReason atomic.Value // string
-	crashCh     chan struct{}
 
 	// sleeping lists the Handoffs with a goroutine asleep in them; Crash
 	// and CPU.Kill wake each so its waiters re-check their stop
@@ -93,10 +92,9 @@ func NewMachine(spec MachineSpec) (*Machine, error) {
 		spec.Costs = DefaultCosts()
 	}
 	m := &Machine{
-		Mem:     NewPhysMem(),
-		Ports:   NewIOPortSpace(),
-		Costs:   spec.Costs,
-		crashCh: make(chan struct{}),
+		Mem:   NewPhysMem(),
+		Ports: NewIOPortSpace(),
+		Costs: spec.Costs,
 	}
 	core := 0
 	for n := 0; n < spec.NumNodes; n++ {
@@ -143,18 +141,12 @@ func (m *Machine) RouteIPI(src, dest int, vector uint8) {
 func (m *Machine) Crash(reason string) {
 	if m.crashed.CompareAndSwap(false, true) {
 		m.crashReason.Store(reason)
-		close(m.crashCh)
 		for _, c := range m.CPUs {
 			c.APIC.setCrashPending()
-			c.APIC.signal()
 		}
 		m.wakeSleepers()
 	}
 }
-
-// CrashedCh returns a channel closed when the node crashes; a core stalled
-// with interrupts off (StallNoIRQ) waits on it.
-func (m *Machine) CrashedCh() <-chan struct{} { return m.crashCh }
 
 // Crashed reports whether the node is down.
 func (m *Machine) Crashed() bool { return m.crashed.Load() }

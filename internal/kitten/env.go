@@ -270,7 +270,7 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 	var resp pisces.Msg
 	for {
 		if empty && k.lcRespEmpty() {
-			if ierr := e.CPU.Idle(k.done); ierr != nil {
+			if ierr := e.CPU.Idle(k.stopped.Load); ierr != nil {
 				return 0, 0, ierr
 			}
 		}

@@ -38,8 +38,7 @@ type Kernel struct {
 	coresMu sync.RWMutex
 	cores   []*coreCtx
 	byCPU   map[int]*coreCtx
-	done    chan struct{}
-	stop    sync.Once
+	stopped atomic.Bool // set by Shutdown; every core loop exits on it
 	wg      sync.WaitGroup
 	booted  atomic.Bool
 
@@ -69,11 +68,11 @@ type Kernel struct {
 // core at any time (the core loop), alternating between queued tasks and
 // the idle loop.
 type coreCtx struct {
-	local  int // index within the enclave at creation time
-	cpu    *hw.CPU
-	stop   chan struct{} // closed on hot-remove
-	exited chan struct{} // closed when the core loop returns
-	busy   atomic.Bool   // a task is executing
+	local   int // index within the enclave at creation time
+	cpu     *hw.CPU
+	offline atomic.Bool   // set on hot-remove
+	exited  chan struct{} // closed when the core loop returns
+	busy    atomic.Bool   // a task is executing
 
 	// mu guards the run queue. down is set as the core loop exits: no task
 	// is queued after that, and the loop fails every task it leaves.
@@ -88,12 +87,6 @@ type Task struct {
 	fn   func(*Env) error
 	err  error
 	done chan struct{}
-	// released is closed by Spawn once the reschedule doorbell has been
-	// routed. The core loop can dequeue a task before the spawner reaches
-	// RouteIPI; without the handshake the doorbell's interrupt cost would
-	// then land at a scheduler-dependent point in the task body instead of
-	// deterministically before it (the multi-rank cycle jitter flake).
-	released chan struct{}
 }
 
 // Wait blocks until the task finishes, or its core's loop exits without
@@ -109,7 +102,6 @@ func New() *Kernel {
 		mm:           NewMemMap(),
 		alloc:        pisces.NewLedgerGranule(hw.PageSize4K),
 		byCPU:        make(map[int]*coreCtx),
-		done:         make(chan struct{}),
 		irqHandlers:  make(map[uint8]func(*Env)),
 		flushPending: make(map[int][]hw.Extent),
 	}
@@ -225,7 +217,6 @@ func (k *Kernel) registerCore(cpu *hw.CPU) *coreCtx {
 	cc := &coreCtx{
 		local:  len(k.cores),
 		cpu:    cpu,
-		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
 	}
 	k.cores = append(k.cores, cc)
@@ -234,19 +225,19 @@ func (k *Kernel) registerCore(cpu *hw.CPU) *coreCtx {
 }
 
 // Shutdown implements pisces.Bootable. It stops all core loops; safe to
-// call multiple times and from any goroutine. Closing done is the only
-// wakeup the loops need: an idle core waits on it, and a busy one checks
-// it when its task returns. An NMI raised to wake them would charge its
+// call multiple times and from any goroutine. It sets the stop flag, then
+// wakes every core the kernel runs, hot-added ones included: an idle core
+// re-checks the flag, and a busy one checks it when its task returns. A
+// wake posts no event. An NMI raised to wake them would charge its
 // handler to whichever core polled first, which host timing decides.
 func (k *Kernel) Shutdown() {
-	k.stop.Do(func() {
-		close(k.done)
-		k.coresMu.RLock()
-		defer k.coresMu.RUnlock()
-		for _, cc := range k.cores {
-			cc.cpu.APIC.DisarmTimer()
-		}
-	})
+	k.stopped.Store(true)
+	k.coresMu.RLock()
+	defer k.coresMu.RUnlock()
+	for _, cc := range k.cores {
+		cc.cpu.APIC.DisarmTimer()
+		cc.cpu.Wake()
+	}
 }
 
 // Quiesce implements pisces.Quiescer: it blocks until all core loops exit
@@ -301,28 +292,27 @@ func (k *Kernel) coreLoop(cc *coreCtx) {
 	defer k.wg.Done()
 	defer close(cc.exited)
 	defer cc.shutDown()
-	for {
-		select {
-		case <-k.done:
-			return
-		case <-cc.stop:
-			return
-		default:
-		}
+	stop := func() bool { return k.stopped.Load() || cc.offline.Load() }
+	for !stop() {
 		if t := cc.next(); t != nil {
 			k.runTask(cc, t)
 			continue
 		}
 		// Idle returns on any event; the loop then re-checks the queue.
-		if err := cc.cpu.Idle(k.done); err != nil {
+		if err := cc.cpu.Idle(stop); err != nil {
 			// Machine crashed or enclave killed: stop the core.
 			return
 		}
 	}
 }
 
-// enqueue appends t to the run queue, reporting false once the core loop
-// has exited.
+// enqueue appends t to the run queue and raises the reschedule doorbell
+// under the queue lock, reporting false once the core loop has exited.
+// The loop cannot dequeue t before its doorbell is pending, so by the time
+// t runs the doorbell is either serviced (the idle loop polled it) or
+// pending for t's first poll: its cost lands at the same point in the
+// cycle stream on every run, never at a host-scheduled point inside the
+// task body (the multi-rank cycle jitter flake).
 func (cc *coreCtx) enqueue(t *Task) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -330,6 +320,7 @@ func (cc *coreCtx) enqueue(t *Task) bool {
 		return false
 	}
 	cc.queue = append(cc.queue, t)
+	cc.cpu.APIC.Raise(VectorResched, false)
 	return true
 }
 
@@ -371,11 +362,6 @@ func (cc *coreCtx) shutDown() {
 // runTask executes one task on the core, converting guest panics raised by
 // Env helpers into task errors.
 func (k *Kernel) runTask(cc *coreCtx, t *Task) {
-	// Don't start until the spawner has raised the doorbell IPI: by the
-	// time fn runs, the doorbell is either already serviced (the idle loop
-	// polled it) or pending for the task's first poll, so its cost is
-	// charged at the same point in the cycle stream on every run.
-	<-t.released
 	cc.busy.Store(true)
 	defer cc.busy.Store(false)
 	env := &Env{K: k, CPU: cc.cpu, Core: cc.local, Task: t}
@@ -401,15 +387,10 @@ func (k *Kernel) Spawn(name string, core int, fn func(*Env) error) (*Task, error
 	if cc == nil {
 		return nil, fmt.Errorf("kitten: no local core %d", core)
 	}
-	t := &Task{Name: name, fn: fn, done: make(chan struct{}), released: make(chan struct{})}
+	t := &Task{Name: name, fn: fn, done: make(chan struct{})}
 	if !cc.enqueue(t) {
 		return nil, errKernelDown
 	}
-	// Reschedule doorbell so an idle core picks the task up, released only
-	// after the doorbell is raised so the task cannot observe a half-spawned
-	// state (see Task.released).
-	k.mach.RouteIPI(-1, cc.cpu.ID, VectorResched)
-	close(t.released)
 	return t, nil
 }
 
@@ -589,9 +570,9 @@ func (k *Kernel) offlineCore(cpuID int) error {
 	// Stop the core loop and wait for it to exit (it may take IRQs on the
 	// way out, which need coresMu, so the lock is already released): only
 	// a quiesced core may be handed back to the host.
-	close(cc.stop)
+	cc.offline.Store(true)
 	cc.cpu.APIC.DisarmTimer()
-	cc.cpu.APIC.RaiseNMI() // wake the idle loop so it observes stop
+	cc.cpu.Wake()
 	<-cc.exited
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"covirt/internal/hw"
 	"covirt/internal/linuxhost"
@@ -45,6 +46,25 @@ func testStack(t *testing.T, cores int, nodes []int, mem uint64) (*linuxhost.Hos
 	}
 	t.Cleanup(func() { _ = fw.Destroy(enc) })
 	return host, fw, enc, k
+}
+
+// cached reports whether local core's TLB holds a translation for addr.
+// A TLB belongs to its core's goroutine, so the probe runs in a task on
+// that core, and the answer is read once the task has ended.
+func cached(t *testing.T, k *Kernel, core int, addr uint64) bool {
+	t.Helper()
+	var hit bool
+	task, err := k.Spawn("tlb-probe", core, func(e *Env) error {
+		hit = e.CPU.TLB.Lookup(addr)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := task.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return hit
 }
 
 func TestMemMapBasics(t *testing.T) {
@@ -173,14 +193,15 @@ func TestTasksRunToCompletionInOrder(t *testing.T) {
 	}
 }
 
-// TestSpawnDoorbellChargedBeforeTaskBody pins the spawn handshake: a task
-// body never starts until the spawner's reschedule doorbell has been
-// raised, so a leading drain poll (Compute(0)) consumes the doorbell's
-// interrupt cost — or the idle loop already did — and the cycles charged
-// after the drain are identical on every spawn. Before the handshake the
-// core loop could dequeue a task ahead of Spawn's RouteIPI, and the
-// doorbell then landed at a host-scheduler-dependent point inside the
-// measured region (the multi-rank cycle jitter flake).
+// TestSpawnDoorbellChargedBeforeTaskBody pins the spawn doorbell's order:
+// a task body never starts until the spawner's reschedule doorbell has
+// been raised (Spawn raises it under the run-queue lock), so a leading
+// drain poll (Compute(0)) consumes the doorbell's interrupt cost — or the
+// idle loop already did — and the cycles charged after the drain are
+// identical on every spawn. When the doorbell followed the queueing, the
+// core loop could dequeue a task ahead of it, and the doorbell then
+// landed at a host-scheduler-dependent point inside the measured region
+// (the multi-rank cycle jitter flake).
 func TestSpawnDoorbellChargedBeforeTaskBody(t *testing.T) {
 	_, _, _, k := testStack(t, 1, []int{0}, 128<<20)
 	const repeats = 64
@@ -208,10 +229,10 @@ func TestSpawnDoorbellChargedBeforeTaskBody(t *testing.T) {
 	}
 }
 
-// TestSpawnFromTask guards the handshake against a release/queue ordering
-// regression: a task spawning onto its own core must not deadlock on the
-// new task's released channel (Spawn closes it unconditionally after the
-// doorbell, never from the core loop).
+// TestSpawnFromTask guards the spawn doorbell against a lock-order
+// regression: a task spawning onto its own core must not deadlock. Spawn
+// raises the doorbell under the run-queue lock, which the core loop holds
+// only to dequeue, never while a task runs.
 func TestSpawnFromTask(t *testing.T) {
 	_, _, _, k := testStack(t, 1, []int{0}, 128<<20)
 	var inner *Task
@@ -232,6 +253,36 @@ func TestSpawnFromTask(t *testing.T) {
 	if err := inner.Wait(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestShutdownExitsEveryCoreLoop: Shutdown alone, with no framework kill,
+// ends every core loop, a core onlined after boot included, so Quiesce
+// returns and no core takes another task. The idle cores wait on nothing
+// but their stop, so only Shutdown's wake ends their wait.
+func TestShutdownExitsEveryCoreLoop(t *testing.T) {
+	_, fw, enc, k := testStack(t, 2, []int{0}, 128<<20)
+	if _, err := fw.AddCPU(enc, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	quiesced := make(chan struct{})
+	go func() {
+		k.Quiesce()
+		close(quiesced)
+	}()
+	select {
+	case <-quiesced:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Quiesce still blocked 30 s after Shutdown")
+	}
+	for core := 0; core < k.NumCores(); core++ {
+		if _, err := k.Spawn("late", core, func(*Env) error { return nil }); !errors.Is(err, errKernelDown) {
+			t.Errorf("spawn on core %d after Shutdown = %v, want %v", core, err, errKernelDown)
+		}
+	}
+	// No core serves the control ring now, so tear the enclave down
+	// without waiting for a shutdown command's ack.
+	fw.ReportCrash(enc, "test: kernel shut down")
 }
 
 func TestEnvAllocFree(t *testing.T) {
@@ -404,7 +455,7 @@ func TestShootdownReachesOtherCores(t *testing.T) {
 	if err := warm.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !k.CPU(1).TLB.Lookup(ext.Start + 4096) {
+	if !cached(t, k, 1, ext.Start+4096) {
 		t.Fatal("TLB not warmed")
 	}
 	if err := fw.RemoveMemory(enc, ext); err != nil {
@@ -415,8 +466,8 @@ func TestShootdownReachesOtherCores(t *testing.T) {
 	if err := drain.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// The stale translation must be gone (Lookup also counts as a miss).
-	if k.CPU(1).TLB.Lookup(ext.Start + 4096) {
+	// The stale translation must be gone.
+	if cached(t, k, 1, ext.Start+4096) {
 		t.Error("stale TLB entry survived shootdown")
 	}
 }

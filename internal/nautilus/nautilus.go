@@ -78,10 +78,9 @@ type Kernel struct {
 	cores []*hw.CPU
 	heap  hw.Extent
 
-	done   chan struct{}
-	stop   sync.Once
-	wg     sync.WaitGroup
-	booted atomic.Bool
+	stopped atomic.Bool // set by Shutdown; every thread loop exits on it
+	wg      sync.WaitGroup
+	booted  atomic.Bool
 
 	// hbAddr is the supervisor heartbeat page (0 = unsupervised). Nautilus
 	// is tickless by design, so supervision arms a timer on the boot core
@@ -100,7 +99,7 @@ type Kernel struct {
 
 // New returns an unbooted Nautilus image whose threads run entry.
 func New(entry ThreadFn) *Kernel {
-	return &Kernel{entry: entry, done: make(chan struct{})}
+	return &Kernel{entry: entry}
 }
 
 // Boot implements pisces.Bootable: identity-map the assignment, start one
@@ -151,13 +150,8 @@ func (k *Kernel) threadLoop(cpu *hw.CPU, rank int) {
 	if err := k.entry(env, rank); err != nil {
 		k.recordErr(fmt.Errorf("rank %d: %w", rank, err))
 	}
-	for {
-		select {
-		case <-k.done:
-			return
-		default:
-		}
-		if err := cpu.Idle(k.done); err != nil {
+	for !k.stopped.Load() {
+		if err := cpu.Idle(k.stopped.Load); err != nil {
 			return
 		}
 	}
@@ -208,16 +202,15 @@ func (k *Kernel) beat(cpu *hw.CPU) {
 // OnIPI registers a runtime interrupt handler.
 func (k *Kernel) OnIPI(vector uint8, h func(*Env)) { k.handlers.Store(vector, h) }
 
-// Shutdown implements pisces.Bootable. Closing done wakes every idle
-// thread loop; no NMI is raised, whose handler would be charged to
-// whichever core polled first.
+// Shutdown implements pisces.Bootable. It sets the stop flag and wakes
+// every idle thread loop; the wake posts no event. No NMI is raised, whose
+// handler would be charged to whichever core polled first.
 func (k *Kernel) Shutdown() {
-	k.stop.Do(func() {
-		close(k.done)
-		for _, c := range k.cores {
-			c.APIC.DisarmTimer() // only armed when supervised
-		}
-	})
+	k.stopped.Store(true)
+	for _, c := range k.cores {
+		c.APIC.DisarmTimer() // only armed when supervised
+		c.Wake()
+	}
 }
 
 // Quiesce implements pisces.Quiescer: wait for all thread loops to exit.

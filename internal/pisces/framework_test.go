@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"covirt/internal/hw"
@@ -17,11 +18,10 @@ import (
 type stubKernel struct {
 	acceptMem bool
 
-	bc     *pisces.BootContext
-	done   chan struct{}
-	stop   sync.Once
-	wg     sync.WaitGroup
-	booted bool
+	bc      *pisces.BootContext
+	stopped atomic.Bool
+	wg      sync.WaitGroup
+	booted  bool
 
 	mu     sync.Mutex
 	memAdd []hw.Extent
@@ -30,7 +30,7 @@ type stubKernel struct {
 }
 
 func newStubKernel(acceptMem bool) *stubKernel {
-	return &stubKernel{acceptMem: acceptMem, done: make(chan struct{})}
+	return &stubKernel{acceptMem: acceptMem}
 }
 
 func (s *stubKernel) Boot(bc *pisces.BootContext) error {
@@ -47,13 +47,8 @@ func (s *stubKernel) Boot(bc *pisces.BootContext) error {
 		s.wg.Add(1)
 		go func(c *hw.CPU) {
 			defer s.wg.Done()
-			for {
-				select {
-				case <-s.done:
-					return
-				default:
-				}
-				if err := c.Idle(s.done); err != nil {
+			for !s.stopped.Load() {
+				if err := c.Idle(s.stopped.Load); err != nil {
 					return
 				}
 			}
@@ -80,14 +75,12 @@ func (s *stubKernel) accept(m *pisces.Msg) bool {
 }
 
 func (s *stubKernel) Shutdown() {
-	s.stop.Do(func() {
-		close(s.done)
-		if s.bc != nil {
-			for _, cpu := range s.bc.Enclave.CPUs() {
-				cpu.APIC.RaiseNMI()
-			}
+	s.stopped.Store(true)
+	if s.bc != nil {
+		for _, cpu := range s.bc.Enclave.CPUs() {
+			cpu.Wake()
 		}
-	})
+	}
 }
 
 func (s *stubKernel) Quiesce() { s.wg.Wait() }

@@ -293,6 +293,10 @@ func (s *Supervisor) hungWatches() []*watch {
 		if !w.be.Guest.Heartbeat {
 			continue
 		}
+		// Sample the core's clock before its heartbeat page: a core that
+		// runs ahead between the reads then looks more recently beaten,
+		// never late, whatever the host schedule.
+		tsc := enc.BootCPU().TSCSnapshot()
 		hb := enc.Base() + pisces.OffHeartbeat
 		count, err := s.io.Read64(hb + pisces.HbCount)
 		if err != nil {
@@ -307,7 +311,6 @@ func (s *Supervisor) hungWatches() []*watch {
 		if count == 0 {
 			ref = w.baseTSC
 		}
-		tsc := enc.BootCPU().TSCSnapshot()
 		if tsc > ref && tsc-ref >= s.hangThreshold() {
 			hung = append(hung, w)
 		}

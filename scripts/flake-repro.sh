@@ -32,28 +32,39 @@ nproc_guess=$( (nproc || sysctl -n hw.ncpu || echo 4) 2>/dev/null | head -n1 )
 load="${2:-$nproc_guess}"
 
 # Build the test binaries once so every iteration measures the same
-# artifact and the loop isn't dominated by recompiles.
-echo "==> building race-instrumented suspect binaries"
-mkdir -p /tmp/covirt-flake
-go test -race -c -o /tmp/covirt-flake/workloads.test ./internal/workloads
-go test -race -c -o /tmp/covirt-flake/harness.test ./internal/harness
-
-# Antagonists: saturate the scheduler with GC-heavy churn for the whole
-# run. Killed on exit no matter how we leave.
+# artifact and the loop isn't dominated by recompiles. Each binary runs
+# from its package directory, as go test runs it, so tests find their
+# testdata (the harness goldens).
+bin=$(mktemp -d)
+root=$(pwd)
 pids=""
 cleanup() {
     for p in $pids; do
         kill "$p" 2>/dev/null || true
     done
     wait 2>/dev/null || true
+    rm -rf "$bin"
 }
 trap cleanup EXIT INT TERM
+echo "==> building race-instrumented suspect binaries"
+go test -race -c -o "$bin/workloads.test" ./internal/workloads
+go test -race -c -o "$bin/harness.test" ./internal/harness
+
+# suspect PKG ARGS... runs PKG's test binary from the package directory.
+suspect() {
+    pkg=$1
+    shift
+    (cd "$root/internal/$pkg" && "$bin/$pkg.test" "$@")
+}
+
+# Antagonists: saturate the scheduler with GC-heavy churn for the whole
+# run. Killed on exit no matter how we leave.
 echo "==> starting $load antagonist processes"
 i=0
 while [ "$i" -lt "$load" ]; do
     (
         while :; do
-            /tmp/covirt-flake/workloads.test -test.run TestRankOrder -test.count 4 >/dev/null 2>&1 || :
+            suspect workloads -test.run TestRankOrder -test.count 4 >/dev/null 2>&1 || :
         done
     ) &
     pids="$pids $!"
@@ -64,12 +75,12 @@ fail=0
 n=1
 while [ "$n" -le "$iters" ]; do
     echo "==> iteration $n/$iters"
-    if ! /tmp/covirt-flake/workloads.test \
+    if ! suspect workloads \
         -test.run 'TestWorkloadCyclesStableAcrossRepeats|TestSpanRoutingEquivalence' \
         -test.count 2; then
         fail=1
     fi
-    if ! /tmp/covirt-flake/harness.test \
+    if ! suspect harness \
         -test.run 'TestExperimentGoldens/fig5b' \
         -test.count 1; then
         fail=1
