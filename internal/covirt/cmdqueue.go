@@ -200,6 +200,19 @@ func (q *cmdQueue) depth() uint64 {
 	return head - tail
 }
 
+// fits reports whether n more records fit the ring without a wait. An
+// unreadable or corrupt header fits: the push reports it.
+func (q *cmdQueue) fits(n int) bool {
+	head, tail, err := q.ends()
+	return err != nil || cmdqSlots-(head-tail) >= uint64(n)
+}
+
+// waitFits blocks until n more records fit the ring, failing when the
+// enclave is torn down or the node crashes.
+func (q *cmdQueue) waitFits(n int) error {
+	return q.wait.Wait(nil, func() (bool, error) { return q.fits(n), nil })
+}
+
 // epochApplied returns the last applied shootdown epoch.
 func (q *cmdQueue) epochApplied() uint64 {
 	v, err := q.mem.Read64(q.base + cmdqOffEpoch)

@@ -136,7 +136,7 @@ type enclaveState struct {
 
 	// ingestMu serializes the enclave's ingest path: the EPT operation
 	// counters and the shootdown-epoch accumulator below. Events for one
-	// enclave are normally sequential (one longcall service goroutine),
+	// enclave are normally sequential (one longcall at a time),
 	// but host-side grants and revocations can overlap guest-driven
 	// attaches and detaches.
 	ingestMu sync.Mutex //covirt:guards mapOps,unmapOps
@@ -148,11 +148,12 @@ type enclaveState struct {
 	epoch       uint64
 	dirty       []hw.Extent
 	dirtyEvents int
-	// epochRecs and epochWaits are closeEpoch's flush-batch and wait-list
-	// scratch. closeEpoch holds ingestMu throughout, so they, like dirty's
-	// backing, are reused from epoch to epoch.
+	// epochRecs, epochWaits and epochRings are closeEpoch's flush-batch,
+	// wait-list and doorbell scratch. closeEpoch holds ingestMu throughout,
+	// so they, like dirty's backing, are reused from epoch to epoch.
 	epochRecs  []cmdRec
 	epochWaits []*cmdQueue
+	epochRings []*hw.CPU
 
 	ingest IngestStats
 }
@@ -639,9 +640,8 @@ func (c *Controller) linkCore(st *enclaveState, cc *coreCtl) error {
 	}
 	if cc.slot == len(st.slotQueues) {
 		// The queue's waits end when the enclave dies, even when no drain
-		// follows: the longcall service can be parked in closeEpoch at that
-		// moment, and linuxhost's bus handler waits for the service before
-		// this controller's handler runs.
+		// follows: a host call can be parked in closeEpoch at that moment,
+		// waiting for a core the teardown killed.
 		q, err := newCmdQueue(c.mach, st.enc.Base()+pisces.OffCovirtCmdQ+uint64(cc.slot)*CmdQueueStride, st.enc.Teardown())
 		if err != nil {
 			return err
@@ -936,22 +936,55 @@ func (c *Controller) closeEpoch(st *enclaveState) (uint64, error) {
 	return cost, err
 }
 
-// pushEpoch pushes one epoch's records to every live core and rings each
-// core's doorbell, holding coresMu throughout, so that a core unlinkCore
-// removes got the whole epoch before the unlink or none of it. The pushes
-// cannot park on an honest guest's ring: closeEpoch waits for each epoch
-// before opening the next, so every epoch starts on empty 64-slot rings,
-// and an epoch is at most flushAllThreshold+1 records. It returns the
-// queues to wait on (in st.epochWaits) and the cycles to charge; when the
-// enclave or the node died under backpressure there is nothing to wait
-// on. A core whose queue header is corrupt is skipped and reported; the
-// other cores still get the epoch. Called with ingestMu held; raw is the
-// epoch's unmerged range count.
+// pushEpoch pushes one epoch's records to every live core, then rings each
+// core's doorbell. It returns the queues to wait on (in st.epochWaits) and
+// the cycles to charge; when the enclave or the node died under
+// backpressure there is nothing to wait on. A core whose queue header is
+// corrupt is skipped and reported; the other cores still get the epoch.
+// Called with ingestMu held; raw is the epoch's unmerged range count.
+//
+// The doorbells ring after coresMu is released: a ringer delivers the NMI
+// of a halted core on this goroutine (hw.CPU.RingNMI), and a drain that
+// finds the header forged crashes the enclave, whose teardown takes
+// coresMu. The pushes cannot park on an honest guest's ring: closeEpoch
+// waits for each epoch before opening the next, so every epoch starts on
+// empty 64-slot rings, and an epoch is at most flushAllThreshold+1
+// records. A ring without room for the whole epoch was left so by its
+// guest; pushEpoch then rings that core and waits for room outside the
+// lock, charging a stall, before it pushes anything.
 func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64) (waits []*cmdQueue, cost uint64, corrupt error) {
+	for {
+		full, waits, pcost, corrupt := c.publishEpoch(st, recs, raw)
+		cost += pcost
+		if full == nil {
+			for _, cpu := range st.epochRings {
+				cpu.RingNMI()
+			}
+			return waits, cost, corrupt
+		}
+		st.ingest.StallCycles += cmdqStallCycles
+		cost += cmdqStallCycles
+		c.mach.CPU(full.id).RingNMI()
+		if err := full.queue.waitFits(len(recs)); err != nil {
+			return nil, cost, nil
+		}
+	}
+}
+
+// publishEpoch pushes recs to every live core's queue under coresMu, so
+// that a core unlinkCore removes got the whole epoch before the unlink or
+// none of it, and lists the cores to ring in st.epochRings. It pushes
+// nothing, and returns the core, when a queue lacks room for recs.
+func (c *Controller) publishEpoch(st *enclaveState, recs []cmdRec, raw uint64) (full *coreCtl, waits []*cmdQueue, cost uint64, corrupt error) {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
+	for _, cc := range st.cores {
+		if !cc.queue.fits(len(recs)) {
+			return cc, nil, 0, nil
+		}
+	}
 	flushRecs := uint64(len(recs) - 1) // all but the CmdEpoch marker
-	waits = st.epochWaits[:0]
+	waits, rings := st.epochWaits[:0], st.epochRings[:0]
 	for _, cc := range st.cores {
 		cpu := c.mach.CPU(cc.id)
 		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI)
@@ -962,17 +995,18 @@ func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64) (wai
 			continue
 		}
 		if err != nil {
-			return nil, cost, nil
+			st.epochRings = rings[:0]
+			return nil, nil, cost, nil
 		}
-		cpu.APIC.RaiseNMI()
+		rings = append(rings, cpu)
 		st.ingest.FlushCmds += flushRecs
 		st.ingest.FlushCmdsSaved += raw - flushRecs
 		st.ingest.StallCycles += stall
 		cost += costCmdIssue + stall
 		waits = append(waits, cc.queue)
 	}
-	st.epochWaits = waits
-	return waits, cost, corrupt
+	st.epochWaits, st.epochRings = waits, rings
+	return nil, waits, cost, corrupt
 }
 
 // teardown drops controller state for a dead enclave. Waits on its command

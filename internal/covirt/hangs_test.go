@@ -304,6 +304,52 @@ func TestTerminateInsideGuestRingAccess(t *testing.T) {
 	}
 }
 
+// TestForgedFullCmdQueueDuringSyscall: a guest may leave its own command
+// queue full, with a header that passes the check (head = tail + 64). A
+// detach's epoch then needs room on the caller's queue while the caller's
+// goroutine runs the host's service. The controller must ring the caller
+// for room outside its locks, and the ring, delivered on that same
+// goroutine, drains the forged records: the call completes, as it did
+// when a service goroutine answered it and the caller idled.
+func TestForgedFullCmdQueueDuringSyscall(t *testing.T) {
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "forger", 1, []int{0}, 128<<20)
+	mem, err := r.h.HostAlloc(0, hw.PageSize2M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.h.HostFree(mem)
+	seg, err := r.h.Master.Reg.Make(0xF011, r.h.Pisces.RootMem, []hw.Extent{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := enc.Base() + pisces.OffCovirtCmdQ
+	task, err := k.Spawn("forge", 0, func(e *kitten.Env) error {
+		if _, err := e.XemAttach(seg.ID); err != nil {
+			return err
+		}
+		tail, err := e.RawRead64(hdr + covirt.CmdQueueOffTail)
+		if err != nil {
+			return err
+		}
+		if err := e.RawWrite64(hdr+covirt.CmdQueueOffHead, tail+64); err != nil {
+			return err
+		}
+		return e.XemDetach(seg.ID)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the detach over a forged full queue", func() {
+		if err := task.Wait(); err != nil {
+			t.Errorf("detach: %v", err)
+		}
+	})
+	if st := r.ctrl.QueueStatsFor(enc.ID); st == nil || st.Ingest.StallCycles == 0 {
+		t.Error("the epoch push charged no stall for the forged full queue")
+	}
+}
+
 // TestNodeCrashEndsEpochWait: an epoch waiter whose core never drains
 // must leave its wait when the node crashes. The crash once woke the
 // queue, but the wait re-checked only the enclave's death and the header
@@ -344,12 +390,12 @@ func TestNodeCrashEndsEpochWait(t *testing.T) {
 }
 
 // TestGoroutinesPerEnclave pins what a booted enclave on a Covirt node
-// keeps running: its longcall service and one loop per core, nothing that
-// only watches a channel. Goroutines started while booting inherit the
-// boot's profiler label, so the count excludes everything else in the
-// process.
+// keeps running: one loop per core, nothing that only watches a channel.
+// The host serves longcalls on the calling core's goroutine. Goroutines
+// started while booting inherit the boot's profiler label, so the count
+// excludes everything else in the process.
 func TestGoroutinesPerEnclave(t *testing.T) {
-	for _, tc := range []struct{ cores, want int }{{1, 2}, {2, 3}} {
+	for _, tc := range []struct{ cores, want int }{{1, 1}, {2, 2}} {
 		t.Run(strconv.Itoa(tc.cores)+"-core", func(t *testing.T) {
 			r := newRig(t, covirt.FeaturesMem)
 			label := "enclave-" + t.Name()

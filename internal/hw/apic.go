@@ -67,9 +67,14 @@ func newAPIC(cpuID int) *APIC {
 // interrupts (as opposed to IPIs), which matters for posted-interrupt
 // semantics: PIV avoids exits for IPIs but not for external interrupts.
 func (a *APIC) Raise(vector uint8, external bool) {
+	a.postIntr(vector, external)
+	a.idle.Broadcast()
+}
+
+// postIntr queues vector and flags it pending, waking no one.
+func (a *APIC) postIntr(vector uint8, external bool) {
 	a.post(vector, external)
 	a.pending.Or(pendingIntr)
-	a.idle.Broadcast()
 }
 
 // post sets the IRR bits for vector under the lock.
@@ -84,9 +89,14 @@ func (a *APIC) post(vector uint8, external bool) {
 
 // RaiseNMI asserts the NMI line.
 func (a *APIC) RaiseNMI() {
+	a.postNMI()
+	a.idle.Broadcast()
+}
+
+// postNMI asserts the NMI line without waking anyone.
+func (a *APIC) postNMI() {
 	atomic.AddInt32(&a.nmi, 1)
 	a.pending.Or(pendingNMI)
-	a.idle.Broadcast()
 }
 
 // takeNMI consumes one pending NMI, reporting whether one was pending.
@@ -94,14 +104,28 @@ func (a *APIC) takeNMI() bool {
 	for {
 		n := atomic.LoadInt32(&a.nmi)
 		if n == 0 {
+			if a.pending.Load()&pendingNMI != 0 {
+				a.clearNMIPending()
+			}
 			return false
 		}
 		if atomic.CompareAndSwapInt32(&a.nmi, n, n-1) {
 			if n == 1 {
-				a.pending.And(^pendingNMI)
+				a.clearNMIPending()
 			}
 			return true
 		}
+	}
+}
+
+// clearNMIPending drops the NMI flag unless an NMI is counted. A raise
+// counts its NMI before it sets the flag, so one that lands between the
+// two steps here is either seen by the count or sets the flag after them:
+// a counted NMI never goes unflagged.
+func (a *APIC) clearNMIPending() {
+	a.pending.And(^pendingNMI)
+	if atomic.LoadInt32(&a.nmi) > 0 {
+		a.pending.Or(pendingNMI)
 	}
 }
 
@@ -139,6 +163,11 @@ func (a *APIC) takeIntr() (vector uint8, external, ok bool) {
 		}
 		return v, ext, true
 	}
+	// Nothing is queued: a raise that posted its vector before a take
+	// emptied the IRR may have set the flag after the take cleared it.
+	// Every raise sets its IRR bit under this lock before the flag, so
+	// clearing here loses no raise.
+	a.pending.And(^pendingIntr)
 	return 0, false, false
 }
 
@@ -186,7 +215,10 @@ func (a *APIC) checkTimer(now uint64) {
 		deadline += interval
 	}
 	a.timerDeadline.Store(deadline)
-	a.Raise(uint8(a.timerVector.Load()), true) // the LAPIC timer is an external interrupt source
+	// The LAPIC timer is an external interrupt source. Its poll delivers it
+	// next, so the raise wakes no one: a broadcast would end the Idle of a
+	// core a ringer is delivering for.
+	a.postIntr(uint8(a.timerVector.Load()), true)
 }
 
 // pollsUntilTimer returns how many charges of step cycles a batched access

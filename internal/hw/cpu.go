@@ -104,6 +104,14 @@ type CPU struct {
 
 	killed atomic.Bool
 
+	// halt is the core's hand-off state with ringers (halt.go): haltNone
+	// while its goroutine runs it, haltIdle inside Idle, haltHost between
+	// BlockOnHost and Unblock, with haltHeld set while a ringer delivers
+	// an event for it. release is where the goroutine waits for a ringer
+	// to hand the core back.
+	halt    atomic.Uint32
+	release Handoff
+
 	irqHandler func(c *CPU, vector uint8, external bool)
 	nmiHandler func(c *CPU)
 
@@ -145,7 +153,7 @@ func (c *CPU) findRegion(addr uint64) *Region {
 
 // newCPU wires a CPU into machine m.
 func newCPU(m *Machine, id, node int) *CPU {
-	return &CPU{
+	c := &CPU{
 		ID:              id,
 		Node:            node,
 		M:               m,
@@ -155,6 +163,8 @@ func newCPU(m *Machine, id, node int) *CPU {
 		GuestWalkLevels: 3,
 		GuestPageSize:   PageSize2M,
 	}
+	c.release.cond.L = &c.release.mu
+	return c
 }
 
 // Costs returns the machine cost model.
@@ -196,6 +206,7 @@ func (c *CPU) SetNMIHandler(h func(c *CPU)) { c.nmiHandler = h }
 // called at operation boundaries, mirroring how real interrupts are
 // recognized at instruction retirement.
 func (c *CPU) poll() error {
+	schedPoint()
 	c.tscShadow.Store(c.TSC)
 	// One atomic load covers the kill/crash mirror bits, keeping the
 	// overwhelmingly common "nothing pending" case down to four atomic
@@ -654,27 +665,6 @@ func (c *CPU) RaiseDoubleFault(msg string) error {
 	f := &Fault{Kind: FaultDoubleFault, CPU: c.ID, Msg: msg}
 	return c.abort(f)
 }
-
-// Idle halts the core until an interrupt or NMI is pending or stop
-// reports true, then delivers pending events and returns poll's verdict.
-// A nil stop never holds. A halted core charges nothing, and an event a
-// poll already took does not wake it: a core waiting on a longcall
-// response re-probes the ring only when a simulated event arrives. A kill
-// or node crash ends the halt with the fault poll would return.
-func (c *CPU) Idle(stop func() bool) error {
-	err := c.APIC.idle.Wait(c, func() (bool, error) {
-		return c.APIC.HasPending() || stop != nil && stop(), nil
-	})
-	if err != nil {
-		c.tscShadow.Store(c.TSC) // as poll publishes before reporting it
-		return err
-	}
-	return c.poll()
-}
-
-// Wake makes a halted core re-check its Idle stop without posting an
-// event, so waking it charges nothing. Safe from any goroutine.
-func (c *CPU) Wake() { c.APIC.idle.Broadcast() }
 
 // StallNoIRQ models a core locking up with interrupts disabled — the
 // soft-hang failure mode a watchdog must catch, since the core still owns

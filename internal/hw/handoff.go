@@ -69,6 +69,7 @@ func NewHandoff(m *Machine, latch *Latch) *Handoff {
 // any lock held.
 func (h *Handoff) Wait(cpu *CPU, ready func() (bool, error)) error {
 	for {
+		schedPoint()
 		if err := h.Stopped(cpu); err != nil {
 			return err
 		}
@@ -85,6 +86,7 @@ func (h *Handoff) Wait(cpu *CPU, ready func() (bool, error)) error {
 // Broadcast wakes every waiter so it re-checks its predicate. Call it
 // after each change a predicate may be waiting for.
 func (h *Handoff) Broadcast() {
+	schedPoint()
 	h.seq.Add(1)
 	if h.parked.Load() == 0 {
 		return
@@ -140,6 +142,7 @@ func (h *Handoff) block(cpu *CPU, seq uint64) error {
 	defer h.mu.Unlock()
 	h.parked.Add(1)
 	defer h.parked.Add(-1)
+	parks.Add(1)
 	for h.seq.Load() == seq {
 		if err := h.Stopped(cpu); err != nil {
 			return err
@@ -148,6 +151,15 @@ func (h *Handoff) block(cpu *CPU, seq uint64) error {
 	}
 	return nil
 }
+
+// parks counts the goroutines that have entered a Handoff's sleep.
+var parks atomic.Uint64
+
+// Parks returns how many times, process-wide, a goroutine has gone to
+// sleep in a Handoff wait: the slow path only, not waits whose predicate
+// held. A goroutine counts once Parked counts it. Tests budget parks per
+// control round as they budget allocations.
+func Parks() uint64 { return parks.Load() }
 
 // wake broadcasts under the lock, so it cannot fall between a waiter's
 // check and its sleep.

@@ -139,8 +139,10 @@ func (m *Machine) RouteIPI(src, dest int, vector uint8) {
 // models the unprotected failure mode the paper targets — one co-kernel's
 // abort killing the machine.
 func (m *Machine) Crash(reason string) {
-	if m.crashed.CompareAndSwap(false, true) {
-		m.crashReason.Store(reason)
+	// The reason is stored before the flag, so a fault built by whoever
+	// sees the node crashed always carries it.
+	if m.crashReason.CompareAndSwap(nil, reason) {
+		m.crashed.Store(true)
 		for _, c := range m.CPUs {
 			c.APIC.setCrashPending()
 		}

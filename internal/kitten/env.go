@@ -220,13 +220,15 @@ func (e *Env) Free(ext hw.Extent) { e.K.FreeMemory(ext) }
 // --- Longcall client (system-call forwarding to the host OS) ---
 
 // Syscall forwards a system call to the host over the longcall channel and
-// waits for the result. The host's processing cycles plus the doorbell IPI
-// round trip are charged to the calling CPU as wait time.
+// returns the host's answer. The host's processing cycles plus the doorbell
+// IPI round trip are charged to the calling CPU as wait time.
 //
-// While waiting, the calling core stays responsive: it idles through the
-// interrupt path, so NMI doorbells (Covirt command-queue synchronization)
-// and control commands are still serviced — the property that lets Covirt
+// The host serves the call on this goroutine (pisces.Enclave.ServeLongcall)
+// while the core is blocked on it. The core stays responsive meanwhile:
+// ringers deliver its NMI doorbells (Covirt command-queue synchronization)
+// and TLB-shootdown IPIs as they arrive, the property that lets Covirt
 // update configurations while a process blocks on a shared-memory request.
+// The host work may itself wait for this core to drain its command queue.
 func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) {
 	if len(args) > pisces.LcReqCallerCore/8 {
 		return 0, 0, fmt.Errorf("kitten: too many syscall args")
@@ -253,42 +255,49 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 	if err := k.enc.LcReq.Push(io, &m, e.CPU); err != nil {
 		return 0, 0, err
 	}
-	// Doorbell to the host (modelled as an IPI's worth of cycles; the host
-	// service is woken through the ring itself).
+	// Doorbell to the host (modelled as an IPI's worth of cycles).
 	e.CPU.TSC += e.CPU.Costs().IPISend
 
-	// Charged looks at the response ring follow simulated events, not how
-	// far the host goroutine has got: a header-only look right after the
-	// request and after every NMI (a hypervisor command-queue doorbell),
-	// since in simulated time both precede the host's answer, whose work
-	// is charged below as hostCycles.
+	// Charged looks at the response ring follow simulated events: a
+	// header-only look right after the request and after every NMI (a
+	// hypervisor command-queue doorbell) taken during the call, since in
+	// simulated time both precede the host's answer, whose work is charged
+	// below as hostCycles. Then the answer's doorbell, taken as an idle
+	// core takes it, and the pop. The request is served even when the
+	// first look fails: the host answers what was pushed.
 	seenNMI := e.CPU.APIC.NMICount
-	empty, err := k.enc.LcResp.Empty(io)
-	if err != nil {
-		return 0, 0, err
+	_, lookErr := k.enc.LcResp.Empty(io)
+	e.CPU.BlockOnHost()
+	serveErr := k.enc.ServeLongcall()
+	e.CPU.Unblock()
+	if lookErr != nil {
+		return 0, 0, lookErr
 	}
-	var resp pisces.Msg
-	for {
-		if empty && k.lcRespEmpty() {
-			if ierr := e.CPU.Idle(k.stopped.Load); ierr != nil {
-				return 0, 0, ierr
-			}
-		}
-		if n := e.CPU.APIC.NMICount; n != seenNMI {
-			seenNMI = n
-			if empty, err = k.enc.LcResp.Empty(io); err != nil {
+	if serveErr != nil {
+		return 0, 0, serveErr
+	}
+	for doorbell := false; ; {
+		if seenNMI != e.CPU.APIC.NMICount {
+			seenNMI++
+			if _, err := k.enc.LcResp.Empty(io); err != nil {
 				return 0, 0, err
 			}
 			continue
 		}
-		ok, perr := k.enc.LcResp.TryPop(io, &resp)
-		if perr != nil {
-			return 0, 0, perr
-		}
-		if ok {
+		if doorbell {
 			break
 		}
-		empty = true
+		doorbell = true
+		if err := e.CPU.Compute(0); err != nil { // the answer's doorbell
+			return 0, 0, err
+		}
+	}
+	var resp pisces.Msg
+	if ok, err := k.enc.LcResp.TryPop(io, &resp); err != nil || !ok {
+		if err == nil {
+			err = fmt.Errorf("kitten: longcall %d: the host left no answer", nr)
+		}
+		return 0, 0, err
 	}
 	if resp.Seq != m.Seq {
 		return 0, 0, fmt.Errorf("kitten: longcall seq mismatch: %d != %d", resp.Seq, m.Seq)
@@ -304,17 +313,6 @@ func (e *Env) Syscall(nr uint32, args ...uint64) (val0, val1 uint64, err error) 
 		return val0, val1, fmt.Errorf("kitten: longcall %d failed with status %d", nr, status)
 	}
 	return val0, val1, nil
-}
-
-// lcRespEmpty reports whether the longcall response ring is still empty,
-// reading it from the host side: uncharged and without polling. A charged
-// look polls between and after its header reads, so the answer's doorbell
-// can be taken inside a look that read the header just before the host's
-// push. The look then reports empty, and the doorbell that should end the
-// idle wait is already spent; this second look sees the answer instead.
-func (k *Kernel) lcRespEmpty() bool {
-	empty, err := k.enc.LcResp.Empty(pisces.NativeMemIO{Mem: k.mach.Mem})
-	return empty && err == nil
 }
 
 // WriteConsole forwards a console write to the host.

@@ -49,7 +49,7 @@ type Kernel struct {
 	irqHandlers map[uint8]func(env *Env)
 
 	flushMu      sync.Mutex
-	flushPending map[int][]hw.Extent // cpu id -> ranges awaiting local flush
+	flushPending map[int]*flushQueue // cpu id -> shootdown work awaiting the core
 
 	// ctl serves the host control ring, never re-entering its own drain.
 	ctl pisces.CtlDrain
@@ -81,6 +81,13 @@ type coreCtx struct {
 	down  bool
 }
 
+// flushQueue is one core's share of pending TLB shootdowns: the ranges to
+// flush, and the VectorTLBFlush IPIs raised for them and not yet delivered.
+type flushQueue struct {
+	ranges []hw.Extent
+	ipis   int
+}
+
 // Task is one run-to-completion unit of guest work.
 type Task struct {
 	Name string
@@ -103,7 +110,7 @@ func New() *Kernel {
 		alloc:        pisces.NewLedgerGranule(hw.PageSize4K),
 		byCPU:        make(map[int]*coreCtx),
 		irqHandlers:  make(map[uint8]func(*Env)),
-		flushPending: make(map[int][]hw.Extent),
+		flushPending: make(map[int]*flushQueue),
 	}
 }
 
@@ -478,22 +485,48 @@ func (k *Kernel) beat(cpu *hw.CPU) {
 // consumes the core's queued ranges under flushMu (the TLB is the core's
 // own and takes no lock) and keeps the slice's backing for the next
 // shootdown, so queueing a range allocates only until the slice has grown.
+// The APIC folds a VectorTLBFlush raised while one is pending into it, so
+// a delivery that finds more IPIs raised than delivered raises the vector
+// again: every raise costs one delivery, whether or not the core polled
+// between two shootdowns.
 func (k *Kernel) flushLocal(cpu *hw.CPU) {
+	if k.takeFlushes(cpu) {
+		cpu.APIC.Raise(VectorTLBFlush, false)
+	}
+}
+
+// takeFlushes flushes the core's queued ranges and accounts one delivered
+// IPI, reporting whether more were raised than delivered.
+func (k *Kernel) takeFlushes(cpu *hw.CPU) (again bool) {
 	k.flushMu.Lock()
 	defer k.flushMu.Unlock()
-	ranges := k.flushPending[cpu.ID]
-	for _, r := range ranges {
+	q := k.flushPending[cpu.ID]
+	if q == nil {
+		return false
+	}
+	for _, r := range q.ranges {
 		cpu.TLB.FlushRange(r.Start, r.Size)
 		cpu.TSC += cpu.Costs().TLBFlushPage
 	}
-	k.flushPending[cpu.ID] = ranges[:0]
+	q.ranges = q.ranges[:0]
+	if q.ipis > 0 {
+		q.ipis--
+	}
+	return q.ipis > 0
 }
 
-// queueFlush records a pending shootdown range for one core.
+// queueFlush records a pending shootdown range for one core, with the IPI
+// the caller raises for it.
 func (k *Kernel) queueFlush(cpuID int, e hw.Extent) {
 	k.flushMu.Lock()
 	defer k.flushMu.Unlock()
-	k.flushPending[cpuID] = append(k.flushPending[cpuID], e)
+	q := k.flushPending[cpuID]
+	if q == nil {
+		q = &flushQueue{}
+		k.flushPending[cpuID] = q
+	}
+	q.ranges = append(q.ranges, e)
+	q.ipis++
 }
 
 // snapshotCores copies the core list under the read lock.
@@ -505,6 +538,8 @@ func (k *Kernel) snapshotCores() []*coreCtx {
 
 // shootdown flushes [e.Start, e.End) on the initiating core immediately and
 // queues asynchronous flushes (IPI-driven) on the enclave's other cores.
+// flushLocal is the IPI's whole handler, so the initiator delivers it for
+// a halted core (hw.CPU.RingIPI).
 func (k *Kernel) shootdown(initiator *hw.CPU, e hw.Extent) {
 	initiator.TLB.FlushRange(e.Start, e.Size)
 	initiator.TSC += initiator.Costs().TLBFlushPage
@@ -513,7 +548,7 @@ func (k *Kernel) shootdown(initiator *hw.CPU, e hw.Extent) {
 			continue
 		}
 		k.queueFlush(cc.cpu.ID, e)
-		k.mach.RouteIPI(initiator.ID, cc.cpu.ID, VectorTLBFlush)
+		cc.cpu.RingIPI(VectorTLBFlush)
 	}
 }
 

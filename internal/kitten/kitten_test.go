@@ -520,3 +520,80 @@ func TestHashNameStable(t *testing.T) {
 		t.Error("a different name resolves to the segment")
 	}
 }
+
+// TestShootdownOneDeliveryPerRaise: two back-to-back shootdowns cost every
+// other core two TLB-flush deliveries. A halted core takes each on the
+// initiator's goroutine as it is raised. A running core polls later; the
+// APIC folds the second raise into the first, and the first delivery
+// raises the vector again, so the count does not depend on whether the
+// core polled between the shootdowns.
+func TestShootdownOneDeliveryPerRaise(t *testing.T) {
+	for _, pollBetween := range []bool{false, true} {
+		t.Run(fmt.Sprintf("poll-between=%v", pollBetween), func(t *testing.T) {
+			_, _, _, k := testStack(t, 3, []int{0}, 64<<20)
+			// irqs reads a core's interrupt count on the core itself, after
+			// taking the task's own spawn doorbell.
+			irqs := func(core int) uint64 {
+				var n uint64
+				task, err := k.Spawn("count", core, func(e *Env) error {
+					e.Compute(0)
+					n = e.CPU.IRQsTaken
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := task.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			halted := irqs(1)
+			ready, poll, polled, release := make(chan uint64), make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var running uint64
+			busy, err := k.Spawn("busy", 2, func(e *Env) error {
+				e.Compute(0)
+				ready <- e.CPU.IRQsTaken
+				if pollBetween {
+					<-poll
+					e.Compute(0)
+					close(polled)
+				}
+				<-release
+				e.Compute(0)
+				running = e.CPU.IRQsTaken
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := <-ready
+			ext := hw.Extent{Start: 0x40000000, Size: hw.PageSize2M}
+			shoot, err := k.Spawn("shootdown", 0, func(e *Env) error {
+				k.shootdown(e.CPU, ext)
+				if pollBetween {
+					close(poll)
+					<-polled
+				}
+				k.shootdown(e.CPU, ext)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := shoot.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			close(release)
+			if err := busy.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := irqs(1) - halted; got != 3 { // two flushes and the count task's doorbell
+				t.Errorf("halted core took %d interrupts, want 2 flushes and 1 doorbell", got)
+			}
+			if got := running - before; got != 2 {
+				t.Errorf("running core took %d flush deliveries, want 2", got)
+			}
+		})
+	}
+}

@@ -1,95 +1,107 @@
 package kitten
 
 import (
-	"encoding/binary"
-	"runtime"
 	"testing"
-	"time"
 
+	"covirt/internal/covirt"
 	"covirt/internal/hw"
 	"covirt/internal/linuxhost"
 	"covirt/internal/pisces"
 )
 
-// TestSyscallAnswerDuringLook lands the host's answer, and its doorbell,
-// inside the caller's first look at the response ring: after the look has
-// read the ring's head, before the look returns. The look then reports the
-// ring empty while the doorbell that should end the caller's idle wait is
-// already taken. The call must still return its answer. Only a ring whose
-// looks take no lock admits this interleaving: a ring lock held across the
-// look would keep the host's push out until the look returned.
-//
-// The interleaving is forced, not raced for. The host's handler for the
-// test's call blocks until released. An NMI handler and an IPI handler
-// pass a token from poll to poll (an NMI raised in an interrupt handler is
-// taken at the next poll; an IPI raised in an NMI handler in the same
-// one), so the IPI handler runs once at every poll of the call. It waits
-// for the first poll after the request's head store, skips it (the
-// push's own), and at the next one, the look's head read, releases the
-// host and waits for the doorbell before returning.
-func TestSyscallAnswerDuringLook(t *testing.T) {
-	const (
-		nr     uint32 = 0x7e57
-		vector uint8  = 0x64
-	)
-	host, _, enc, k := testStack(t, 1, []int{0}, 64<<20)
-	release, answered := make(chan struct{}), make(chan struct{})
-	host.RegisterLongcall(nr, func(_ *linuxhost.Host, _ *pisces.Enclave, _, resp *pisces.Msg) uint64 {
-		<-release
-		binary.LittleEndian.PutUint64(resp.Payload[pisces.LcRespStatus:], pisces.LcOK)
-		return 0
-	})
-	mem := host.M.Mem
-	reqHead := func() uint64 {
-		v, err := mem.Read64(enc.Base() + pisces.OffLcReqRing)
-		if err != nil {
-			t.Error(err)
-		}
-		return v
+// TestSyscallChargesPinned pins what a system call charges its core under
+// Covirt, where a detach's epoch rings the calling core's NMI doorbell
+// while the call waits for the host: a header-only look right after the
+// request and after each NMI, the NMI itself, the answer's doorbell and the
+// pop. A 2-core enclave's task on core 0 attaches a host segment, writes
+// it and detaches it; the detach's shootdown IPI and epoch NMI reach idle
+// core 1 too. Every per-core figure below is the one the longcall service
+// produced when it ran on its own goroutine and the caller idled for its
+// answer.
+func TestSyscallChargesPinned(t *testing.T) {
+	spec := hw.DefaultSpec()
+	spec.MemPerNode = 2 << 30
+	m, err := hw.NewMachine(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	cpu := enc.BootCPU()
-	pushed, skipped := false, false
-	k.OnIPI(vector, func(e *Env) {
-		switch {
-		case !pushed:
-			pushed = reqHead() == 1
-		case !skipped:
-			skipped = true
-		default:
-			close(release)
-			for !e.CPU.APIC.HasPending() { // the answer's doorbell
-				runtime.Gosched()
-			}
-			close(answered)
-			return // the token stops here
+	host, err := linuxhost.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.OfflineCores(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.OfflineMemory(0, 512<<20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := covirt.Attach(m, host.Pisces, covirt.FeaturesMem); err != nil {
+		t.Fatal(err)
+	}
+	fw := host.Pisces
+	enc, err := fw.CreateEnclave(pisces.EnclaveSpec{Name: "t", NumCores: 2, Nodes: []int{0}, MemBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := New()
+	if err := fw.Boot(enc, k); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := host.HostAlloc(0, hw.PageSize2M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := host.Master.Reg.Make(0x5C, fw.RootMem, []hw.Extent{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type charges struct{ tsc, nmis, irqs uint64 }
+	var calls [3]charges // attach, detach, detach-done
+	task, err := k.Spawn("xemem", 0, func(e *Env) error {
+		e.Compute(0) // take the spawn doorbell
+		mark := func(i int, tsc, nmis, irqs uint64) {
+			calls[i] = charges{e.CPU.TSC - tsc, e.CPU.APIC.NMICount - nmis, e.CPU.IRQsTaken - irqs}
 		}
-		e.CPU.APIC.RaiseNMI()
-	})
-	cpu.SetNMIHandler(func(c *hw.CPU) { c.APIC.Raise(vector, false) })
-
-	task, err := k.Spawn("call", 0, func(e *Env) error {
-		e.Compute(0) // take the spawn doorbell first
-		e.CPU.APIC.RaiseNMI()
-		_, _, err := e.Syscall(nr)
-		return err
+		tsc, nmis, irqs := e.CPU.TSC, e.CPU.APIC.NMICount, e.CPU.IRQsTaken
+		exts, err := e.XemAttach(seg.ID)
+		if err != nil {
+			return err
+		}
+		mark(0, tsc, nmis, irqs)
+		e.Write64(exts[0].Start, 1)
+		tsc, nmis, irqs = e.CPU.TSC, e.CPU.APIC.NMICount, e.CPU.IRQsTaken
+		if _, _, err := e.Syscall(pisces.SysXemDetach, seg.ID); err != nil {
+			return err
+		}
+		mark(1, tsc, nmis, irqs)
+		for _, x := range exts {
+			k.mm.Remove(x)
+			k.shootdown(e.CPU, x)
+		}
+		tsc, nmis, irqs = e.CPU.TSC, e.CPU.APIC.NMICount, e.CPU.IRQsTaken
+		if _, _, err := e.Syscall(pisces.SysXemDetachDone, seg.ID); err != nil {
+			return err
+		}
+		mark(2, tsc, nmis, irqs)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- task.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("syscall: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("syscall still waiting 30 s after its answer's doorbell was taken")
+	if err := task.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case <-answered:
-	default:
-		t.Fatal("the answer never landed inside a look")
+	cpus := enc.CPUs()
+	if err := fw.Destroy(enc); err != nil {
+		t.Fatal(err)
+	}
+	want := [3]charges{{83723, 0, 1}, {83640, 0, 1}, {10888, 1, 1}}
+	if calls != want {
+		t.Errorf("attach, detach, detach-done charged (TSC, NMIs, IRQs) %v, want %v", calls, want)
+	}
+	// Core 1 only took the shootdown IPI and the epoch NMI, on its ringers'
+	// goroutines.
+	if got, want := [3]uint64{cpus[1].TSC, cpus[1].APIC.NMICount, cpus[1].IRQsTaken}, [3]uint64{6060, 1, 1}; got != want {
+		t.Errorf("core 1 ends at (TSC, NMIs, IRQs) %v, want %v", got, want)
 	}
 }

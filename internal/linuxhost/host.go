@@ -46,8 +46,7 @@ type Host struct {
 	handlers   map[uint32]LongcallHandler
 	hostCores  map[int]bool
 	fs         *memFS
-	services   map[int]chan struct{} // enclave id -> longcall service exited
-	surcharges map[uint64]uint64     // segid -> extra attach cycles (fabric pulls)
+	surcharges map[uint64]uint64 // segid -> extra attach cycles (fabric pulls)
 }
 
 // New boots the host OS on machine m: the host initially owns every core
@@ -62,7 +61,6 @@ func New(m *hw.Machine) (*Host, error) {
 		handlers:      make(map[uint32]LongcallHandler),
 		hostCores:     make(map[int]bool),
 		fs:            newMemFS(),
-		services:      make(map[int]chan struct{}),
 		surcharges:    make(map[uint64]uint64),
 	}
 	for _, n := range m.Topo.Nodes {
@@ -78,30 +76,14 @@ func New(m *hw.Machine) (*Host, error) {
 	h.Pisces = pisces.NewFramework(m, h.EnclaveLedger)
 	h.Master = hobbes.NewMaster(h.Pisces)
 
-	// Start the longcall service for every enclave as it boots, and drop
-	// dead enclaves' descriptor tables.
+	// Serve every enclave's longcalls once it boots, and drop dead
+	// enclaves' descriptor tables.
 	h.Pisces.Bus.Subscribe(func(ev *pisces.Event) error {
 		switch ev.Kind {
 		case pisces.EvEnclaveBooted:
-			enc := ev.Enclave
-			svcDone := make(chan struct{})
-			h.setService(enc.ID, svcDone)
-			go func() {
-				err := h.longcallService(enc)
-				close(svcDone)
-				// A guest that rewrote its own ring header crashes; the
-				// report comes after close, since the crash handler
-				// below waits for this service.
-				if errors.Is(err, pisces.ErrCorruptRing) {
-					h.Pisces.ReportCrash(enc, "corrupt longcall-ring header")
-				}
-			}()
+			lc := &longcalls{h: h}
+			ev.Enclave.SetLongcallServer(lc.serve)
 		case pisces.EvEnclaveCrashed, pisces.EvEnclaveDestroyed:
-			// Teardown ends the service's ring waits; wait for the service
-			// to stop touching the enclave's (about to be recycled) memory.
-			if svcDone := h.takeService(ev.Enclave.ID); svcDone != nil {
-				<-svcDone
-			}
 			h.fs.dropEnclave(ev.Enclave.ID)
 		}
 		return nil
@@ -235,51 +217,66 @@ func (h *Host) handlerFor(nr uint32) LongcallHandler {
 	return h.handlers[nr]
 }
 
-// setService records the done channel of an enclave's longcall service.
-func (h *Host) setService(encID int, done chan struct{}) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.services[encID] = done
+// longcalls is the host side of one enclave's longcall rings. It runs on
+// the calling core's goroutine (pisces.Enclave.ServeLongcall), one call at
+// a time. The request and response messages escape into the handler's
+// function value, so it reuses one pair for every call instead of
+// allocating a pair per call; handlers do not retain them.
+type longcalls struct {
+	h *Host
+
+	mu      sync.Mutex //covirt:guards m,resp
+	m, resp pisces.Msg
 }
 
-// takeService removes and returns an enclave's longcall-service done
-// channel; the caller waits on it outside the lock.
-func (h *Host) takeService(encID int) chan struct{} {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	done := h.services[encID]
-	delete(h.services, encID)
-	return done
-}
+// errNoLongcall reports a request ring the caller's push left empty.
+var errNoLongcall = fmt.Errorf("linuxhost: no longcall to serve: %w", pisces.ErrCorruptRing)
 
-// longcallService processes forwarded system calls for one enclave until
-// a ring access fails: the enclave stopped or crashed, the node crashed,
-// or the guest corrupted a ring header. The request and response messages
-// escape into the handler's function value, so the service reuses one
-// pair for every call instead of allocating a pair per call; handlers do
-// not retain them.
-func (h *Host) longcallService(enc *pisces.Enclave) error {
-	var m, resp pisces.Msg
-	for {
-		if err := enc.LcReq.Pop(h.io, &m, nil); err != nil {
-			return err
-		}
-		resp = pisces.Msg{Type: m.Type, Seq: m.Seq}
-		fn := h.handlerFor(m.Type)
-		var cycles uint64 = lcBaseCost
-		if fn == nil {
-			put64(resp.Payload[:], pisces.LcRespStatus, pisces.LcErrNoSys)
-		} else {
-			cycles += fn(h, enc, &m, &resp)
-		}
-		put64(resp.Payload[:], pisces.LcRespCycles, cycles)
-		if err := enc.LcResp.Push(h.io, &resp, nil); err != nil {
-			return err
-		}
-		// Response doorbell: kick the calling core so its idle wait wakes.
-		caller := int(get64(m.Payload[:], pisces.LcReqCallerCore))
-		h.M.RouteIPI(-1, caller, pisces.VectorLcResp)
+// serve handles the enclave's pending longcall. A guest that rewrote its
+// own ring header crashes: with one call outstanding, an honest caller
+// leaves exactly its request pending and room for the answer.
+func (lc *longcalls) serve(enc *pisces.Enclave) error {
+	err := lc.answer(enc)
+	if errors.Is(err, pisces.ErrCorruptRing) {
+		lc.h.Pisces.ReportCrash(enc, "corrupt longcall-ring header")
 	}
+	return err
+}
+
+// answer pops one request, runs its handler, pushes the answer and rings
+// the caller's response doorbell. It fails when a ring access fails: the
+// enclave stopped or crashed, the node crashed, or the guest corrupted a
+// ring header.
+func (lc *longcalls) answer(enc *pisces.Enclave) error {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	h := lc.h
+	ok, err := enc.LcReq.TryPop(h.io, &lc.m)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return errNoLongcall
+	}
+	lc.resp = pisces.Msg{Type: lc.m.Type, Seq: lc.m.Seq}
+	fn := h.handlerFor(lc.m.Type)
+	var cycles uint64 = lcBaseCost
+	if fn == nil {
+		put64(lc.resp.Payload[:], pisces.LcRespStatus, pisces.LcErrNoSys)
+	} else {
+		cycles += fn(h, enc, &lc.m, &lc.resp)
+	}
+	put64(lc.resp.Payload[:], pisces.LcRespCycles, cycles)
+	if ok, err = enc.LcResp.TryPush(h.io, &lc.resp); err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("linuxhost: longcall response ring full: %w", pisces.ErrCorruptRing)
+	}
+	// Response doorbell: the caller takes it once it leaves the call.
+	caller := int(get64(lc.m.Payload[:], pisces.LcReqCallerCore))
+	h.M.RouteIPI(-1, caller, pisces.VectorLcResp)
+	return nil
 }
 
 // PlantCanary fills [e.Start, e.End) with a deterministic pattern derived

@@ -66,6 +66,8 @@ type Enclave struct {
 
 	kernel Bootable
 	fw     *Framework
+	// serve is the host's longcall server (SetLongcallServer).
+	serve func(*Enclave) error
 
 	ctlSeq uint32
 	ctlMu  sync.Mutex // serializes control commands
@@ -119,6 +121,36 @@ func (e *Enclave) Kernel() Bootable {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.kernel
+}
+
+// SetLongcallServer installs the host's longcall server: the host side of
+// the longcall rings, run by ServeLongcall on the calling core's own
+// goroutine. The host installs it when the enclave has booted.
+func (e *Enclave) SetLongcallServer(serve func(*Enclave) error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.serve = serve
+}
+
+// ServeLongcall runs the host's service for one longcall the enclave pushed
+// on LcReq: pop it, handle it, push the answer on LcResp and ring the
+// caller's response doorbell. The co-kernel calls it from the core that
+// made the call, which the core's goroutine has marked blocked on the host
+// (hw.CPU.BlockOnHost). It fails when no host serves the enclave, or when
+// the host found nothing to serve or could not answer.
+func (e *Enclave) ServeLongcall() error {
+	serve := e.longcallServer()
+	if serve == nil {
+		return fmt.Errorf("pisces: enclave %d: no host serves longcalls", e.ID)
+	}
+	return serve(e)
+}
+
+// longcallServer returns the installed longcall server, or nil.
+func (e *Enclave) longcallServer() func(*Enclave) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.serve
 }
 
 // setState transitions the lifecycle state.

@@ -596,16 +596,17 @@ func (fw *Framework) ReportCrash(enc *Enclave, reason string) {
 	// delegated from those (shared segments, narrowed grants to peers) —
 	// dies with it, closing the stale-owner window.
 	fw.Auth.RevokeHolder(enc.ID)
-	for _, e := range mem {
-		fw.Ledger.FreeMemory(e)
-	}
 	// The crash report may originate from one of the enclave's own
-	// execution contexts (the hypervisor's exit handler), so waiting for
-	// the kernel to quiesce must happen off to the side; the cores return
+	// execution contexts (the hypervisor's exit handler, or a host
+	// longcall running on an enclave core), so waiting for the kernel to
+	// quiesce must happen off to the side; the memory and the cores return
 	// to the pool only once no stale context can touch them.
 	go func() {
 		if q, ok := kernel.(Quiescer); ok {
 			q.Quiesce()
+		}
+		for _, e := range mem {
+			fw.Ledger.FreeMemory(e)
 		}
 		fw.Ledger.FreeCores(enc.Cores)
 		close(enc.reclaimed)

@@ -482,3 +482,36 @@ func TestEnclaveAccessors(t *testing.T) {
 		}
 	}
 }
+
+// quiesceGate is a stub kernel whose execution contexts stay live until
+// the test opens the gate.
+type quiesceGate struct {
+	*stubKernel
+	open chan struct{}
+}
+
+func (q quiesceGate) Quiesce() { <-q.open }
+
+// TestCrashReturnsMemoryAfterQuiesce: a crashed enclave's memory returns
+// to the pool with its cores, once its kernel has quiesced. A host
+// longcall runs on an enclave core and may still write the enclave's
+// reserved area after the crash report; no successor may be handed that
+// memory before the core stops.
+func TestCrashReturnsMemoryAfterQuiesce(t *testing.T) {
+	_, fw := fwFixture(t)
+	free := fw.Ledger.FreeBytes(0)
+	enc, _ := fw.CreateEnclave(pisces.EnclaveSpec{Name: "crash", NumCores: 1, Nodes: []int{0}, MemBytes: 64 << 20})
+	k := quiesceGate{newStubKernel(true), make(chan struct{})}
+	if err := fw.Boot(enc, k); err != nil {
+		t.Fatal(err)
+	}
+	fw.ReportCrash(enc, "bang")
+	if got := fw.Ledger.FreeBytes(0); got != free-64<<20 {
+		t.Errorf("free bytes before the kernel quiesced = %d, want %d", got, free-64<<20)
+	}
+	close(k.open)
+	<-enc.Reclaimed()
+	if got := fw.Ledger.FreeBytes(0); got != free {
+		t.Errorf("free bytes once reclaimed = %d, want %d", got, free)
+	}
+}

@@ -92,6 +92,24 @@ func (r *Ring) Push(io MemIO, m *Msg, cpu *hw.CPU) error {
 	}); err != nil {
 		return err
 	}
+	return r.put(io, head, m)
+}
+
+// TryPush is Push without waiting; ok reports whether the ring had room.
+func (r *Ring) TryPush(io MemIO, m *Msg) (ok bool, err error) {
+	if err := r.wait.Stopped(nil); err != nil {
+		return false, err
+	}
+	head, tail, err := r.ends(io)
+	if err != nil || head-tail == RingSlots {
+		return false, err
+	}
+	return true, r.put(io, head, m)
+}
+
+// put copies m into slot head through the producer's staging buffer, then
+// publishes the slot.
+func (r *Ring) put(io MemIO, head uint64, m *Msg) error {
 	put32(r.pushBuf[:], 0, m.Type)
 	put32(r.pushBuf[:], 4, m.Seq)
 	copy(r.pushBuf[8:], m.Payload[:])

@@ -57,9 +57,23 @@ var leafEntries = [PermAll + 1]eptEntry{
 
 // eptNode is one 512-entry EPT table. Slots publish immutable entries
 // atomically (nil = not present): readers walk without taking any lock,
-// writers serialize under EPT.mu and store fully built subtrees.
+// writers serialize under EPT.mu and store fully built subtrees. live
+// counts the present slots, for writers only, so an unmap learns that it
+// emptied a table without scanning it.
 type eptNode struct {
 	entries [1 << eptIdxBits]atomic.Pointer[eptEntry]
+	live    int
+}
+
+// set publishes ent in slot i, keeping live. Caller holds EPT.mu.
+func (n *eptNode) set(i int, ent *eptEntry) {
+	switch old := n.entries[i].Load(); {
+	case old == nil && ent != nil:
+		n.live++
+	case old != nil && ent == nil:
+		n.live--
+	}
+	n.entries[i].Store(ent)
 }
 
 // EPTStats summarizes an EPT's current mappings.
@@ -178,22 +192,22 @@ func (e *EPT) mapOne(gpa, pageSize uint64, perms Perms) error {
 	}
 	n := e.root
 	for level := eptMaxLevel; level > leafLevel; level-- {
-		slot := &n.entries[idx(gpa, level)]
-		ent := slot.Load()
+		i := idx(gpa, level)
+		ent := n.entries[i].Load()
 		if ent != nil && ent.leaf {
 			return fmt.Errorf("vmx: map %#x/%d overlaps existing %d-byte leaf", gpa, pageSize, levelPageSize(level))
 		}
 		if ent == nil {
 			ent = &eptEntry{next: &eptNode{}}
-			slot.Store(ent)
+			n.set(i, ent)
 		}
 		n = ent.next
 	}
-	slot := &n.entries[idx(gpa, leafLevel)]
-	if slot.Load() != nil {
+	i := idx(gpa, leafLevel)
+	if n.entries[i].Load() != nil {
 		return fmt.Errorf("vmx: map %#x/%d overlaps existing mapping", gpa, pageSize)
 	}
-	slot.Store(&leafEntries[perms])
+	n.set(i, &leafEntries[perms])
 	switch pageSize {
 	case hw.PageSize1G:
 		e.stats.Mapped1G++
@@ -224,57 +238,61 @@ func (e *EPT) UnmapRange(gpa, size uint64) error {
 	return nil
 }
 
-// unmapNode walks node n (covering [base, base+span) at level) removing
-// leaves overlapping [lo, hi). Caller holds e.mu.
+// unmapNode walks node n (covering [base, base+512*span) at level, span
+// being the level's page size) removing leaves overlapping [lo, hi). It
+// visits only the slots the range overlaps. Caller holds e.mu.
 func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 	span := levelPageSize(level)
-	for i := 0; i < 1<<eptIdxBits; i++ {
+	first, last := 0, 1<<eptIdxBits-1
+	if lo > base {
+		first = int((lo - base) / span)
+	}
+	if end := base + span<<eptIdxBits; hi < end {
+		last = int((hi - 1 - base) / span)
+	}
+	for i := first; i <= last; i++ {
 		entBase := base + uint64(i)*span
-		if entBase >= hi || entBase+span <= lo {
-			continue
-		}
-		slot := &n.entries[i]
-		ent := slot.Load()
+		ent := n.entries[i].Load()
 		switch {
 		case ent == nil:
 		case ent.leaf:
 			if entBase >= lo && entBase+span <= hi {
 				// Fully covered: drop the leaf.
 				e.accountUnmap(span)
-				slot.Store(nil)
+				n.set(i, nil)
 			} else {
 				// Partially covered large leaf: split one level down and
 				// recurse. 4K leaves are always fully covered (alignment).
-				child := e.splitLeaf(slot, ent, level)
+				child := e.splitLeaf(n, i, ent, level)
 				e.unmapNode(child, level-1, entBase, lo, hi)
 			}
 		default:
 			e.unmapNode(ent.next, level-1, entBase, lo, hi)
-			if nodeEmpty(ent.next) {
-				slot.Store(nil)
+			if ent.next.live == 0 {
+				n.set(i, nil)
 			}
 		}
 	}
 }
 
-// splitLeaf replaces a large leaf with a table of next-size-down leaves,
-// preserving permissions. The child is fully built — all 512 slots share
-// one immutable leaf entry — before being published, so concurrent walkers
-// see either the old large leaf or the complete split, never a partial
-// table. Caller holds e.mu.
-func (e *EPT) splitLeaf(slot *atomic.Pointer[eptEntry], old *eptEntry, level int) *eptNode {
+// splitLeaf replaces the large leaf old in n's slot i with a table of
+// next-size-down leaves, preserving permissions. The child is fully built
+// — all 512 slots share one immutable leaf entry — before being published,
+// so concurrent walkers see either the old large leaf or the complete
+// split, never a partial table. Caller holds e.mu.
+func (e *EPT) splitLeaf(n *eptNode, i int, old *eptEntry, level int) *eptNode {
 	child := &eptNode{}
 	childSpan := levelPageSize(level - 1)
 	shared := &leafEntries[old.perms]
-	for i := range child.entries {
-		child.entries[i].Store(shared)
+	for j := range child.entries {
+		child.set(j, shared)
 	}
 	// Accounting: one large page becomes 512 smaller ones.
 	e.accountUnmap(levelPageSize(level))
-	for i := 0; i < 1<<eptIdxBits; i++ {
+	for j := 0; j < 1<<eptIdxBits; j++ {
 		e.accountMap(childSpan)
 	}
-	slot.Store(&eptEntry{next: child})
+	n.set(i, &eptEntry{next: child})
 	return child
 }
 
@@ -300,16 +318,6 @@ func (e *EPT) accountUnmap(span uint64) {
 		e.stats.Mapped4K--
 	}
 	e.stats.Bytes -= span
-}
-
-// nodeEmpty reports whether a node has no live entries.
-func nodeEmpty(n *eptNode) bool {
-	for i := range n.entries {
-		if n.entries[i].Load() != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // WalkResult reports the outcome of an EPT walk.

@@ -285,3 +285,45 @@ func TestBestPageSize(t *testing.T) {
 		}
 	}
 }
+
+// TestEPTUnmapFreesTables: unmapping pieces in any order, across 1G, 2M
+// and 4K leaves and the splits between them, leaves exactly the pages not
+// yet unmapped, and once every piece is gone no table is left: each
+// node's live count reached zero and its parent dropped it.
+func TestEPTUnmapFreesTables(t *testing.T) {
+	const base, size = uint64(1) << 30, uint64(1)<<30 + 6<<20 + 5*hw.PageSize4K
+	pieces := []struct{ off, size uint64 }{
+		{3 << 20, 4 * hw.PageSize4K},
+		{0, 1 << 20},
+		{1<<30 + 6<<20, 5 * hw.PageSize4K},
+		{1 << 20, 2<<20 - hw.PageSize4K},
+		{3<<20 + 4*hw.PageSize4K, 1<<30 + 3<<20 - 4*hw.PageSize4K},
+		{3<<20 - hw.PageSize4K, hw.PageSize4K},
+	}
+	e := NewEPT()
+	if err := e.MapRange(base, size, PermAll); err != nil {
+		t.Fatal(err)
+	}
+	var gone []struct{ off, size uint64 }
+	for _, p := range pieces {
+		if err := e.UnmapRange(base+p.off, p.size); err != nil {
+			t.Fatal(err)
+		}
+		gone = append(gone, p)
+		for off := uint64(0); off < size; off += 1 << 20 / 2 {
+			unmapped := false
+			for _, g := range gone {
+				unmapped = unmapped || off >= g.off && off < g.off+g.size
+			}
+			if e.Mapped(base+off) == unmapped {
+				t.Fatalf("after unmapping %d pieces, offset %#x mapped = %v", len(gone), off, !unmapped)
+			}
+		}
+	}
+	if st := e.Stats(); st != (EPTStats{}) {
+		t.Errorf("stats after unmapping everything = %+v", st)
+	}
+	if e.root.live != 0 {
+		t.Errorf("root keeps %d live slots after unmapping everything", e.root.live)
+	}
+}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
-#   ./scripts/check.sh                # full gate (static + smoke + race)
+#   ./scripts/check.sh                # full gate (static + smoke + schedfuzz + race)
 #   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke (perfbench too) only
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
@@ -98,6 +98,17 @@ if [ "$mode" = static ]; then
     echo "check.sh: static gates passed"
     exit 0
 fi
+
+# The schedfuzz build compiles seeded yields into the host hand-off points
+# (hw.Handoff.Wait and Broadcast, CPU.poll, a ringer's delivery). The -short
+# goldens and the twin-run tests must read the same under every schedule
+# seed: a diff is a host-timing leak into simulated output.
+begin "schedfuzz: -short goldens and twin runs under seeds 1 2 3"
+for seed in 1 2 3; do
+    COVIRT_SCHEDFUZZ_SEED=$seed go test -count=1 -tags schedfuzz -short \
+        -run 'TestExperimentGoldens|TwinRun|OutputEquivalence' ./internal/harness
+done
+end
 
 begin "go test -race (parallel shards: harness | workloads+cluster | rest)"
 race_logs=$(mktemp -d)
