@@ -125,11 +125,11 @@ func memRound(n *testbed.Node) error {
 	return fw.RemoveMemory(n.Enc(), ext)
 }
 
-// TestXememRoundAllocBudget pins the XEMEM round at its measured 33
+// TestXememRoundAllocBudget pins the XEMEM round at its measured 30
 // allocations plus 10 %, and at its measured 1 park (core 1 halting after
 // the task) plus 2.
 func TestXememRoundAllocBudget(t *testing.T) {
-	checkBudget(t, 36, 3, xememRound)
+	checkBudget(t, 33, 3, xememRound)
 }
 
 // TestMemGrantRoundAllocBudget pins the grant/revoke round at its measured

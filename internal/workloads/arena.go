@@ -6,9 +6,9 @@ import "sync"
 // workload discipline"): steady-state inner loops must not allocate, so
 // every buffer they touch is either owned by a per-rank scratch struct
 // sized once before the measured region, or — when its lifetime genuinely
-// crosses repetitions, like the CG vector set and the GUPS table — drawn
-// from a sync.Pool here. Per-rank result slots written concurrently under
-// -parallel are padded to a cache line so ranks never false-share.
+// crosses repetitions, like the CG vector set and the STREAM vectors —
+// drawn from a sync.Pool here. Per-rank result slots written concurrently
+// under -parallel are padded to a cache line so ranks never false-share.
 
 // padFloat64 is a float64 padded to a cache line, for per-rank slots
 // written concurrently during the measured region.
@@ -64,29 +64,6 @@ func zeroVec(v []float64) {
 		v[i] = 0
 	}
 }
-
-// gupsTablePool recycles the RandomAccess real table (16 MiB per rank at
-// the default size) across repetitions. Every table in it holds
-// table[i] == i: a new table is filled once, when it is allocated, and a
-// run puts its table back only after the self-inverse replay has restored
-// it and the verification passed. A run that fails or is killed drops its
-// table.
-var gupsTablePool sync.Pool
-
-// getGUPSTable returns a words-long table holding table[i] == i.
-func getGUPSTable(words uint64) []uint64 {
-	if t, _ := gupsTablePool.Get().([]uint64); uint64(len(t)) == words {
-		return t
-	}
-	t := make([]uint64, words)
-	for i := range t {
-		t[i] = uint64(i)
-	}
-	return t
-}
-
-// putGUPSTable returns a table to the pool; t must hold t[i] == i again.
-func putGUPSTable(t []uint64) { gupsTablePool.Put(t) }
 
 // streamBufs is one rank's three STREAM vectors (48 MiB at the default
 // per-thread size). Contents are never cleaned on reuse: Run re-initializes

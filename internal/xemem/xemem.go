@@ -113,7 +113,7 @@ func (r *Registry) Make(nameHash uint64, owner authority.Cap, extents []hw.Exten
 	}
 	s.OwnerCap = r.auth.Mint(owner.Holder, authority.KindXemem,
 		authority.RightAttach|authority.RightRemove|authority.RightDelegate,
-		authority.XememScope(s.ID), fmt.Sprintf("seg%d-owner", s.ID))
+		authority.XememScope(s.ID), "owner")
 	r.nextID++
 	r.byID[s.ID] = s
 	r.byName[nameHash] = s.ID
@@ -161,7 +161,7 @@ func (r *Registry) Attach(segid uint64, consumer int) ([]hw.Extent, authority.Ca
 	a := s.attached[consumer]
 	if a == nil {
 		cap, err := r.auth.Delegate(s.OwnerCap, consumer, authority.RightAttach,
-			authority.XememScope(s.ID), fmt.Sprintf("seg%d-attach-e%d", s.ID, consumer))
+			authority.XememScope(s.ID), "attach")
 		if err != nil {
 			return nil, authority.Cap{}, fmt.Errorf("%w: %v", ErrDenied, err)
 		}

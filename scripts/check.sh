@@ -3,6 +3,7 @@
 #
 #   ./scripts/check.sh                # full gate (static + smoke + schedfuzz + race)
 #   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke (perfbench too) only
+#   ./scripts/check.sh schedfuzz     # -short goldens and twin runs under schedule seeds 1-3 only
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -42,7 +43,27 @@ race_group_pkgs() {
     esac
 }
 
+# schedfuzz runs the -short goldens and the twin-run tests in the schedfuzz
+# build, which compiles seeded yields into the host hand-off points
+# (hw.Handoff.Wait and Broadcast, CPU.poll, a ringer's delivery). They must
+# read the same under every schedule seed: a diff is a host-timing leak
+# into simulated output.
+schedfuzz() {
+    begin "schedfuzz: -short goldens and twin runs under seeds 1 2 3"
+    for seed in 1 2 3; do
+        COVIRT_SCHEDFUZZ_SEED=$seed go test -count=1 -tags schedfuzz -short \
+            -run 'TestExperimentGoldens|TwinRun|OutputEquivalence' ./internal/harness
+    done
+    end
+}
+
 mode="${1:-all}"
+
+if [ "$mode" = schedfuzz ]; then
+    schedfuzz
+    echo "check.sh: schedfuzz stage passed"
+    exit 0
+fi
 
 if [ "$mode" = race ]; then
     group="${2:?usage: check.sh race <harness|workloads|rest>}"
@@ -99,16 +120,7 @@ if [ "$mode" = static ]; then
     exit 0
 fi
 
-# The schedfuzz build compiles seeded yields into the host hand-off points
-# (hw.Handoff.Wait and Broadcast, CPU.poll, a ringer's delivery). The -short
-# goldens and the twin-run tests must read the same under every schedule
-# seed: a diff is a host-timing leak into simulated output.
-begin "schedfuzz: -short goldens and twin runs under seeds 1 2 3"
-for seed in 1 2 3; do
-    COVIRT_SCHEDFUZZ_SEED=$seed go test -count=1 -tags schedfuzz -short \
-        -run 'TestExperimentGoldens|TwinRun|OutputEquivalence' ./internal/harness
-done
-end
+schedfuzz
 
 begin "go test -race (parallel shards: harness | workloads+cluster | rest)"
 race_logs=$(mktemp -d)
