@@ -10,8 +10,8 @@ const MaxVectors = 256
 
 // pending-event flag bits used for the fast-path poll check. pendingIntr
 // and pendingNMI track deliverable events; pendingKill and pendingCrash
-// mirror the CPU kill latch and machine crash flag so CPU.poll's fast path
-// can rule out every slow-path condition with a single atomic load.
+// mirror the CPU kill latch and machine crash flag so due can rule out
+// every slow-path condition but the timer with a single atomic load.
 const (
 	pendingIntr uint32 = 1 << iota
 	pendingNMI
@@ -24,8 +24,8 @@ const (
 const pendingEvents = pendingIntr | pendingNMI
 
 // timerDisarmed is the deadline sentinel meaning "timer not armed"; it lets
-// checkTimer's common case (armed or not, deadline not reached) decide with
-// one atomic load.
+// due and checkTimer decide their common case (armed or not, deadline not
+// reached) with one atomic load.
 const timerDisarmed = ^uint64(0)
 
 // APIC simulates a local Advanced Programmable Interrupt Controller: an
@@ -174,6 +174,15 @@ func (a *APIC) takeIntr() (vector uint8, external, ok bool) {
 // HasPending reports whether any interrupt or NMI awaits delivery.
 func (a *APIC) HasPending() bool { return a.pending.Load()&pendingEvents != 0 }
 
+// due reports whether the owning CPU's poll at now has work: the pending
+// word holds an event, a kill or a crash, or now has reached the timer
+// deadline. Both words are read at the check, so a raise or a retime from
+// another goroutine is seen by the next one. When due is false, poll's
+// slow path would deliver nothing and fire no tick.
+func (a *APIC) due(now uint64) bool {
+	return a.pending.Load() != 0 || now >= a.timerDeadline.Load() // also covers the disarmed sentinel
+}
+
 // setKillPending and clearKillPending mirror the owning CPU's kill latch
 // into the pending word (set by Kill, cleared by Revive).
 func (a *APIC) setKillPending()   { a.pending.Or(pendingKill) }
@@ -221,13 +230,17 @@ func (a *APIC) checkTimer(now uint64) {
 	a.postIntr(uint8(a.timerVector.Load()), true)
 }
 
-// pollsUntilTimer returns how many charges of step cycles a batched access
-// path may apply, starting from now, before the poll that would observe the
-// timer deadline — i.e. the smallest j ≥ 1 with now + j*step ≥ deadline.
-// Per-page loops poll after every page, so a batched path that splits its
-// charge at this boundary delivers the timer tick at exactly the same page
-// as the element-at-a-time path. Returns MaxUint64 when no split is needed.
-func (a *APIC) pollsUntilTimer(now, step uint64) uint64 {
+// pollsUntilDue returns how many charges of step cycles a batched access
+// path may apply, starting from now, before the poll at which due holds:
+// 1 when the pending word is set, else the smallest j ≥ 1 with
+// now + j*step ≥ deadline. Per-page loops poll after every page, so a
+// batched path that splits its charge at this boundary takes a pending
+// event, a kill or a timer tick after exactly the same page as the
+// element-at-a-time path. Returns MaxUint64 when no split is needed.
+func (a *APIC) pollsUntilDue(now, step uint64) uint64 {
+	if a.pending.Load() != 0 {
+		return 1
+	}
 	deadline := a.timerDeadline.Load()
 	if deadline == timerDisarmed || step == 0 {
 		return ^uint64(0)

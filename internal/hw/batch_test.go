@@ -6,11 +6,12 @@ import (
 )
 
 // referenceStream is the element-at-a-time streaming loop MemStream batches:
-// one translation lookup, one per-page cost, one poll per 4K page. Kept as
-// the oracle the batched implementation must match cycle-for-cycle.
+// one translation lookup, one per-page cost, and poll's slow path after
+// every 4K page. Kept as the oracle the batched implementation must match
+// cycle-for-cycle.
 func referenceStream(c *CPU, addr, length uint64, write bool) error {
 	if length == 0 {
-		return c.poll()
+		return c.deliver()
 	}
 	cs := c.Costs()
 	end := addr + length
@@ -37,7 +38,7 @@ func referenceStream(c *CPU, addr, length uint64, write bool) error {
 		}
 		c.Instret += lines
 		c.charge(cost)
-		if err := c.poll(); err != nil {
+		if err := c.deliver(); err != nil {
 			return err
 		}
 	}

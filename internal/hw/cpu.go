@@ -79,7 +79,9 @@ type CPU struct {
 	M    *Machine
 
 	// TSC is the simulated time-stamp counter in cycles. Owned by the
-	// execution goroutine; other goroutines must use TSCSnapshot.
+	// execution goroutine; other goroutines must use TSCSnapshot, which
+	// reads the copy the core publishes when it delivers events, halts or
+	// stalls.
 	TSC uint64
 
 	TLB  *TLB
@@ -115,7 +117,7 @@ type CPU struct {
 	irqHandler func(c *CPU, vector uint8, external bool)
 	nmiHandler func(c *CPU)
 
-	tscShadow atomic.Uint64 // published copy of TSC for cross-goroutine reads
+	tscShadow atomic.Uint64 // TSC as of the last delivery, halt or stall, for cross-goroutine reads
 
 	// regionCache memoizes the last two PhysMem regions this core touched
 	// (single-goroutine owned; revalidated against the layout generation).
@@ -173,8 +175,12 @@ func (c *CPU) Costs() *Costs { return &c.M.Costs }
 // charge advances the TSC by n cycles.
 func (c *CPU) charge(n uint64) { c.TSC += n }
 
-// TSCSnapshot returns a recently published TSC value; safe from any
-// goroutine. The value lags the true TSC by at most one poll interval.
+// TSCSnapshot returns the TSC the core last published; safe from any
+// goroutine. A core publishes at every delivery (poll's slow path), when it
+// halts in Idle and when it stalls in StallNoIRQ, so a halted or stalled
+// core's snapshot is exact, and a running core's never leads its TSC and,
+// with the timer armed, lags it by at most one timer period plus the
+// operation in flight.
 func (c *CPU) TSCSnapshot() uint64 { return c.tscShadow.Load() }
 
 // Kill marks the CPU's current guest context as terminated. Every
@@ -204,13 +210,25 @@ func (c *CPU) SetNMIHandler(h func(c *CPU)) { c.nmiHandler = h }
 
 // poll delivers pending events and checks for termination conditions. It is
 // called at operation boundaries, mirroring how real interrupts are
-// recognized at instruction retirement.
+// recognized at instruction retirement. It is the one event check every
+// charge path makes: nothing happens unless the APIC says a poll is due,
+// and then deliver does the work. The schedfuzz yield sits ahead of the
+// check, where a raise from another goroutine races it.
 func (c *CPU) poll() error {
 	schedPoint()
+	if c.APIC.due(c.TSC) {
+		return c.deliver()
+	}
+	return nil
+}
+
+// deliver is poll's slow path: it publishes the TSC shadow, reports a kill
+// or a node crash, fires a due timer tick and delivers every pending NMI
+// and interrupt. Run when nothing is due, it changes nothing but the
+// shadow.
+func (c *CPU) deliver() error {
 	c.tscShadow.Store(c.TSC)
-	// One atomic load covers the kill/crash mirror bits, keeping the
-	// overwhelmingly common "nothing pending" case down to four atomic
-	// ops (shadow store, pending word, timer deadline, pending recheck).
+	// One atomic load covers the kill/crash mirror bits.
 	w := c.APIC.pending.Load()
 	if w&pendingCrash != 0 && c.M.Crashed() {
 		return &Fault{Kind: FaultMachineCrashed, CPU: c.ID, Msg: c.M.CrashReason()}
@@ -333,18 +351,14 @@ func (c *CPU) dataCost(addr uint64, kind AccessKind) {
 // bytes (timing/protection only). Use the Read/Write accessors when real
 // data movement matters.
 func (c *CPU) MemAccess(addr uint64, write bool, kind AccessKind) error {
-	c.Instret++
-	if !c.TLB.Lookup(addr) {
-		if err := c.translate(addr, write); err != nil {
-			return err
-		}
+	if err := c.guardData(addr, write, kind); err != nil {
+		return err
 	}
-	c.dataCost(addr, kind)
 	return c.poll()
 }
 
 // streamChunkPages bounds how many full pages a batched stream charges
-// between polls, so the published TSC shadow and async event delivery keep
+// between polls, so events raised from other goroutines are taken at
 // page-scale granularity even under giant translation spans.
 const streamChunkPages = 512
 
@@ -402,9 +416,9 @@ func (c *CPU) streamSpan(page, end uint64, write bool) (limit uint64, remote boo
 // Charging is batched per translation span: the per-4K-page cost is computed
 // once and multiplied by the page count, which is byte-identical to the
 // per-page loop because the cost is constant within one (TLB entry, region)
-// span. Timer interrupts still land on the exact page boundary the per-page
-// loop would have delivered them on (see pollsUntilTimer), and the TLB
-// counts one hit or miss per 4 KiB page, as that loop's lookups do.
+// span. Events and timer interrupts still land on the exact page boundary
+// the per-page loop would have delivered them on (see pollsUntilDue), and
+// the TLB counts one hit or miss per 4 KiB page, as that loop's lookups do.
 func (c *CPU) MemStream(addr, length uint64, write bool) error {
 	if length == 0 {
 		return c.poll()
@@ -416,36 +430,18 @@ func (c *CPU) MemStream(addr, length uint64, write bool) error {
 		if err != nil {
 			return err
 		}
-		// Partial leading/trailing pages charge alone (the per-page loop
-		// polls after every page, so an extra poll here changes nothing).
-		if page < addr || page+PageSize4K > end {
-			lo, hi := page, page+PageSize4K
-			if lo < addr {
-				lo = addr
-			}
-			if hi > end {
-				hi = end
-			}
-			lines, cost := c.streamPageCost(lo, hi, remote)
-			c.Instret += lines
-			c.charge(cost)
-			if err := c.poll(); err != nil {
-				return err
-			}
-			page += PageSize4K
-			continue
+		// Full pages with identical cost up to limit charge as one batch,
+		// split where the per-page loop would have taken an event. A
+		// partial leading or trailing page is a batch of one, its cost
+		// clipped to the stream, and so is a page a region boundary cuts,
+		// costed by the region at its start.
+		lo, hi := max(page, addr), min(page+PageSize4K, end)
+		full := uint64(1)
+		if lo == page && hi == page+PageSize4K {
+			full = min(max((limit-page)/PageSize4K, 1), streamChunkPages)
 		}
-		// Full pages with identical cost up to limit: charge as one batch,
-		// splitting where the per-page loop would have taken a timer tick.
-		full := (limit - page) / PageSize4K
-		if full == 0 {
-			full = 1 // region boundary inside this page; cost still from its start
-		}
-		if full > streamChunkPages {
-			full = streamChunkPages
-		}
-		lines, cost := c.streamPageCost(page, page+PageSize4K, remote)
-		if j := c.APIC.pollsUntilTimer(c.TSC, cost); j < full {
+		lines, cost := c.streamPageCost(lo, hi, remote)
+		if j := c.APIC.pollsUntilDue(c.TSC, cost); j < full {
 			full = j
 		}
 		c.Instret += full * lines
@@ -495,11 +491,7 @@ func (c *CPU) Read64G(addr uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := r.load64(addr)
-	if perr := c.poll(); perr != nil {
-		return v, perr
-	}
-	return v, nil
+	return r.load64(addr), c.poll()
 }
 
 // Write64G writes a guest-visible 64-bit value at physical addr through the
@@ -570,78 +562,68 @@ func (c *CPU) SendIPI(dest int, vector uint8) error {
 }
 
 // RDMSR reads a model-specific register.
-func (c *CPU) RDMSR(msr uint32) (uint64, error) {
+func (c *CPU) RDMSR(msr uint32) (v uint64, err error) {
 	c.Instret++
 	c.charge(c.Costs().MSRAccess)
-	if c.Virt != nil {
-		v, extra, err := c.Virt.MSRRead(c, msr)
+	if c.Virt == nil {
+		v = c.MSRs.Read(msr)
+	} else {
+		var extra uint64
+		v, extra, err = c.Virt.MSRRead(c, msr)
 		c.charge(extra)
 		if err != nil {
 			return 0, err
 		}
-		if perr := c.poll(); perr != nil {
-			return v, perr
-		}
-		return v, nil
 	}
-	v := c.MSRs.Read(msr)
-	if err := c.poll(); err != nil {
-		return v, err
-	}
-	return v, nil
+	return v, c.poll()
 }
 
 // WRMSR writes a model-specific register.
 func (c *CPU) WRMSR(msr uint32, val uint64) error {
 	c.Instret++
 	c.charge(c.Costs().MSRAccess)
-	if c.Virt != nil {
+	if c.Virt == nil {
+		c.MSRs.Write(msr, val)
+	} else {
 		extra, err := c.Virt.MSRWrite(c, msr, val)
 		c.charge(extra)
 		if err != nil {
 			return err
 		}
-		return c.poll()
 	}
-	c.MSRs.Write(msr, val)
 	return c.poll()
 }
 
 // IOIn reads from an I/O port.
-func (c *CPU) IOIn(port uint16) (uint32, error) {
+func (c *CPU) IOIn(port uint16) (v uint32, err error) {
 	c.Instret++
 	c.charge(c.Costs().IOAccess)
-	if c.Virt != nil {
-		out, extra, err := c.Virt.IO(c, port, false, 0)
+	if c.Virt == nil {
+		v = c.M.Ports.In(port)
+	} else {
+		var extra uint64
+		v, extra, err = c.Virt.IO(c, port, false, 0)
 		c.charge(extra)
 		if err != nil {
 			return 0, err
 		}
-		if perr := c.poll(); perr != nil {
-			return out, perr
-		}
-		return out, nil
 	}
-	v := c.M.Ports.In(port)
-	if err := c.poll(); err != nil {
-		return v, err
-	}
-	return v, nil
+	return v, c.poll()
 }
 
 // IOOut writes to an I/O port.
 func (c *CPU) IOOut(port uint16, val uint32) error {
 	c.Instret++
 	c.charge(c.Costs().IOAccess)
-	if c.Virt != nil {
+	if c.Virt == nil {
+		c.M.Ports.Out(port, val)
+	} else {
 		_, extra, err := c.Virt.IO(c, port, true, val)
 		c.charge(extra)
 		if err != nil {
 			return err
 		}
-		return c.poll()
 	}
-	c.M.Ports.Out(port, val)
 	return c.poll()
 }
 

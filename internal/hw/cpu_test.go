@@ -426,7 +426,7 @@ func TestIdleEndsOnKillAndCrash(t *testing.T) {
 			waitParked(t, c.APIC.idle, 1)
 			tc.stop(m)
 			got := waitResult(t, errc)
-			want := c.poll()
+			want := c.deliver()
 			var gf, wf *Fault
 			if !errors.As(got, &gf) || !errors.As(want, &wf) || *gf != *wf {
 				t.Errorf("Idle = %v, poll = %v", got, want)
@@ -488,6 +488,77 @@ func TestWakeEndsIdleWhoseStopHolds(t *testing.T) {
 	}
 	if c.TSC != 0 || c.IRQsTaken != 0 || c.APIC.NMICount != 0 {
 		t.Errorf("wake charged: TSC %d, IRQs %d, NMIs %d", c.TSC, c.IRQsTaken, c.APIC.NMICount)
+	}
+}
+
+// TestTSCSnapshotPublication pins where a core publishes its TSC. Running
+// with its timer armed, the core's snapshot never leads its TSC, equals the
+// TSC each tick was taken at, and after an operation that took a tick
+// equals the TSC. A core halted in Idle reads exactly its TSC, though the
+// compute it ran before the halt took no event and published nothing.
+func TestTSCSnapshotPublication(t *testing.T) {
+	c := testMachine(t).CPU(0)
+	cs := c.Costs()
+	const interval = 20_000
+	ticks := 0
+	c.SetIRQHandler(func(c *CPU, _ uint8, _ bool) {
+		// The slow path publishes before it charges the delivery.
+		if lag := c.TSC - c.TSCSnapshot(); lag != cs.IntrDeliver+cs.GuestIRQ {
+			t.Errorf("tick %d: snapshot lags the TSC by %d in the handler, want the delivery's %d",
+				ticks, lag, cs.IntrDeliver+cs.GuestIRQ)
+		}
+		ticks++
+	})
+	c.APIC.ArmTimer(c.TSC, interval, 0x42)
+	addrs := gatherAddrs(4096, 1<<21, 64<<20, nodeStride+4<<20, 64<<20)
+	for i := range 600 {
+		irqs := c.IRQsTaken
+		var err error
+		switch i % 4 {
+		case 0:
+			err = c.Compute(uint64(i) * 37 % 1500)
+		case 1:
+			err = c.MemAccess(addrs[i], i%8 == 1, AccessDRAM)
+		case 2:
+			err = c.AccessGather(addrs[i:i+8], 6, false, AccessDRAM)
+		case 3:
+			err = c.MemStream(1<<21+uint64(i)*PageSize4K, 3*PageSize4K+100, false)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		snap := c.TSCSnapshot()
+		switch {
+		case snap > c.TSC:
+			t.Fatalf("op %d: snapshot %d leads the TSC %d", i, snap, c.TSC)
+		case c.TSC-snap >= 2*interval:
+			t.Fatalf("op %d: snapshot %d lags the TSC %d by more than a timer period and an operation", i, snap, c.TSC)
+		case i%4 < 2 && c.IRQsTaken != irqs && snap != c.TSC:
+			t.Fatalf("op %d took a tick but left the snapshot at %d, TSC %d", i, snap, c.TSC)
+		}
+	}
+	if ticks < 20 {
+		t.Fatalf("%d ticks; want the timer to fire through the run", ticks)
+	}
+
+	c.APIC.DisarmTimer()
+	if err := c.Compute(12_345); err != nil {
+		t.Fatal(err)
+	}
+	if c.TSCSnapshot() == c.TSC {
+		t.Fatal("the compute before the halt published the TSC, so the halt's own publication goes untested")
+	}
+	var stop atomic.Bool
+	errc := make(chan error, 1)
+	go func() { errc <- c.Idle(stop.Load) }()
+	waitParked(t, c.APIC.idle, 1)
+	if got := c.TSCSnapshot(); got != c.TSC {
+		t.Errorf("halted core's snapshot %d, TSC %d", got, c.TSC)
+	}
+	stop.Store(true)
+	c.Wake()
+	if err := waitResult(t, errc); err != nil {
+		t.Fatalf("Idle: %v", err)
 	}
 }
 

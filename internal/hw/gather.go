@@ -1,12 +1,5 @@
 package hw
 
-// gatherShadowEvery bounds how many elements AccessGather may charge before
-// republishing the TSC shadow (and re-reading the timer deadline) when no
-// full poll intervenes, so cross-goroutine TSC readers — the supervisor's
-// heartbeat watchdog above all — keep sub-microsecond-scale granularity
-// even through long gather batches.
-const gatherShadowEvery = 64
-
 // residentWays is the size of a resident run's page set. MiniFE's halo
 // gathers alternate between a local and a remote 512 KiB vector extent,
 // and either may straddle a 2 MiB boundary, so four pages hold both.
@@ -31,15 +24,13 @@ type residentPage struct {
 // It charges exactly what the equivalent loop of Compute and MemAccess
 // calls would: the same per-element TLB lookup, translation and data
 // costs, the same Instret count, and identical fault and timer-delivery
-// points. The difference is the poll: the per-element loop runs the full
-// CPU.poll after every operation, while this path checks the APIC pending
-// word and the timer deadline inline and only falls into poll when one of
-// them actually demands it — poll is a no-op apart from republishing the
-// TSC shadow otherwise, so skipping it leaves the charged state
-// bit-identical. The deadline is cached between polls; retiming the timer
-// from a management context mid-batch is observed at gatherShadowEvery
-// granularity, the same chunk-scale exposure MemStream accepts via
-// pollsUntilTimer.
+// points. After each element's compute and after its access it makes
+// poll's check, APIC.due, inline (poll itself does not inline), and runs
+// poll's slow path, deliver, only when the check holds: a skipped slow
+// path would have delivered nothing. due reads the pending word and the
+// timer deadline at each check, so a timer retimed from a management
+// context mid-batch is seen at the next element, as the per-element loop
+// sees it.
 //
 // The batch starts with a resident run (residentRun), which charges the
 // longest prefix whose pages are already in the TLB without probing it.
@@ -68,18 +59,14 @@ func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind A
 	gen := mem.Gen()
 	var lo, hi, regionCost uint64 // memo: [lo, hi) costs regionCost; empty at first
 	apic := c.APIC
-	deadline := apic.timerDeadline.Load()
-	since := 0
 	for _, addr := range addrs {
 		if computePer != 0 {
 			c.Instret += computePer
 			c.TSC += computeCost
-			if apic.pending.Load() != 0 || c.TSC >= deadline {
-				if err := c.poll(); err != nil {
+			if apic.due(c.TSC) {
+				if err := c.deliver(); err != nil {
 					return err
 				}
-				deadline = apic.timerDeadline.Load()
-				since = 0
 			}
 		}
 		c.Instret++
@@ -102,21 +89,12 @@ func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind A
 			cost = regionCost
 		}
 		c.TSC += cost
-		if apic.pending.Load() != 0 || c.TSC >= deadline {
-			if err := c.poll(); err != nil {
+		if apic.due(c.TSC) {
+			if err := c.deliver(); err != nil {
 				return err
 			}
-			deadline = apic.timerDeadline.Load()
-			since = 0
-			continue
-		}
-		if since++; since >= gatherShadowEvery {
-			c.tscShadow.Store(c.TSC)
-			deadline = apic.timerDeadline.Load()
-			since = 0
 		}
 	}
-	c.tscShadow.Store(c.TSC)
 	return nil
 }
 
@@ -129,8 +107,9 @@ func (c *CPU) AccessGather(addrs []uint64, computePer uint64, write bool, kind A
 // element's data cost too. The run ends before the first element that
 //   - lands on no page of the set, when its page is not cached or backs no
 //     region, or the set is full;
-//   - would make a poll due, after its compute or after its access;
-//   - finds the APIC's pending word set or the layout generation moved.
+//   - would make a poll due (APIC.due), after its compute or after its
+//     access, which covers a pending event, a kill and a crash;
+//   - finds the layout generation moved.
 //
 // Inside the run nothing inserts into or removes from the TLB, and
 // nothing reads its recency or its counters, so the recency updates and
@@ -145,9 +124,8 @@ func (c *CPU) residentRun(addrs []uint64, computePer, computeCost, local, remote
 	ways := 0
 	apic, mem := c.APIC, c.M.Mem
 	gen := mem.Gen()
-	deadline := apic.timerDeadline.Load()
 	tsc := c.TSC
-	n, since := len(addrs), 0
+	n := len(addrs)
 	for i, addr := range addrs {
 		// The page choice is data, random between a batch's pages, so the
 		// set is scanned with one compare per way and no branch to
@@ -172,23 +150,17 @@ func (c *CPU) residentRun(addrs []uint64, computePer, computeCost, local, remote
 			ways++
 		}
 		t := tsc + computeCost + set[j].cost
-		if t >= deadline || apic.pending.Load() != 0 || mem.Gen() != gen {
+		if apic.due(t) || mem.Gen() != gen {
 			n = i
 			break
 		}
 		tsc = t
 		set[j].last = i
-		if since++; since == gatherShadowEvery {
-			c.tscShadow.Store(tsc)
-			deadline = apic.timerDeadline.Load()
-			since = 0
-		}
 	}
 	if n == 0 {
 		return 0
 	}
 	c.TSC = tsc
-	c.tscShadow.Store(tsc) // the loop's shadow cadence starts again from here
 	c.Instret += uint64(n) * (computePer + 1)
 	pages := set[:ways]
 	for a := 1; a < len(pages); a++ { // by last hit, oldest first

@@ -7,21 +7,37 @@ import (
 )
 
 // referenceGather is the element-at-a-time loop AccessGather batches: an
-// optional compute charge, then one MemAccess, with a full poll after each
-// operation. Kept as the oracle the batched implementation must match
-// cycle-for-cycle.
+// optional compute charge, then one data access, with poll's slow path
+// after each operation. Kept as the oracle the batched implementation must
+// match cycle-for-cycle.
 func referenceGather(c *CPU, addrs []uint64, computePer uint64, write bool, kind AccessKind) error {
 	for _, addr := range addrs {
 		if computePer != 0 {
-			if err := c.Compute(computePer); err != nil {
+			if err := referenceCompute(c, computePer); err != nil {
 				return err
 			}
 		}
-		if err := c.MemAccess(addr, write, kind); err != nil {
+		if err := referenceAccess(c, addr, write, kind); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// referenceCompute is Compute with poll's slow path in place of poll, so
+// an oracle built on it shares no event check with the code under test.
+func referenceCompute(c *CPU, n uint64) error {
+	c.Instret += n
+	c.charge(n * c.Costs().Compute)
+	return c.deliver()
+}
+
+// referenceAccess is MemAccess with poll's slow path in place of poll.
+func referenceAccess(c *CPU, addr uint64, write bool, kind AccessKind) error {
+	if err := c.guardData(addr, write, kind); err != nil {
+		return err
+	}
+	return c.deliver()
 }
 
 // gatherAddrs builds a deterministic pseudo-random address pattern that
@@ -112,20 +128,6 @@ func TestAccessGatherFaultChargesExactPrefix(t *testing.T) {
 		t.Fatalf("fault kinds diverged: batched %v reference %v", bf.Kind, rf.Kind)
 	}
 	assertSameState(t, "fault-prefix", b, r)
-}
-
-func TestAccessGatherPublishesTSCShadow(t *testing.T) {
-	// A long batch with no pending events must still keep the published
-	// shadow within gatherShadowEvery elements of the true TSC: the
-	// watchdog reads it cross-goroutine to prove the core is alive.
-	b, _ := twinCPUs(t)
-	addrs := gatherAddrs(10_000, 1<<21, 64<<20, 0, 0)
-	if err := b.AccessGather(addrs, 0, false, AccessDRAM); err != nil {
-		t.Fatalf("gather: %v", err)
-	}
-	if got := b.TSCSnapshot(); got != b.TSC {
-		t.Errorf("final shadow %d != TSC %d", got, b.TSC)
-	}
 }
 
 // threeRegionAddrs alternates elements between node 0's memory and node 1's,

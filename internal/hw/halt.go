@@ -41,10 +41,12 @@ const (
 // halted core charges nothing, and an event a poll took before the halt
 // does not wake it. A kill or node crash ends the halt with the fault poll
 // would return. While halted, the core may take rung events on a ringer's
-// goroutine (see above).
+// goroutine (see above). The core publishes its TSC as it halts, so a
+// halted core's TSCSnapshot is exact.
 func (c *CPU) Idle(stop func() bool) error {
 	a := c.APIC
 	since := a.idle.seq.Load()
+	c.tscShadow.Store(c.TSC) // before the halt: a ringer's delivery then owns the TSC
 	c.halt.Store(haltIdle)
 	err := a.idle.Wait(c, func() (bool, error) {
 		return a.HasPending() || a.idle.seq.Load() != since || stop != nil && stop(), nil

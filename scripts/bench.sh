@@ -15,11 +15,12 @@
 # the snapshots carry B/op and allocs/op alongside ns/op — the allocation
 # columns are the regression teeth on the zero-alloc workload discipline.
 #
-# One pass of a control-plane or figure benchmark is too noisy to resolve
-# a 20 % change, so those two tiers run each benchmark five times
-# (-count 5). The snapshot folds every benchmark's runs into one object:
-# the median of each column, "runs", and the fastest and slowest pass as
-# "ns/op_min" and "ns/op_max". The figure tier dominates wall clock, so a
+# One pass of any tier is too noisy to resolve a 20 % change, so every
+# tier runs each benchmark five times (-count 5): the micro tier at the
+# default benchtime, the other two one iteration per pass. The snapshot
+# folds every benchmark's runs into one object: the median of each
+# column, "runs", and the fastest and slowest pass as "ns/op_min" and
+# "ns/op_max". The figure tier dominates wall clock, so a
 # full run takes several minutes on an idle machine; benchmark on an
 # otherwise-quiet host or the numbers are meaningless.
 #
@@ -78,8 +79,8 @@ out="$1"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-echo "==> microbenchmarks (internal/hw, internal/vmx, internal/workloads)"
-go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|AccessGather|StreamTriad|FillGatherAddrs|SpMV|SymGS' -benchmem \
+echo "==> microbenchmarks (internal/hw, internal/vmx, internal/workloads, 5 passes each)"
+go test -run '^$' -bench 'EPTWalk|PhysMemReadWrite|TLBLookup|AccessGather|StreamTriad|FillGatherAddrs|SpMV|SymGS' -count 5 -benchmem \
     ./internal/hw ./internal/vmx ./internal/workloads | tee -a "$tmp"
 
 echo "==> control-plane tier (ctl-saturation legs: per-event vs batched, 5 passes each)"

@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
-#   ./scripts/check.sh                # full gate (static + smoke + schedfuzz + race)
+#   ./scripts/check.sh                # full gate (static + smoke + schedfuzz + fuzz + race)
 #   ./scripts/check.sh static        # build/gofmt/vet/analyzers + -short smoke (perfbench too) only
 #   ./scripts/check.sh schedfuzz     # -short goldens and twin runs under schedule seeds 1-3 only
+#   ./scripts/check.sh fuzz          # 30 s of FuzzChargePaths from its committed corpus only
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -57,11 +58,30 @@ schedfuzz() {
     end
 }
 
+# fuzz runs FuzzChargePaths for 30 s, starting from its committed corpus
+# (plain go test replays only the corpus): programs of charging operations
+# and events on twin CPUs, the batched charge paths on one and their
+# per-operation oracles on the other. A failing input lands in
+# internal/hw/testdata/fuzz/FuzzChargePaths. Minimizing each new input is
+# capped at 100 runs: at the default 60 s, minimizing a new input stopped
+# every worker, and a 30 s run made no progress after its first 12 s.
+fuzz() {
+    begin "fuzz: FuzzChargePaths for 30s"
+    go test -run '^$' -fuzz '^FuzzChargePaths$' -fuzztime 30s -fuzzminimizetime 100x ./internal/hw
+    end
+}
+
 mode="${1:-all}"
 
 if [ "$mode" = schedfuzz ]; then
     schedfuzz
     echo "check.sh: schedfuzz stage passed"
+    exit 0
+fi
+
+if [ "$mode" = fuzz ]; then
+    fuzz
+    echo "check.sh: fuzz stage passed"
     exit 0
 fi
 
@@ -121,6 +141,7 @@ if [ "$mode" = static ]; then
 fi
 
 schedfuzz
+fuzz
 
 begin "go test -race (parallel shards: harness | workloads+cluster | rest)"
 race_logs=$(mktemp -d)
