@@ -119,7 +119,7 @@ const helpText = `commands:
   boot <id> [none|mem|mem+ipi|all]        boot Kitten under covirt features
   list                                    list enclaves
   status <id>                             covirt status (exits, EPT, IPIs) + supervision
-  qstats <id>                             command-queue/ingest stats (depth, epochs, flushes)
+  qstats <id>                             ingest stats (epochs, flushes) + per-core queue depth
   ping <id>                               control-channel liveness check
   addmem <id> <node> <MB>                 hot-add memory
   addcpu <id> <node>                      hot-add a core
@@ -289,10 +289,8 @@ func (sh *shell) exec(line string) error {
 		}
 		qs := qsAny.(*covirt.QueueStats)
 		in := qs.Ingest
-		fmt.Printf("ring: %d slots/core; events=%d epochs=%d (issued %d)\n",
-			qs.Slots, in.Events, in.Epochs, qs.EpochIssued)
-		fmt.Printf("flush cmds: %d issued, %d coalesced away; push stalls: %d cycles\n",
-			in.FlushCmds, in.FlushCmdsSaved, in.StallCycles)
+		fmt.Printf("events=%d epochs=%d (issued %d)\n", in.Events, in.Epochs, qs.EpochIssued)
+		fmt.Printf("flush cmds: %d issued, %d coalesced away\n", in.FlushCmds, in.FlushCmdsSaved)
 		cores := make([]int, 0, len(qs.Depth))
 		for c := range qs.Depth {
 			cores = append(cores, c)

@@ -16,8 +16,8 @@
 //     the global math/rand source; cycle accounting must be reproducible.
 //   - cost-accounting: every exported field of the hw.Costs cycle model is
 //     charged by some simulation code — dead entries drift from the paper.
-//   - queue-protocol: the controller↔hypervisor command-queue shared-memory
-//     layout is owned solely by cmdqueue.go.
+//   - queue-protocol: the controller↔hypervisor command queue is touched
+//     only through cmdqueue.go, whose applied-epoch word only rises.
 //   - ledger-conservation: resources carved from the Pisces ledger must be
 //     bound to an owner — a discarded AllocMemory/AllocCores result leaks
 //     memory or cores from the accounting.

@@ -107,11 +107,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			fixture: "queue",
 			checks:  []string{checkQueue},
 			want: []string{
-				"internal/covirt/other.go:6",     // cmdQueue field access
-				"internal/covirt/other.go:7",     // raw read at layout address
-				"internal/covirt/cmdqueue.go:46", // slot written after head publish
-				"internal/covirt/cmdqueue.go:64", // epoch published without monotonic guard
-				// pushGood orders slot-then-head; publishGood guards with >
+				"internal/covirt/other.go:4",     // cmdQueue field access
+				"internal/covirt/cmdqueue.go:25", // epoch published without monotonic guard
+				// depth reads a field in the owner file; publishGood guards with >
 			},
 		},
 		{

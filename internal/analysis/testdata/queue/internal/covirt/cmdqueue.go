@@ -1,65 +1,26 @@
 // Package covirt is a fixture stub of the command-queue owner file.
 package covirt
 
-import "covirt/internal/hw"
-
-const (
-	cmdqHdrSize  = 32
-	cmdqSlotSize = 32
-	// OffCovirtCmdQ marks queue-layout address arithmetic.
-	OffCovirtCmdQ = 0x10000
-	cmdqOffHead   = 0
-	cmdqOffEpoch  = 24
-)
+import "sync/atomic"
 
 type cmdQueue struct {
-	mem  *hw.PhysMem
-	base uint64
+	recs    []uint64
+	applied atomic.Uint64
 }
 
-func (q *cmdQueue) completed() (uint64, error) {
-	return q.mem.Read64(q.base + 16) // ok: owner file
-}
-
-// pushGood writes the slot body first and releases it with the head store.
-func (q *cmdQueue) pushGood(rec uint64) error {
-	head, err := q.mem.Read64(q.base + cmdqOffHead)
-	if err != nil {
-		return err
-	}
-	if err := q.mem.Write64(q.base+cmdqHdrSize+head*cmdqSlotSize, rec); err != nil {
-		return err
-	}
-	return q.mem.Write64(q.base+cmdqOffHead, head+1)
-}
-
-// pushBroken publishes the head before the slot contents exist: the
-// drainer's acquire load can observe the new head and fetch a stale slot.
-func (q *cmdQueue) pushBroken(rec uint64) error {
-	head, err := q.mem.Read64(q.base + cmdqOffHead)
-	if err != nil {
-		return err
-	}
-	if err := q.mem.Write64(q.base+cmdqOffHead, head+1); err != nil {
-		return err
-	}
-	return q.mem.Write64(q.base+cmdqHdrSize+head*cmdqSlotSize, rec) // want: slot write after head publish
+func (q *cmdQueue) depth() int {
+	return len(q.recs) // ok: owner file
 }
 
 // publishGood raises the applied epoch only monotonically.
-func (q *cmdQueue) publishGood(epoch uint64) error {
-	cur, err := q.mem.Read64(q.base + cmdqOffEpoch)
-	if err != nil {
-		return err
+func (q *cmdQueue) publishGood(epoch uint64) {
+	if epoch > q.applied.Load() {
+		q.applied.Store(epoch)
 	}
-	if epoch > cur {
-		return q.mem.Write64(q.base+cmdqOffEpoch, epoch)
-	}
-	return nil
 }
 
 // publishBroken stores the epoch unconditionally: a stale marker moves the
-// counter backwards and releases waiters early.
-func (q *cmdQueue) publishBroken(epoch uint64) error {
-	return q.mem.Write64(q.base+cmdqOffEpoch, epoch) // want: unguarded epoch publish
+// word backwards and releases waiters early.
+func (q *cmdQueue) publishBroken(epoch uint64) {
+	q.applied.Store(epoch) // want: unguarded epoch publish
 }

@@ -1,8 +1,5 @@
 package covirt
 
-import "covirt/internal/hw"
-
-func poke(q *cmdQueue, m *hw.PhysMem) (uint64, error) {
-	addr := q.base                                      // want: cmdQueue field access outside cmdqueue.go
-	return m.Read64(addr + OffCovirtCmdQ + cmdqHdrSize) // want: raw access at queue-layout address
+func poke(q *cmdQueue) uint64 {
+	return q.applied.Load() // want: cmdQueue field access outside cmdqueue.go
 }

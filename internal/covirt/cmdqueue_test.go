@@ -22,52 +22,36 @@ func queueFixture(t *testing.T) (*hw.Machine, *cmdQueue, *hw.CPU, *hw.Latch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
 	teardown := hw.NewLatch(errors.New("test: enclave torn down"))
-	q, err := newCmdQueue(m, base, teardown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, q, m.CPU(0), teardown
-}
-
-// noDoorbell is the doorbell for pushes that cannot fill the ring, or
-// whose queue has a drainer of its own.
-func noDoorbell() {}
-
-// drainOK drains q on cpu, reporting a failed header check to t.
-func drainOK(t *testing.T, q *cmdQueue, cpu *hw.CPU) uint64 {
-	t.Helper()
-	spent, err := q.drain(cpu)
-	if err != nil {
-		t.Errorf("drain: %v", err)
-	}
-	return spent
+	return m, newCmdQueue(m, teardown), m.CPU(0), teardown
 }
 
 func TestCmdQueuePushDrain(t *testing.T) {
 	_, q, cpu, _ := queueFixture(t)
-	recs := []cmdRec{{Typ: CmdFlushRange, Arg0: 0x1000, Arg1: 0x2000}, {Typ: CmdEpoch, Arg0: 1}}
-	if _, err := q.pushBatch(recs, noDoorbell); err != nil {
-		t.Fatal(err)
-	}
+	q.push([]cmdRec{{Typ: CmdFlushRange, Arg0: 0x1000, Arg1: 0x2000}, {Typ: CmdEpoch, Arg0: 1}})
 	if q.epochApplied() != 0 {
 		t.Error("epoch applied before drain")
 	}
+	if q.depth() != 2 {
+		t.Errorf("depth = %d after pushing 2 records", q.depth())
+	}
 	// Warm a TLB entry in the to-be-flushed range.
 	cpu.TLB.Insert(0x1800, hw.PageSize4K)
-	spent := drainOK(t, q, cpu)
-	if spent == 0 {
-		t.Error("drain charged nothing")
+	// One fetch per record, and the range overlaps one 2 MiB leaf.
+	if got, want := q.drain(cpu), 2*cmdqFetchCycles+cpu.Costs().TLBFlushPage; got != want {
+		t.Errorf("drain charged %d cycles, want %d", got, want)
 	}
 	if q.epochApplied() != 1 {
 		t.Errorf("epoch applied = %d, want 1", q.epochApplied())
+	}
+	if q.depth() != 0 {
+		t.Errorf("depth = %d after the drain", q.depth())
 	}
 	if cpu.TLB.Lookup(0x1800) {
 		t.Error("flush command did not flush")
 	}
 	// Draining an empty queue is free.
-	if drainOK(t, q, cpu) != 0 {
+	if q.drain(cpu) != 0 {
 		t.Error("empty drain charged cycles")
 	}
 }
@@ -76,12 +60,47 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	_, q, cpu, _ := queueFixture(t)
 	cpu.TLB.Insert(0x1000, hw.PageSize4K)
 	cpu.TLB.Insert(hw.PageSize1G, hw.PageSize2M)
-	if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushAll}}, noDoorbell); err != nil {
-		t.Fatal(err)
-	}
-	drainOK(t, q, cpu)
+	q.push([]cmdRec{{Typ: CmdFlushAll}})
+	q.drain(cpu)
 	if cpu.TLB.Len() != 0 {
 		t.Error("entries survived CmdFlushAll")
+	}
+}
+
+// The applied word only rises: a drain whose highest marker is older than
+// the applied epoch leaves the word where it is.
+func TestCmdQueueEpochMonotonic(t *testing.T) {
+	_, q, cpu, _ := queueFixture(t)
+	q.push(epochRecs(5, 1))
+	q.drain(cpu)
+	q.push(epochRecs(3, 1))
+	q.drain(cpu)
+	if q.epochApplied() != 5 {
+		t.Errorf("epoch applied = %d after a stale marker, want 5", q.epochApplied())
+	}
+}
+
+// The hypervisor allocates nothing after setup: once a first epoch has
+// sized the record slice, pushing an epoch of flushAllThreshold ranges and
+// its marker, then draining it, allocates nothing.
+func TestCmdQueueSteadyStateAllocs(t *testing.T) {
+	_, q, cpu, _ := queueFixture(t)
+	recs := make([]cmdRec, 0, flushAllThreshold+1)
+	for i := range flushAllThreshold {
+		recs = append(recs, cmdRec{Typ: CmdFlushRange, Arg0: uint64(2*i) * hw.PageSize2M, Arg1: hw.PageSize2M})
+	}
+	recs = append(recs, cmdRec{Typ: CmdEpoch})
+	epoch := func() {
+		recs[len(recs)-1].Arg0++
+		q.push(recs)
+		q.drain(cpu)
+	}
+	epoch() // warm-up: sizes the queue's record slice
+	if allocs := testing.AllocsPerRun(100, epoch); allocs != 0 {
+		t.Errorf("a %d-record epoch's push and drain allocate %.1f times, want 0", len(recs), allocs)
+	}
+	if want := recs[len(recs)-1].Arg0; q.epochApplied() != want {
+		t.Errorf("epoch applied = %d, want %d", q.epochApplied(), want)
 	}
 }
 
@@ -94,60 +113,11 @@ func epochRecs(first uint64, n int) []cmdRec {
 	return recs
 }
 
-// Regression for the old hard-failure semantics: overflowing the ring must
-// apply backpressure (publish what fits, ring the doorbell, park until the
-// drainer frees slots) rather than fail. The doorbell here runs the drain
-// synchronously, exactly as the NMI handler does on a parked idle core.
-func TestCmdQueueFullBackpressure(t *testing.T) {
-	_, q, cpu, _ := queueFixture(t)
-	if _, err := q.pushBatch(epochRecs(1, cmdqSlots), noDoorbell); err != nil {
-		t.Fatal(err)
-	}
-	// The ring is now full: a batch twice its size cannot fit even an
-	// empty ring, so the push must stall at least once and still deliver
-	// all records.
-	var doorbells int
-	var spent uint64
-	wait, err := q.pushBatch(epochRecs(cmdqSlots+1, 2*cmdqSlots), func() { doorbells++; spent += drainOK(t, q, cpu) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doorbells == 0 {
-		t.Error("overflowing push never rang the doorbell")
-	}
-	if wait == 0 {
-		t.Error("overflowing push charged no stall cycles")
-	}
-	spent += drainOK(t, q, cpu)
-	if want := uint64(3 * cmdqSlots); q.epochApplied() != want {
-		t.Errorf("epoch applied = %d, want %d", q.epochApplied(), want)
-	}
-	if want := uint64(3*cmdqSlots) * cmdqFetchCycles; spent != want {
-		t.Errorf("drains charged %d cycles, want %d (one fetch per record)", spent, want)
-	}
-	if q.depth() != 0 {
-		t.Errorf("depth = %d after full drain", q.depth())
-	}
-}
-
-// A pushBatch stalled on a full ring must abort when the enclave dies
-// instead of parking forever.
-func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
-	_, q, _, teardown := queueFixture(t)
-	teardown.Fire() // enclave already dead; no drainer will ever run
-	// One more record than the ring holds.
-	if _, err := q.pushBatch(epochRecs(1, cmdqSlots+1), noDoorbell); err == nil {
-		t.Error("overflow push on dead enclave returned nil")
-	}
-}
-
 // A waiter on an epoch is released once the drain has completed every
 // command pushed ahead of the epoch's marker.
 func TestCmdQueueWaitCompleted(t *testing.T) {
 	_, q, cpu, _ := queueFixture(t)
-	if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
-		t.Fatal(err)
-	}
+	q.push(epochRecs(1, 1))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -156,7 +126,7 @@ func TestCmdQueueWaitCompleted(t *testing.T) {
 			t.Errorf("waitEpoch: %v", err)
 		}
 	}()
-	drainOK(t, q, cpu)
+	q.drain(cpu)
 	wg.Wait()
 	// Waiting for an already-applied epoch returns immediately.
 	if err := q.waitEpoch(1); err != nil {
@@ -178,9 +148,7 @@ func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, q, _, teardown := queueFixture(t)
-			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
-				t.Fatal(err)
-			}
+			q.push(epochRecs(1, 1))
 			if tc.before {
 				tc.stop(m, teardown)
 			}
@@ -205,12 +173,11 @@ func TestCmdQueueWaitAbortsOnDeath(t *testing.T) {
 	}
 }
 
-// Regression: concurrent pushers (parking on a full ring), a drainer, and
-// epoch waiters must be race-free, and a mid-flight enclave death must
-// release every waiter. Pushers open epochs in push order under one lock,
-// as the controller does under the enclave's ingest lock, so no epoch
-// marker overtakes the flushes of an earlier one. Run under -race
-// (scripts/check.sh does).
+// Regression: concurrent pushers, a drainer, and epoch waiters must be
+// race-free, and a mid-flight enclave death must release every waiter.
+// Pushers open epochs in push order under one lock, as the controller
+// does under the enclave's ingest lock, so no epoch marker overtakes the
+// flushes of an earlier one. Run under -race (scripts/check.sh does).
 func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	m, q, _, teardown := queueFixture(t)
 	// The drainer runs on its own core, as the real hypervisor NMI
@@ -222,31 +189,29 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 	go func() { // hypervisor: drain until told to stop
 		defer close(drained)
 		for {
-			drainOK(t, q, drainCPU)
+			q.drain(drainCPU)
 			select {
 			case <-stop:
-				drainOK(t, q, drainCPU)
+				q.drain(drainCPU)
 				return
 			default:
 			}
 		}
 	}()
 
-	// Each push carries half a ring of flushes plus its epoch marker, so
-	// concurrent pushes overflow the ring and park until the drainer
-	// frees slots.
+	// Each push carries a batch of flushes plus its epoch marker.
 	var openMu sync.Mutex
 	var epoch uint64
-	openEpoch := func() (uint64, error) {
+	openEpoch := func() uint64 {
 		openMu.Lock()
 		defer openMu.Unlock()
 		epoch++
-		recs := make([]cmdRec, cmdqSlots/2, cmdqSlots/2+1)
+		recs := make([]cmdRec, 32, 33)
 		for i := range recs {
 			recs[i] = cmdRec{Typ: CmdFlushAll}
 		}
-		_, err := q.pushBatch(append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch}), noDoorbell)
-		return epoch, err
+		q.push(append(recs, cmdRec{Typ: CmdEpoch, Arg0: epoch}))
+		return epoch
 	}
 
 	var wg sync.WaitGroup
@@ -257,11 +222,7 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 		go func() { // controller threads: open an epoch, then wait for it
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				e, err := openEpoch()
-				if err != nil {
-					t.Errorf("push: %v", err)
-					return
-				}
+				e := openEpoch()
 				if err := q.waitEpoch(e); err != nil {
 					t.Errorf("waitEpoch(%d): %v", e, err)
 				}
@@ -277,66 +238,12 @@ func TestCmdQueueConcurrentPushDrainWake(t *testing.T) {
 
 	// Now the dying-enclave path: a waiter parked on an epoch that will
 	// never be applied must be released by the teardown latch.
-	e, err := openEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := openEpoch()
 	errc := make(chan error, 1)
 	go func() { errc <- q.waitEpoch(e) }()
 	teardown.Fire() // enclave death releases waiters
 	if err := <-errc; err == nil {
 		t.Error("waiter survived enclave death")
-	}
-}
-
-// TestCmdQueueCorruptHeader: the header lies in guest-writable memory, so
-// both ends check it before trusting its indices. Unchecked, a head 1000
-// records past the tail makes the drain index past its 64-record
-// snapshot, and a tail past the head makes it apply nothing, so an epoch
-// waiter never wakes. The drain must report the corruption and release
-// the waiter, and a push must fail without writing a slot, after ringing
-// the doorbell so the drainer looks too.
-func TestCmdQueueCorruptHeader(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		off, val uint64
-	}{
-		{"head", cmdqOffHead, 1000},
-		{"tail", cmdqOffTail, 1 << 40},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, q, cpu, _ := queueFixture(t)
-			if _, err := q.pushBatch(epochRecs(1, 1), noDoorbell); err != nil {
-				t.Fatal(err)
-			}
-			waited := make(chan error, 1)
-			go func() { waited <- q.waitEpoch(1) }()
-			//covirt:allow queue-protocol the test forges the header as a guest can
-			if err := m.Mem.Write64(q.base+tc.off, tc.val); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := q.drain(cpu); !errors.Is(err, errCorruptHeader) {
-				t.Errorf("drain over a forged %s = %v, want %v", tc.name, err, errCorruptHeader)
-			}
-			select {
-			case err := <-waited:
-				if !errors.Is(err, errCorruptHeader) {
-					t.Errorf("epoch wait = %v, want %v", err, errCorruptHeader)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("epoch waiter still parked 30 s after the drain found the header corrupt")
-			}
-			rang := false
-			if _, err := q.pushBatch(epochRecs(2, 1), func() { rang = true }); !errors.Is(err, errCorruptHeader) {
-				t.Errorf("push over a forged %s = %v, want %v", tc.name, err, errCorruptHeader)
-			}
-			if !rang {
-				t.Error("push over a corrupt header rang no doorbell")
-			}
-			if q.epochApplied() != 0 || q.depth() != 0 {
-				t.Errorf("epoch %d, depth %d over a corrupt header; want 0, 0", q.epochApplied(), q.depth())
-			}
-		})
 	}
 }
 
@@ -350,10 +257,7 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := newCmdQueue(m, hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K), nil)
-		if err != nil {
-			return false
-		}
+		q := newCmdQueue(m, nil)
 		cpu := m.CPU(0)
 		for _, p := range pages {
 			cpu.TLB.Insert(uint64(p)*hw.PageSize4K, hw.PageSize4K)
@@ -361,15 +265,11 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		flushed := map[uint64]bool{}
 		for _, f := range flushes {
 			start := uint64(f%32) * hw.PageSize4K
-			if _, err := q.pushBatch([]cmdRec{{Typ: CmdFlushRange, Arg0: start, Arg1: 2 * hw.PageSize4K}}, noDoorbell); err != nil {
-				return false
-			}
+			q.push([]cmdRec{{Typ: CmdFlushRange, Arg0: start, Arg1: 2 * hw.PageSize4K}})
 			flushed[start] = true
 			flushed[start+hw.PageSize4K] = true
 		}
-		if _, err := q.drain(cpu); err != nil {
-			return false
-		}
+		q.drain(cpu)
 		for _, p := range pages {
 			base := uint64(p) * hw.PageSize4K
 			want := !flushed[base]
@@ -457,7 +357,7 @@ func TestCovirtBootParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := hw.AlignUp(m.Topo.Nodes[0].MemBase, hw.PageSize4K)
-	in := &BootParams{NumCPUs: 4, CmdQueueBase: 0x10000, CmdQueueStride: CmdQueueStride, CmdQueueSlots: cmdqSlots, PiscesParams: 0x1000}
+	in := &BootParams{NumCPUs: 4, PiscesParams: 0x1000}
 	if err := encodeBootParams(m.Mem, addr, in); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package covirt
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -44,7 +42,8 @@ type IngestStats struct {
 	// FlushCmdsSaved is how many per-extent flush commands coalescing
 	// avoided pushing (all cores).
 	FlushCmdsSaved uint64
-	// StallCycles counts cycles spent in ring backpressure (all cores).
+	// StallCycles is always 0: a push never waits for room. It stays
+	// because perfbench reports it as covirt.stall_cycles.
 	StallCycles uint64
 }
 
@@ -52,7 +51,6 @@ type IngestStats struct {
 // enclavectl qstats verb.
 type QueueStats struct {
 	EnclaveID int
-	Slots     uint64 // ring capacity per core
 	// Depth maps machine core id -> pushed-but-undrained records.
 	Depth map[int]uint64
 	// EpochIssued is the last shootdown epoch the controller opened;
@@ -99,12 +97,11 @@ type Status struct {
 	FlushCmds   uint64
 }
 
-// coreCtl is the controller's record of one enclave core: the
-// command-queue slot it holds, the VMCS built for it, that slot's queue
-// and, once InterposeBoot has launched the core, its hypervisor.
+// coreCtl is the controller's record of one enclave core: the VMCS built
+// for it, its command queue and, once InterposeBoot has launched the core,
+// its hypervisor.
 type coreCtl struct {
 	id    int // machine core id
-	slot  int
 	vmcs  *vmx.VMCS
 	queue *cmdQueue
 	hv    *Hypervisor
@@ -122,17 +119,12 @@ type enclaveState struct {
 	filter *IPIFilter
 	io     *IOTable
 
-	// coresMu guards the enclave's live cores, keyed by machine core id,
-	// and the command queue of every slot built so far. CPU hot-plug
-	// writes them while the ingest path and the status snapshots read
-	// them. It is held for lookups and edits, and by pushEpoch across one
-	// epoch's pushes, never across waitEpoch.
-	coresMu sync.Mutex //covirt:guards cores,slotQueues
+	// coresMu guards the enclave's live cores, keyed by machine core id.
+	// CPU hot-plug writes them while the ingest path and the status
+	// snapshots read them. It is held for lookups and edits, and by
+	// pushEpoch across one epoch's pushes, never across waitEpoch.
+	coresMu sync.Mutex //covirt:guards cores
 	cores   map[int]*coreCtl
-	// slotQueues[s] is slot s's queue in the reserved area (which holds
-	// pisces.MaxBootCores slots). It is built when the slot is first
-	// used and passes unchanged to every later core that takes the slot.
-	slotQueues []*cmdQueue
 
 	// ingestMu serializes the enclave's ingest path: the EPT operation
 	// counters and the shootdown-epoch accumulator below. Events for one
@@ -289,7 +281,6 @@ func (c *Controller) QueueStatsFor(encID int) *QueueStats {
 	defer st.coresMu.Unlock()
 	out := &QueueStats{
 		EnclaveID:    encID,
-		Slots:        cmdqSlots,
 		Depth:        make(map[int]uint64, len(st.cores)),
 		EpochIssued:  st.epoch,
 		EpochApplied: make(map[int]uint64, len(st.cores)),
@@ -518,7 +509,7 @@ func (c *Controller) takeState(encID int) *enclaveState {
 // buildState constructs the full virtualization configuration for an
 // enclave before any of its cores boot: EPT identity map of its assignment,
 // intercept bitmaps, IPI whitelist, per-core VMCS, and per-core command
-// queues — all written by the controller so the hypervisor can simply load
+// queues — all built by the controller so the hypervisor can simply load
 // and launch.
 func (c *Controller) buildState(enc *pisces.Enclave) error {
 	feat := c.takeFeatures(enc.ID)
@@ -559,20 +550,15 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 	}
 
 	for _, coreID := range enc.Cores {
-		if err := c.buildCPU(st, enc, coreID); err != nil {
-			return err
-		}
+		c.buildCPU(st, coreID)
 	}
 
 	// Publish the Covirt boot-parameter block and point the Pisces boot
 	// parameters at it, leaving everything else untouched.
 	base := enc.Base()
 	cbp := &BootParams{
-		NumCPUs:        uint64(len(enc.Cores)),
-		CmdQueueBase:   base + pisces.OffCovirtCmdQ,
-		CmdQueueStride: CmdQueueStride,
-		CmdQueueSlots:  cmdqSlots,
-		PiscesParams:   base + pisces.OffBootParams,
+		NumCPUs:      uint64(len(enc.Cores)),
+		PiscesParams: base + pisces.OffBootParams,
 	}
 	if err := encodeBootParams(c.mach.Mem, base+pisces.OffCovirtParams, cbp); err != nil {
 		return err
@@ -591,11 +577,15 @@ func (c *Controller) buildState(enc *pisces.Enclave) error {
 	return nil
 }
 
-// buildCPU constructs the per-core virtualization context — VMCS with
-// feature-derived controls, pre-set guest state, command-queue slot — for
-// one enclave core and links it into st.cores. Used for every boot core
-// and for hot-added cores.
-func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int) error {
+// buildCPU constructs the per-core virtualization context — a VMCS with
+// feature-derived controls and a fresh command queue — for one enclave
+// core and links it into st.cores. Used for every boot core and for
+// hot-added cores. The queue's waits end when the enclave dies, even when
+// no drain follows: a host call can be parked in closeEpoch at that
+// moment, waiting for a core the teardown killed. A waiter still holding
+// a removed core's queue keeps it, so no applied word it reads goes back
+// to 0.
+func (c *Controller) buildCPU(st *enclaveState, coreID int) {
 	vmcs := vmx.NewVMCS(coreID)
 	vmcs.Controls = vmx.Controls{
 		EnableEPT:        st.feat.Memory,
@@ -610,47 +600,10 @@ func (c *Controller) buildCPU(st *enclaveState, enc *pisces.Enclave, coreID int)
 		vmcs.PID = &vmx.PostedIntDescriptor{}
 		vmcs.NotificationVector = 0xF9
 	}
-	// Guest state mirrors what the Pisces trampoline would have set:
-	// launch directly into the co-kernel entry in 64-bit mode with the
-	// boot-parameter pointer in RSI.
-	vmcs.Guest = vmx.GuestState{
-		RIP: enc.Mem()[0].Start + pisces.ReservedBytes, // kernel entry
-		RSP: enc.Mem()[0].End(),
-		CR3: enc.Mem()[0].Start + pisces.ReservedBytes - hw.PageSize4K,
-		RSI: enc.Base() + pisces.OffBootParams,
-	}
-	return c.linkCore(st, &coreCtl{id: coreID, vmcs: vmcs})
-}
-
-// linkCore gives cc the lowest command-queue slot no live core holds, with
-// that slot's queue, and links cc into st.cores. A slot's queue is built
-// on the slot's first use and never rebuilt: unlinkCore leaves it empty,
-// and a waiter still reading it for an earlier epoch must never see its
-// epoch word go back to 0.
-func (c *Controller) linkCore(st *enclaveState, cc *coreCtl) error {
+	cc := &coreCtl{id: coreID, vmcs: vmcs, queue: newCmdQueue(c.mach, st.enc.Teardown())}
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
-	var held [pisces.MaxBootCores]bool
-	for _, o := range st.cores {
-		held[o.slot] = true
-	}
-	cc.slot = slices.Index(held[:], false)
-	if cc.slot < 0 {
-		return fmt.Errorf("covirt: enclave %d exhausted its %d command-queue slots", st.enc.ID, pisces.MaxBootCores)
-	}
-	if cc.slot == len(st.slotQueues) {
-		// The queue's waits end when the enclave dies, even when no drain
-		// follows: a host call can be parked in closeEpoch at that moment,
-		// waiting for a core the teardown killed.
-		q, err := newCmdQueue(c.mach, st.enc.Base()+pisces.OffCovirtCmdQ+uint64(cc.slot)*CmdQueueStride, st.enc.Teardown())
-		if err != nil {
-			return err
-		}
-		st.slotQueues = append(st.slotQueues, q)
-	}
-	cc.queue = st.slotQueues[cc.slot]
-	st.cores[cc.id] = cc
-	return nil
+	st.cores[coreID] = cc
 }
 
 // addCPU handles a hot-added core: build its virtualization context before
@@ -661,9 +614,7 @@ func (c *Controller) addCPU(ev *pisces.Event) error {
 	if st == nil {
 		return nil
 	}
-	if err := c.buildCPU(st, ev.Enclave, ev.Core); err != nil {
-		return err
-	}
+	c.buildCPU(st, ev.Core)
 	st.filter.AddOwnCore(ev.Core)
 	c.Trace().Record(-1, 0, "ctl:cpu-add", "enclave %d core %d", ev.Enclave.ID, ev.Core)
 	return nil
@@ -691,15 +642,13 @@ func (c *Controller) removeCPU(ev *pisces.Event) error {
 // would never be applied and closeEpoch would wait for it forever.
 // pushEpoch pushes under the same lock, so every epoch either reached this
 // queue before the unlink and is applied here, or never reaches it. The
-// drain's cycles go uncharged: the core is offline. A drain that finds the
-// header corrupt applies nothing, and the epoch wait fails on the same
-// check instead of hanging.
+// drain's cycles go uncharged: the core is offline.
 func (st *enclaveState) unlinkCore(cpu *hw.CPU) {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
 	if cc := st.cores[cpu.ID]; cc != nil {
 		delete(st.cores, cpu.ID)
-		_, _ = cc.queue.drain(cpu)
+		cc.queue.drain(cpu)
 	}
 }
 
@@ -746,8 +695,8 @@ func (c *Controller) InterposeBoot(enc *pisces.Enclave, cpu *hw.CPU, bpAddr uint
 	return nil
 }
 
-// core returns the record of a live core, or nil. Its id, slot, vmcs and
-// queue never change once linked; hv is read and written under coresMu.
+// core returns the record of a live core, or nil. Its id, vmcs and queue
+// never change once linked; hv is read and written under coresMu.
 func (st *enclaveState) core(id int) *coreCtl {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
@@ -834,20 +783,13 @@ func (c *Controller) unmapAndFlush(ev *pisces.Event) error {
 	st.admit()
 	cost, err := c.unmapExtents(st, ev)
 	ev.Cost += cost
-	if err != nil {
-		// Flush what already left the EPT before reporting: the failed
-		// extent is still mapped, but the unmapped ones must not linger
-		// in any TLB while the caller unwinds.
-		fcost, ferr := c.closeEpoch(st)
-		ev.Cost += fcost
-		return errors.Join(err, ferr)
+	// On an error, flush what already left the EPT before reporting: the
+	// failed extent is still mapped, but the unmapped ones must not linger
+	// in any TLB while the caller unwinds.
+	if err != nil || !ev.MoreInBatch {
+		ev.Cost += c.closeEpoch(st)
 	}
-	if !ev.MoreInBatch {
-		fcost, err := c.closeEpoch(st)
-		ev.Cost += fcost
-		return err
-	}
-	return nil
+	return err
 }
 
 // unmapExtents removes the event's extents from the EPT and adds them to
@@ -882,25 +824,27 @@ func (c *Controller) flushIngest(ev *pisces.Event) error {
 	if st == nil || st.ept == nil {
 		return nil
 	}
-	cost, err := c.closeEpoch(st)
-	ev.Cost += cost
-	return err
+	ev.Cost += c.closeEpoch(st)
+	return nil
 }
 
 // closeEpoch seals the open shootdown epoch: the accumulated dirty ranges
 // are merged (and collapsed to one CmdFlushAll past flushAllThreshold)
 // into one batched command push per core, terminated by a CmdEpoch
 // marker. Every core gets one doorbell, and the operation completes only
-// when every core reports the epoch applied. Returns the issue and stall
-// cycles charged to the triggering event, and an error when a core's queue
-// header is corrupt: that core never applies the epoch, so its ranges may
-// stay cached and must not be reclaimed. An enclave or node that dies
-// mid-flush is no error; nothing is left to synchronize.
-func (c *Controller) closeEpoch(st *enclaveState) (uint64, error) {
+// when every core reports the epoch applied. Returns the issue cycles
+// charged to the triggering event. An enclave or node that dies mid-flush
+// ends the wait; nothing is left to synchronize.
+//
+// The doorbells ring after pushEpoch releases coresMu: a ringer delivers
+// the NMI of a halted core on this goroutine (hw.CPU.RingNMI), together
+// with anything else pending on a core blocked on the host, and a handler
+// that terminates the enclave runs a teardown that takes coresMu.
+func (c *Controller) closeEpoch(st *enclaveState) uint64 {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	if st.dirtyEvents == 0 && len(st.dirty) == 0 {
-		return 0, nil
+		return 0
 	}
 	raw := uint64(len(st.dirty))
 	ranges := mergeExtents(st.dirty)
@@ -920,93 +864,41 @@ func (c *Controller) closeEpoch(st *enclaveState) (uint64, error) {
 	recs = append(recs, cmdRec{Typ: CmdEpoch, Arg0: st.epoch})
 	st.epochRecs = recs
 
+	cost := c.pushEpoch(st, recs, raw)
+	for _, cpu := range st.epochRings {
+		cpu.RingNMI()
+	}
 	// A core hot-removed from here on has its queue applied by
 	// unlinkCore, so each wait ends.
-	waits, cost, err := c.pushEpoch(st, recs, raw)
-	for _, q := range waits {
-		if werr := q.waitEpoch(st.epoch); werr != nil {
-			if !errors.Is(werr, errCorruptHeader) {
-				break // the enclave or the node died mid-flush
-			}
-			if err == nil {
-				err = werr
-			}
+	for _, q := range st.epochWaits {
+		if q.waitEpoch(st.epoch) != nil {
+			break // the enclave or the node died mid-flush
 		}
 	}
-	return cost, err
+	return cost
 }
 
-// pushEpoch pushes one epoch's records to every live core, then rings each
-// core's doorbell. It returns the queues to wait on (in st.epochWaits) and
-// the cycles to charge; when the enclave or the node died under
-// backpressure there is nothing to wait on. A core whose queue header is
-// corrupt is skipped and reported; the other cores still get the epoch.
-// Called with ingestMu held; raw is the epoch's unmerged range count.
-//
-// The doorbells ring after coresMu is released: a ringer delivers the NMI
-// of a halted core on this goroutine (hw.CPU.RingNMI), and a drain that
-// finds the header forged crashes the enclave, whose teardown takes
-// coresMu. The pushes cannot park on an honest guest's ring: closeEpoch
-// waits for each epoch before opening the next, so every epoch starts on
-// empty 64-slot rings, and an epoch is at most flushAllThreshold+1
-// records. A ring without room for the whole epoch was left so by its
-// guest; pushEpoch then rings that core and waits for room outside the
-// lock, charging a stall, before it pushes anything.
-func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64) (waits []*cmdQueue, cost uint64, corrupt error) {
-	for {
-		full, waits, pcost, corrupt := c.publishEpoch(st, recs, raw)
-		cost += pcost
-		if full == nil {
-			for _, cpu := range st.epochRings {
-				cpu.RingNMI()
-			}
-			return waits, cost, corrupt
-		}
-		st.ingest.StallCycles += cmdqStallCycles
-		cost += cmdqStallCycles
-		c.mach.CPU(full.id).RingNMI()
-		if err := full.queue.waitFits(len(recs)); err != nil {
-			return nil, cost, nil
-		}
-	}
-}
-
-// publishEpoch pushes recs to every live core's queue under coresMu, so
-// that a core unlinkCore removes got the whole epoch before the unlink or
-// none of it, and lists the cores to ring in st.epochRings. It pushes
-// nothing, and returns the core, when a queue lacks room for recs.
-func (c *Controller) publishEpoch(st *enclaveState, recs []cmdRec, raw uint64) (full *coreCtl, waits []*cmdQueue, cost uint64, corrupt error) {
+// pushEpoch pushes recs to every live core's queue under coresMu, so that
+// a core unlinkCore removes got the whole epoch before the unlink or none
+// of it. It lists the queues to wait on in st.epochWaits and the cores to
+// ring in st.epochRings, and returns the issue cycles to charge. Called
+// with ingestMu held; raw is the epoch's unmerged range count.
+func (c *Controller) pushEpoch(st *enclaveState, recs []cmdRec, raw uint64) uint64 {
 	st.coresMu.Lock()
 	defer st.coresMu.Unlock()
-	for _, cc := range st.cores {
-		if !cc.queue.fits(len(recs)) {
-			return cc, nil, 0, nil
-		}
-	}
 	flushRecs := uint64(len(recs) - 1) // all but the CmdEpoch marker
 	waits, rings := st.epochWaits[:0], st.epochRings[:0]
+	var cost uint64
 	for _, cc := range st.cores {
-		cpu := c.mach.CPU(cc.id)
-		stall, err := cc.queue.pushBatch(recs, cpu.APIC.RaiseNMI)
-		if errors.Is(err, errCorruptHeader) {
-			if corrupt == nil {
-				corrupt = err
-			}
-			continue
-		}
-		if err != nil {
-			st.epochRings = rings[:0]
-			return nil, nil, cost, nil
-		}
-		rings = append(rings, cpu)
+		cc.queue.push(recs)
+		waits = append(waits, cc.queue)
+		rings = append(rings, c.mach.CPU(cc.id))
 		st.ingest.FlushCmds += flushRecs
 		st.ingest.FlushCmdsSaved += raw - flushRecs
-		st.ingest.StallCycles += stall
-		cost += costCmdIssue + stall
-		waits = append(waits, cc.queue)
+		cost += costCmdIssue
 	}
 	st.epochWaits, st.epochRings = waits, rings
-	return nil, waits, cost, corrupt
+	return cost
 }
 
 // teardown drops controller state for a dead enclave. Waits on its command

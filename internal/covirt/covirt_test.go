@@ -163,65 +163,82 @@ func TestWildWriteContained(t *testing.T) {
 	}
 }
 
-// TestForgedCmdQueueHeaderContained: each core's command-queue header lies
-// in the enclave's reserved area, which its EPT maps, so a guest can
-// rewrite it. Trusted, a head forged 1000 records past the tail makes the
-// next drain index past its snapshot buffer and panic the whole process,
-// and a tail forged past the head leaves a host RemoveMemory waiting
-// forever on an epoch the drain never applies. Either forgery must cost
-// only the forger: the removal fails within a bounded time, the forger's
-// hypervisor terminates it, the node stays up and a bystander enclave
-// keeps running.
-func TestForgedCmdQueueHeaderContained(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		off, val uint64
-	}{
-		{"head", covirt.CmdQueueOffHead, 1000},
-		{"tail", covirt.CmdQueueOffTail, 1 << 40},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, covirt.FeaturesMem)
-			enc, k := r.boot(t, "forger", 1, []int{0}, 128<<20)
-			_, kB := r.boot(t, "bystander", 1, []int{1}, 128<<20)
-			ext, err := r.h.Pisces.AddMemory(enc, 0, 64<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hdr := enc.Base() + pisces.OffCovirtCmdQ + tc.off // the boot core's queue
-			task, _ := k.Spawn("forge", 0, func(e *kitten.Env) error {
-				return e.RawWrite64(hdr, tc.val)
-			})
-			if err := task.Wait(); err != nil {
-				t.Fatalf("forging the queue %s: %v", tc.name, err)
-			}
-
-			removed := make(chan error, 1)
-			go func() { removed <- r.h.Pisces.RemoveMemory(enc, ext) }()
-			select {
-			case err := <-removed:
-				if err == nil || !strings.Contains(err.Error(), "corrupt command-queue header") {
-					t.Errorf("RemoveMemory = %v, want a corrupt-header error: the core never applied its flush", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("RemoveMemory still blocked 30 s after the guest forged its queue header")
-			}
-			select {
-			case <-enc.Done():
-			case <-time.After(30 * time.Second):
-				t.Fatal("the forger is still running 30 s after its drain met the forged header")
-			}
-			if !strings.Contains(enc.CrashReason(), "corrupt command-queue header") {
-				t.Errorf("forger crash reason = %q", enc.CrashReason())
-			}
-			if r.h.M.Crashed() {
-				t.Fatal("node crashed")
-			}
-			tB, _ := kB.Spawn("alive", 0, func(e *kitten.Env) error { e.Compute(100); return nil })
-			if err := tB.Wait(); err != nil {
-				t.Errorf("bystander task: %v", err)
-			}
+// TestReservedAreaReachesNoHypervisorState: the enclave's reserved area
+// is the co-kernel's own memory, which its EPT maps, so no hypervisor
+// state may live there. The command queues once did, above the heartbeat
+// page, and a guest that rewrote their headers failed a host RemoveMemory
+// and was terminated by its own doorbell; forged contents that passed the
+// header check could let the host reclaim a frame a core still cached.
+// After the guest overwrites every word above its heartbeat page, a
+// removal must complete, leave no core caching the removed extent, and
+// cost nobody anything: the guest and a bystander keep running.
+func TestReservedAreaReachesNoHypervisorState(t *testing.T) {
+	const cores = 2
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "forger", cores, []int{0}, 128<<20)
+	_, kB := r.boot(t, "bystander", 1, []int{1}, 128<<20)
+	ext, err := r.h.Pisces.AddMemory(enc, 0, 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for core := 0; core < cores; core++ {
+		warm, err := k.Spawn("warm", core, func(e *kitten.Env) error {
+			e.Access(ext.Start+4096, false, hw.AccessHot)
+			return nil
 		})
+		if err == nil {
+			err = warm.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each word gets its own address, so any two words read as a queue's
+	// head and tail put the tail past the head.
+	task, err := k.Spawn("forge", 0, func(e *kitten.Env) error {
+		for addr := enc.Base() + pisces.OffHeartbeat + hw.PageSize4K; addr < enc.Base()+pisces.ReservedBytes; addr += 8 {
+			if err := e.RawWrite64(addr, addr); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = task.Wait()
+	}
+	if err != nil {
+		t.Fatalf("overwriting the reserved area: %v", err)
+	}
+
+	removed := make(chan error, 1)
+	go func() { removed <- r.h.Pisces.RemoveMemory(enc, ext) }()
+	select {
+	case err := <-removed:
+		if err != nil {
+			t.Fatalf("RemoveMemory after the guest overwrote its reserved area: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RemoveMemory still blocked 30 s after the guest overwrote its reserved area")
+	}
+	for core := 0; core < cores; core++ {
+		if cached(t, k, core, ext.Start+4096) {
+			t.Errorf("core %d still caches the removed extent %v", core, ext)
+		}
+	}
+	if enc.State() != pisces.StateRunning {
+		t.Errorf("forger is %s (%s)", enc.State(), enc.CrashReason())
+	}
+	if r.h.M.Crashed() {
+		t.Fatal("node crashed")
+	}
+	for name, kern := range map[string]*kitten.Kernel{"forger": k, "bystander": kB} {
+		alive, err := kern.Spawn("alive", 0, func(e *kitten.Env) error { e.Compute(100); return nil })
+		if err == nil {
+			err = alive.Wait()
+		}
+		if err != nil {
+			t.Errorf("%s task: %v", name, err)
+		}
 	}
 }
 

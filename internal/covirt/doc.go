@@ -19,9 +19,11 @@
 // control process publish. Resource events are translated into direct
 // edits of the enclave's virtualization data structures — EPT mappings,
 // MSR/IO bitmaps, the IPI whitelist — asynchronously with respect to the
-// enclave's execution. Only changes that may be cached by an enclave CPU (unmapped
-// translations in its TLB) require synchronizing with the hypervisor, via
-// fixed-size commands in a shared-memory queue signalled by NMI.
+// enclave's execution. Only changes that may be cached by an enclave CPU
+// (unmapped translations in its TLB) require synchronizing with the
+// hypervisor, via fixed-size commands in a per-core queue signalled by
+// NMI. The queue, like the EPT and the VMCS, is hypervisor state that no
+// guest can address.
 //
 // Ordering rules enforced (paper §IV):
 //

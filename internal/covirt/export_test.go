@@ -12,13 +12,6 @@ var DecodeBootParams = decodeBootParams
 // FlushAllThreshold exposes flushAllThreshold.
 const FlushAllThreshold = flushAllThreshold
 
-// CmdQueueOffHead and CmdQueueOffTail expose the queue header's index
-// word offsets.
-const (
-	CmdQueueOffHead = cmdqOffHead
-	CmdQueueOffTail = cmdqOffTail
-)
-
 // HasState reports whether the controller holds live state for enc.
 func (c *Controller) HasState(enc *pisces.Enclave) bool { return c.stateFor(enc) != nil }
 

@@ -228,126 +228,43 @@ func TestTaskQueuedBehindKilledTaskFails(t *testing.T) {
 // interrupts mid-access, and the interrupt it takes there may terminate
 // the enclave. The terminate once tried to close the rings under the lock
 // that access held, deadlocking the core's own goroutine: the task never
-// returned and the enclave's cores were never reclaimed. Two guests take
-// such an interrupt inside Syscall's push on the longcall request ring: an
-// application IPI handler making a wild write, and the NMI doorbell of a
-// command queue whose tail the guest forged.
+// returned and the enclave's cores were never reclaimed. The guest takes
+// such an interrupt inside Syscall's push on the longcall request ring:
+// an application IPI handler making a wild write.
 func TestTerminateInsideGuestRingAccess(t *testing.T) {
 	const vector = 0x63
-	for _, tc := range []struct {
-		name string
-		// prime runs on the guest core before it parks; arm then makes the
-		// interrupt pending while the core is parked on a host channel.
-		prime func(r *rig, enc *pisces.Enclave, e *kitten.Env) error
-		arm   func(t *testing.T, r *rig, enc *pisces.Enclave, ext hw.Extent)
-	}{
-		{
-			name:  "ipi-handler-wild-write",
-			prime: func(*rig, *pisces.Enclave, *kitten.Env) error { return nil },
-			arm: func(_ *testing.T, r *rig, enc *pisces.Enclave, _ hw.Extent) {
-				r.h.M.RouteIPI(-1, enc.Cores[0], vector)
-			},
-		},
-		{
-			name: "forged-cmdq-doorbell",
-			prime: func(_ *rig, enc *pisces.Enclave, e *kitten.Env) error {
-				return e.RawWrite64(enc.Base()+pisces.OffCovirtCmdQ+covirt.CmdQueueOffTail, 1<<40)
-			},
-			arm: func(t *testing.T, r *rig, enc *pisces.Enclave, ext hw.Extent) {
-				// The unmap's push finds the forged header and rings the
-				// doorbell, leaving the NMI pending on the parked core.
-				ev := &pisces.Event{Kind: pisces.EvMemRemovePost, Enclave: enc, Extents: []hw.Extent{ext}}
-				if err := r.h.Pisces.Bus.Emit(ev); err == nil {
-					t.Error("unmap over a forged command-queue header succeeded")
-				}
-			},
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, covirt.FeaturesMem)
-			enc, k := r.boot(t, "victim", 1, []int{0}, 128<<20)
-			_, kB := r.boot(t, "bystander", 1, []int{1}, 128<<20)
-			cores := slices.Clone(enc.Cores)
-			ext, err := r.h.Pisces.AddMemory(enc, 0, 64<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k.OnIPI(vector, func(e *kitten.Env) { _ = e.RawWrite64(0x20, 1) })
-			parked, release := make(chan struct{}), make(chan struct{})
-			task, err := k.Spawn("syscall", 0, func(e *kitten.Env) error {
-				if err := tc.prime(r, enc, e); err != nil {
-					return err
-				}
-				e.Compute(0) // take the spawn doorbell before parking
-				close(parked)
-				<-release
-				// The first poll of this call is in LcReq.Push.
-				_, _, err := e.Syscall(pisces.SysGetPID)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-parked
-			tc.arm(t, r, enc, ext)
-			close(release)
-			within(t, "the interrupted task", func() {
-				if err := task.Wait(); err == nil {
-					t.Error("the interrupted syscall returned nil")
-				}
-			})
-			if enc.State() != pisces.StateCrashed {
-				t.Errorf("enclave is %s", enc.State())
-			}
-			contained(t, r, enc, cores, kB)
+	t.Run("ipi-handler-wild-write", func(t *testing.T) {
+		r := newRig(t, covirt.FeaturesMem)
+		enc, k := r.boot(t, "victim", 1, []int{0}, 128<<20)
+		_, kB := r.boot(t, "bystander", 1, []int{1}, 128<<20)
+		cores := slices.Clone(enc.Cores)
+		k.OnIPI(vector, func(e *kitten.Env) { _ = e.RawWrite64(0x20, 1) })
+		parked, release := make(chan struct{}), make(chan struct{})
+		task, err := k.Spawn("syscall", 0, func(e *kitten.Env) error {
+			e.Compute(0) // take the spawn doorbell before parking
+			close(parked)
+			<-release
+			// The first poll of this call is in LcReq.Push.
+			_, _, err := e.Syscall(pisces.SysGetPID)
+			return err
 		})
-	}
-}
-
-// TestForgedFullCmdQueueDuringSyscall: a guest may leave its own command
-// queue full, with a header that passes the check (head = tail + 64). A
-// detach's epoch then needs room on the caller's queue while the caller's
-// goroutine runs the host's service. The controller must ring the caller
-// for room outside its locks, and the ring, delivered on that same
-// goroutine, drains the forged records: the call completes, as it did
-// when a service goroutine answered it and the caller idled.
-func TestForgedFullCmdQueueDuringSyscall(t *testing.T) {
-	r := newRig(t, covirt.FeaturesMem)
-	enc, k := r.boot(t, "forger", 1, []int{0}, 128<<20)
-	mem, err := r.h.HostAlloc(0, hw.PageSize2M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.h.HostFree(mem)
-	seg, err := r.h.Master.Reg.Make(0xF011, r.h.Pisces.RootMem, []hw.Extent{mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := enc.Base() + pisces.OffCovirtCmdQ
-	task, err := k.Spawn("forge", 0, func(e *kitten.Env) error {
-		if _, err := e.XemAttach(seg.ID); err != nil {
-			return err
-		}
-		tail, err := e.RawRead64(hdr + covirt.CmdQueueOffTail)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if err := e.RawWrite64(hdr+covirt.CmdQueueOffHead, tail+64); err != nil {
-			return err
+		<-parked
+		// The IPI is pending while the core is parked on a host channel.
+		r.h.M.RouteIPI(-1, enc.Cores[0], vector)
+		close(release)
+		within(t, "the interrupted task", func() {
+			if err := task.Wait(); err == nil {
+				t.Error("the interrupted syscall returned nil")
+			}
+		})
+		if enc.State() != pisces.StateCrashed {
+			t.Errorf("enclave is %s", enc.State())
 		}
-		return e.XemDetach(seg.ID)
+		contained(t, r, enc, cores, kB)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	within(t, "the detach over a forged full queue", func() {
-		if err := task.Wait(); err != nil {
-			t.Errorf("detach: %v", err)
-		}
-	})
-	if st := r.ctrl.QueueStatsFor(enc.ID); st == nil || st.Ingest.StallCycles == 0 {
-		t.Error("the epoch push charged no stall for the forged full queue")
-	}
 }
 
 // TestNodeCrashEndsEpochWait: an epoch waiter whose core never drains

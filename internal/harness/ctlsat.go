@@ -187,13 +187,12 @@ func runCtlSatJob(batch, pairs int) (*workloads.Result, error) {
 	return &workloads.Result{
 		Name: "ctl-saturation", Threads: 1, Cycles: ctlCycles,
 		Metrics: map[string]float64{
-			"events":       float64(2 * pairs),
-			"ctl_cycles":   float64(ctlCycles),
-			"p50_us":       pctileCycles(applyCosts, 0.50) / workloads.CyclesPerSecond * 1e6,
-			"p99_us":       pctileCycles(applyCosts, 0.99) / workloads.CyclesPerSecond * 1e6,
-			"flush_cmds":   float64(qs.Ingest.FlushCmds),
-			"flush_saved":  float64(qs.Ingest.FlushCmdsSaved),
-			"stall_cycles": float64(qs.Ingest.StallCycles),
+			"events":      float64(2 * pairs),
+			"ctl_cycles":  float64(ctlCycles),
+			"p50_us":      pctileCycles(applyCosts, 0.50) / workloads.CyclesPerSecond * 1e6,
+			"p99_us":      pctileCycles(applyCosts, 0.99) / workloads.CyclesPerSecond * 1e6,
+			"flush_cmds":  float64(qs.Ingest.FlushCmds),
+			"flush_saved": float64(qs.Ingest.FlushCmdsSaved),
 		},
 	}, nil
 }

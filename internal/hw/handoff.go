@@ -15,7 +15,7 @@ import (
 //   - the node crash (Machine.Crash), for the node the Handoff was built
 //     on or, failing that, the node of the CPU a wait names;
 //   - the Latch the Handoff was bound to at construction, if any (an
-//     enclave's teardown, for the rings and queues in its memory);
+//     enclave's teardown, for its rings and command queues);
 //   - the kill of the CPU a wait names (CPU.Kill), if any.
 //
 // The code that sets a stop condition also wakes the waiters it stops, so

@@ -24,7 +24,7 @@ const (
 // address space layouts stay cheap to construct.
 //
 // Access takes no lock. Cores and the host legitimately share pages
-// (rings, command queues, the heartbeat page), and the atomics give the
+// (rings, the heartbeat page, XEMEM page lists), and the atomics give the
 // same guarantee the hardware does: an aligned 64-bit load observes the
 // old word or the new one, never a torn mix. A multi-byte copy is not
 // atomic as a whole; it moves word by word, and a partial word is merged

@@ -26,12 +26,10 @@ const (
 	OffLcRespRing   = 0x4000
 	OffCovirtParams = 0x5000 // Covirt boot-parameter block (hypervisor-owned)
 	OffHeartbeat    = 0x7000 // liveness heartbeat page (supervisor-watched)
-	// OffCovirtCmdQ is the Covirt controller->hypervisor command-queue
-	// array: one 4 KiB ring per core, MaxBootCores rings. It sits above
-	// the longcall data window so a full 16-core enclave's queues cannot
-	// collide with the heartbeat page or the data window (the old 0x6000
-	// placement left room for only 8 cores before running into 0x7000).
-	OffCovirtCmdQ = 0x10000
+	// ReservedBytes is the area's size. Nothing above the longcall data
+	// window (OffLcData) uses it, but the co-kernel's entry point and
+	// every allocation of its own sit above it, so shrinking it would
+	// move every simulated address and every golden.
 	ReservedBytes = 0x20000
 )
 

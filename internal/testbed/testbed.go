@@ -63,20 +63,6 @@ type Guest struct {
 	// Heartbeat enables the supervisor liveness protocol: the co-kernel
 	// beats a shared heartbeat page from its boot core's timer interrupt.
 	Heartbeat bool
-	// IPIGrants are Hobbes IPI permissions established after boot — and
-	// re-established identically when a supervisor reboots the guest.
-	IPIGrants []IPIGrant
-	// OnBoot, when set, runs after the kernel is up (every boot, including
-	// supervised restarts). Guests use it to re-establish state the spec
-	// cannot express structurally, e.g. XEMEM attaches.
-	OnBoot func(n *Node, e *Enclave) error
-}
-
-// IPIGrant is one declarative Hobbes IPI permission: the guest may send
-// Vector to machine core DestCore.
-type IPIGrant struct {
-	DestCore int
-	Vector   uint8
 }
 
 // Spec declares a full testbed: hardware, host carve-out, Covirt, guests.
@@ -262,25 +248,15 @@ func (n *Node) BootInto(enc *pisces.Enclave, g Guest) (*Enclave, error) {
 	default:
 		return nil, fmt.Errorf("testbed: guest %s has unknown kind %v", g.Name, g.Kind)
 	}
-	for _, gr := range g.IPIGrants {
-		if err := n.Host.Master.GrantIPI(enc, gr.DestCore, gr.Vector); err != nil {
-			return nil, err
-		}
-	}
-	if g.OnBoot != nil {
-		if err := g.OnBoot(n, be); err != nil {
-			return nil, fmt.Errorf("testbed: guest %s on-boot hook: %w", g.Name, err)
-		}
-	}
 	n.Encs = append(n.Encs, be)
 	return be, nil
 }
 
 // ReplaceGuest reboots a dead guest from its original declaration: a fresh
-// enclave is created and the spec's kernel, feature set, IPI grants and
-// OnBoot hook are re-established exactly as at first boot. The old entry in
-// the node's enclave list is replaced. Supervised recovery uses this as the
-// single reboot path, so a restarted stack cannot drift from its spec.
+// enclave is created and the spec's kernel, feature set and heartbeat are
+// re-established exactly as at first boot. The old entry in the node's
+// enclave list is replaced. Supervised recovery uses this as the single
+// reboot path, so a restarted stack cannot drift from its spec.
 func (n *Node) ReplaceGuest(old *Enclave) (*Enclave, error) {
 	be, err := n.BootGuest(old.Guest)
 	if err != nil {

@@ -21,24 +21,12 @@ type Controls struct {
 	InterceptDF bool
 }
 
-// GuestState is the architectural guest register state Covirt pre-loads so
-// the co-kernel boots exactly as the Pisces trampoline would have booted it:
-// 64-bit long mode, identity page tables, entry point and boot-parameter
-// pointer in registers.
-type GuestState struct {
-	RIP uint64 // co-kernel entry point
-	RSP uint64
-	CR3 uint64 // identity-mapped page table root
-	RSI uint64 // pointer to the (unmodified) Pisces boot parameters
-}
-
 // VMCS is a simulated Virtual Machine Control Structure for one CPU core.
 // Covirt's controller module writes the VMCS (and the EPT it points to)
 // from the management plane; the per-core hypervisor loads it and launches.
 type VMCS struct {
 	CPUID int // core this VMCS is bound to
 
-	Guest    GuestState
 	Controls Controls
 
 	// EPT is the nested page table; nil when EnableEPT is false.

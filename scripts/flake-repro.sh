@@ -1,15 +1,23 @@
 #!/bin/sh
-# flake-repro.sh — stress repro for the known multi-rank cycle jitter
-# flake (ROADMAP "Known flake"): under a saturated host with the whole
-# -race suite running concurrently, multi-rank cells occasionally shift
-# by a few hundred cycles between identical runs. Seen at the PR 6 seed
-# in TestWorkloadCyclesStableAcrossRepeats, TestSpanRoutingEquivalence/
-# hpcg, and (by one cycle) fig5b's harness output, which
-# TestExperimentGoldens/fig5b now pins. All three pass reliably on an idle
-# host or package-serially, which is exactly what makes the flake hard
-# to catch in CI — this script recreates the scheduler pressure on
-# purpose and loops the suspects until one trips or the iteration
-# budget runs out.
+# flake-repro.sh — stress repro for host-schedule flakes. Two families of
+# suspects run every iteration under antagonist load:
+#
+#   - the multi-rank cycle jitter (ROADMAP "Known flake"): under a
+#     saturated host with the whole -race suite running concurrently,
+#     multi-rank cells once shifted by a few hundred cycles between
+#     identical runs, in TestWorkloadCyclesStableAcrossRepeats,
+#     TestSpanRoutingEquivalence/hpcg and (by one cycle) fig5b's harness
+#     output, which TestExperimentGoldens/fig5b now pins;
+#   - covirt's cross-goroutine TSC and epoch checks:
+#     TestRefusedRemovalClosesNoEpoch once read core 1's published TSC
+#     before the core's first halt published its VM-entry charge, and
+#     TestCPUHotplug* and TestConcurrentMultiEnclaveIngest race hot-plug,
+#     ingest and the per-core drains.
+#
+# All of them pass reliably on an idle host or package-serially, which is
+# exactly what makes such flakes hard to catch in CI — this script
+# recreates the scheduler pressure on purpose and loops the suspects
+# until one trips or the iteration budget runs out.
 #
 #   ./scripts/flake-repro.sh [iterations] [load-procs]
 #
@@ -49,6 +57,7 @@ trap cleanup EXIT INT TERM
 echo "==> building race-instrumented suspect binaries"
 go test -race -c -o "$bin/workloads.test" ./internal/workloads
 go test -race -c -o "$bin/harness.test" ./internal/harness
+go test -race -c -o "$bin/covirt.test" ./internal/covirt
 
 # suspect PKG ARGS... runs PKG's test binary from the package directory.
 suspect() {
@@ -83,6 +92,13 @@ while [ "$n" -le "$iters" ]; do
     if ! suspect harness \
         -test.run 'TestExperimentGoldens/fig5b' \
         -test.count 1; then
+        fail=1
+    fi
+    # Ten rounds: under this load the TSC-snapshot flake tripped about
+    # twice in 100 runs, so one round per iteration rarely caught it.
+    if ! suspect covirt \
+        -test.run 'TestRefusedRemovalClosesNoEpoch|TestCPUHotplug|TestConcurrentMultiEnclaveIngest' \
+        -test.count 10; then
         fail=1
     fi
     if [ "$fail" -ne 0 ]; then
